@@ -20,9 +20,7 @@ from .adversary import (
 from .gantt import GanttRendering, render_gantt
 from .model import (
     DEFAULT_CONFIG,
-    EMPTY_SCHEDULE,
     Instance,
-    InvalidTraceError,
     Job,
     Schedule,
     SimulationTrace,
@@ -32,7 +30,6 @@ from .model import (
     is_admissible,
     simulate,
     step_temperature,
-    throughput,
     validate_instance,
 )
 from .policies import (

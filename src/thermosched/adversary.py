@@ -75,7 +75,7 @@ def run_lower_bound_game(policy: Policy) -> AdversaryTranscript:
     policy violation) takes the second branch. PolicyViolationError
     propagates from the underlying online run.
     """
-    probe = policy(0, Fraction(0), (_JOB_1,), (), DEFAULT_CONFIG)
+    probe = policy(0, Fraction(0), (_JOB_1,), DEFAULT_CONFIG)
     if probe == _JOB_1.id:
         branch = BRANCH_EXECUTE
         instance = Instance(jobs=(_JOB_1, _JOB_2))
@@ -107,7 +107,7 @@ def scripted_policy(intents: Sequence[Optional[int]]) -> Policy:
     """
     script = tuple(intents)
 
-    def decide(time, temperature, pending, history, config):
+    def decide(time, temperature, pending, config):
         if time >= len(script) or script[time] is None:
             return None
         for job in pending:

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .adversary import RandomModel, ratio_experiment, run_lower_bound_game
 from .gantt import SVG_FORMAT, TEXT_FORMAT, approx_decimal, render_gantt
-from .model import InvalidTraceError, simulate, validate_instance
+from .model import simulate, validate_instance
 from .policies import POLICIES, PolicyViolationError, run_online
 from .reductions import (
     InvalidCertificateError,
@@ -44,7 +44,6 @@ from .serialization import (
 from .solver import InstanceTooLargeError, solve_optimal
 
 _DOMAIN_ERRORS = (
-    InvalidTraceError,
     PolicyViolationError,
     InvalidSourceError,
     InvalidCertificateError,

@@ -34,7 +34,12 @@ REPEATED_JOB = "repeated-job"
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    # Fraction(0.1) would silently keep the binary expansion of the float.
+    if isinstance(value, float):
+        raise TypeError(f"{value!r} is a float; pass a Fraction, int or decimal string")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -116,9 +121,6 @@ class Schedule:
         return self.slots[index]
 
 
-EMPTY_SCHEDULE = Schedule(())
-
-
 @dataclass(frozen=True)
 class Violation:
     """One rule breach observed during simulation.
@@ -158,14 +160,11 @@ class ValidationIssue:
     message: str
 
 
-class InvalidTraceError(ValueError):
-    """Raised when a throughput is requested for a trace with violations."""
-
-
 def validate_instance(instance: Instance) -> list[ValidationIssue]:
     """Check all structural invariants; an empty list means the instance is valid.
 
-    Checked per job: non-negative id, non-negative release, a non-empty
+    Checked per job: integer id, release and deadline (a bool is not
+    an integer), non-negative id, non-negative release, a non-empty
     execution window (release < deadline), and non-negative heat. Job
     ids must be unique across the instance, and the configuration needs
     threshold > 0 and cooling factor > 1.
@@ -180,6 +179,12 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
         )
     seen: set[int] = set()
     for job in instance.jobs:
+        for field in ("id", "release", "deadline"):
+            value = getattr(job, field)
+            if isinstance(value, bool) or not isinstance(value, int):
+                issues.append(
+                    ValidationIssue(job.id, field, f"job {job.id}: {field} must be an integer")
+                )
         if job.id < 0:
             issues.append(ValidationIssue(job.id, "id", f"job {job.id}: id must be non-negative"))
         if job.id in seen:
@@ -239,44 +244,28 @@ def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
     temperatures = [tau]
     for time in range(length):
         entry = schedule[time] if time < len(schedule) else None
-        heat = Fraction(0)
-        if entry is not None:
-            job = jobs.get(entry)
-            if job is None:
-                violations.append(Violation(time, UNKNOWN_JOB, entry))
-            else:
-                heat = job.heat
-                ok = True
-                if entry in executed:
-                    violations.append(Violation(time, REPEATED_JOB, entry))
-                    ok = False
-                executed.add(entry)
-                if not job.pending_at(time):
-                    violations.append(Violation(time, OUT_OF_WINDOW, entry))
-                    ok = False
-                if step_temperature(tau, heat, cfg) > cfg.threshold:
-                    violations.append(Violation(time, THERMAL, entry))
-                    ok = False
-                if ok:
-                    completed.add(entry)
-        tau = step_temperature(tau, heat, cfg)
+        job = None if entry is None else jobs.get(entry)
+        tau = step_temperature(tau, Fraction(0) if job is None else job.heat, cfg)
         temperatures.append(tau)
+        if job is not None:
+            ok = True
+            if entry in executed:
+                violations.append(Violation(time, REPEATED_JOB, entry))
+                ok = False
+            executed.add(entry)
+            if not job.pending_at(time):
+                violations.append(Violation(time, OUT_OF_WINDOW, entry))
+                ok = False
+            if tau > cfg.threshold:
+                violations.append(Violation(time, THERMAL, entry))
+                ok = False
+            if ok:
+                completed.add(entry)
+        elif entry is not None:
+            violations.append(Violation(time, UNKNOWN_JOB, entry))
     return SimulationTrace(
         temperatures=tuple(temperatures),
         completed=frozenset(completed),
         throughput=len(completed),
         violations=tuple(violations),
     )
-
-
-def throughput(trace: SimulationTrace) -> int:
-    """Number of completed jobs of a violation-free trace.
-
-    Raises InvalidTraceError if the trace recorded any violation; use
-    trace.throughput directly for diagnostic counts.
-    """
-    if trace.violations:
-        raise InvalidTraceError(
-            f"trace has {len(trace.violations)} violation(s); throughput is undefined"
-        )
-    return len(trace.completed)

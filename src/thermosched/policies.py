@@ -2,13 +2,12 @@
 
 A policy is any deterministic callable
 
-    policy(time, temperature, pending, history, config) -> job id or None
+    policy(time, temperature, pending, config) -> job id or None
 
 where ``pending`` is the tuple of currently pending jobs (released, not
-expired, not yet scheduled) sorted by id, and ``history`` is the tuple
-of DecisionRecord entries for all earlier slots. The harness never
-shows a policy a job before its release time, which is what makes a
-run online. Returning None means stay idle for one slot.
+expired, not yet scheduled) sorted by id. The harness never shows a
+policy a job before its release time, which is what makes a run
+online. Returning None means stay idle for one slot.
 
 A policy is *reasonable* if it (i) never idles while some pending job
 is admissible and (ii) never executes a job that is strictly dominated
@@ -33,6 +32,7 @@ from .model import (
     ThermalConfig,
     is_admissible,
     simulate,
+    step_temperature,
 )
 
 # Reasonableness violation kinds.
@@ -68,10 +68,7 @@ class ReasonablenessViolation:
     witness: Optional[int]
 
 
-Policy = Callable[
-    [int, Fraction, tuple[Job, ...], tuple[DecisionRecord, ...], ThermalConfig],
-    Optional[int],
-]
+Policy = Callable[[int, Fraction, tuple[Job, ...], ThermalConfig], Optional[int]]
 
 
 class PolicyViolationError(ValueError):
@@ -95,7 +92,7 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
         pending = tuple(
             j for j in instance.jobs if j.pending_at(time) and j.id not in done
         )
-        choice = policy(time, tau, pending, tuple(decisions), cfg)
+        choice = policy(time, tau, pending, cfg)
         heat = Fraction(0)
         if choice is not None:
             chosen = next((j for j in pending if j.id == choice), None)
@@ -111,7 +108,7 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
             heat = chosen.heat
         decisions.append(DecisionRecord(time, tau, tuple(j.id for j in pending), choice))
         slots.append(choice)
-        tau = (tau + heat) / cfg.cooling_factor
+        tau = step_temperature(tau, heat, cfg)
     schedule = Schedule(tuple(slots))
     return OnlineRun(
         instance=instance,
@@ -125,7 +122,6 @@ def coolest_first_decide(
     time: int,
     temperature: Fraction,
     pending: tuple[Job, ...],
-    history: tuple[DecisionRecord, ...] = (),
     config: ThermalConfig = DEFAULT_CONFIG,
 ) -> Optional[int]:
     """Pick the coolest admissible pending job.
@@ -143,7 +139,6 @@ def edf_decide(
     time: int,
     temperature: Fraction,
     pending: tuple[Job, ...],
-    history: tuple[DecisionRecord, ...] = (),
     config: ThermalConfig = DEFAULT_CONFIG,
 ) -> Optional[int]:
     """Pick the admissible pending job with the earliest deadline.
@@ -161,7 +156,6 @@ def always_idle(
     time: int,
     temperature: Fraction,
     pending: tuple[Job, ...],
-    history: tuple[DecisionRecord, ...] = (),
     config: ThermalConfig = DEFAULT_CONFIG,
 ) -> Optional[int]:
     """Never execute anything; the canonical unreasonable policy."""

@@ -185,12 +185,6 @@ class ReductionMeta:
     origins: tuple[JobOrigin, ...]
     intervals: tuple[tuple[int, int], ...]
 
-    def origin_of(self, job_id: int) -> JobOrigin:
-        for origin in self.origins:
-            if origin.job_id == job_id:
-                return origin
-        raise KeyError(f"job {job_id} is not part of this reduction")
-
     def ids_with_role(self, role: str) -> tuple[int, ...]:
         picked = [o for o in self.origins if o.role == role]
         picked.sort(key=lambda o: o.index)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import Instance, Schedule, is_admissible, step_temperature
+from .model import Instance, Schedule, step_temperature
 
 BRUTE_FORCE_MAX_JOBS = 10
 BRUTE_FORCE_MAX_HORIZON = 16
@@ -111,10 +111,11 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
             bit = 1 << i
             if done & bit or not job.pending_at(time):
                 continue
-            if not is_admissible(tau, job, cfg):
+            after = step_temperature(tau, job.heat, cfg)
+            if after > cfg.threshold:
                 continue
             current[time] = job.id
-            dfs(time + 1, step_temperature(tau, job.heat, cfg), done | bit, count + 1)
+            dfs(time + 1, after, done | bit, count + 1)
             current[time] = None
         dfs(time + 1, step_temperature(tau, Fraction(0), cfg), done, count)
 
@@ -159,14 +160,9 @@ def enumerate_optimal_bruteforce(instance: Instance) -> int:
         for i, job in enumerate(jobs):
             if used & (1 << i) or not job.pending_at(time):
                 continue
-            if not is_admissible(tau, job, cfg):
-                continue
-            recurse(
-                time + 1,
-                step_temperature(tau, job.heat, cfg),
-                used | (1 << i),
-                count + 1,
-            )
+            after = step_temperature(tau, job.heat, cfg)
+            if after <= cfg.threshold:
+                recurse(time + 1, after, used | (1 << i), count + 1)
 
     recurse(0, Fraction(0), 0, 0)
     return best

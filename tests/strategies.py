@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from thermosched import Instance, Job, Schedule, is_admissible
+from thermosched import Instance, Job, Schedule, is_admissible, step_temperature
 
 
 def heats(max_sixteenths: int = 32) -> st.SearchStrategy[Fraction]:
@@ -69,7 +69,7 @@ def feasible_schedules(draw, instance: Instance) -> Schedule:
             slots.append(pick.id)
             used.add(pick.id)
             heat = pick.heat
-        tau = (tau + heat) / cfg.cooling_factor
+        tau = step_temperature(tau, heat, cfg)
     return Schedule(tuple(slots))
 
 

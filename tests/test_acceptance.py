@@ -34,6 +34,8 @@ from thermosched import (
     coolest_first_decide,
     edf_decide,
     enumerate_optimal_bruteforce,
+    extract_3partition,
+    extract_n3dm_matching,
     gen_from_3partition,
     gen_from_n3dm,
     is_admissible,
@@ -217,6 +219,7 @@ def test_criterion_4():
             assert not trace.violations and trace.throughput == 8
             for _start, end in meta.intervals:
                 assert trace.temperatures[end] == 1
+            assert extract_3partition(meta, schedule) == cert
         assert 0 < satisfiable < len(sources)
 
 
@@ -261,10 +264,11 @@ def _full_throughput_schedules(instance):
             bit = 1 << index
             if used & bit or not job.pending_at(time):
                 continue
-            if not is_admissible(tau, job, config):
+            after = step_temperature(tau, job.heat, config)
+            if after > config.threshold:
                 continue
             slots.append(job.id)
-            grow(time + 1, step_temperature(tau, job.heat, config), used | bit)
+            grow(time + 1, after, used | bit)
             slots.pop()
 
     grow(0, Fraction(0), 0)
@@ -297,6 +301,7 @@ def _assert_matching_instance(src, expect_matchable):
         assert trace.temperatures[4 * block + 1] == 1
     for block in range(1, meta.n + 1):
         assert trace.temperatures[4 * block] == Fraction(1, 4)
+    assert extract_n3dm_matching(meta, schedule) == cert
 
 
 def test_criterion_5():

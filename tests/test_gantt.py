@@ -7,7 +7,6 @@ from hypothesis import given, settings
 
 from strategies import instance_with_arbitrary_schedule
 from thermosched import (
-    EMPTY_SCHEDULE,
     Instance,
     MatchingCertificate,
     N3DMInstance,
@@ -91,12 +90,12 @@ class TestRenderText:
         assert "  t=2 thermal job=3" in text
 
     def test_idle_schedule(self, four_job_example):
-        text = render_text(four_job_example, EMPTY_SCHEDULE)
+        text = render_text(four_job_example, Schedule(()))
         job_line = text.splitlines()[2]
         assert job_line.split() == ["job"] + [IDLE_MARK] * 6
 
     def test_empty_instance(self):
-        text = render_text(Instance(jobs=()), EMPTY_SCHEDULE)
+        text = render_text(Instance(jobs=()), Schedule(()))
         assert text.splitlines()[3].split() == ["tau", "0/1"]
 
     def test_matching_block_chart(self):

@@ -9,14 +9,12 @@ from strategies import instance_with_arbitrary_schedule, instance_with_feasible_
 from thermosched import (
     DEFAULT_CONFIG,
     Instance,
-    InvalidTraceError,
     Job,
     Schedule,
     ThermalConfig,
     is_admissible,
     simulate,
     step_temperature,
-    throughput,
     validate_instance,
 )
 from thermosched.model import OUT_OF_WINDOW, REPEATED_JOB, THERMAL, UNKNOWN_JOB
@@ -80,6 +78,20 @@ class TestValidateInstance:
         fields = {i.field for i in validate_instance(instance)}
         assert fields == {"threshold", "cooling_factor"}
 
+    @pytest.mark.parametrize(
+        "job, field",
+        [
+            (Job(1.0, 0, 2, "1/2"), "id"),
+            (Job(1, 0.5, 2, "1/2"), "release"),
+            (Job(1, 0, True, "1/2"), "deadline"),
+        ],
+    )
+    def test_non_integer_fields(self, job, field):
+        issues = validate_instance(Instance(jobs=(job,)))
+        assert [(i.field, i.message) for i in issues] == [
+            (field, f"job {job.id}: {field} must be an integer")
+        ]
+
 
 class TestSimulate:
     def test_second_schedule_of_worked_example(self, four_job_example):
@@ -133,17 +145,6 @@ class TestSimulate:
         trace = simulate(four_job_example, Schedule((1, 2, 3, 4, None, None)))
         # job 3 violates at t=2 but its heat still enters the recurrence
         assert trace.temperatures[3] == Fraction(23, 20)
-
-
-class TestThroughput:
-    def test_clean_trace(self, four_job_example):
-        trace = simulate(four_job_example, Schedule((1, None, 3, 2, 4, None)))
-        assert throughput(trace) == 4
-
-    def test_trace_with_violation_is_rejected(self, four_job_example):
-        trace = simulate(four_job_example, Schedule((1, 2, 3, None, 4, None)))
-        with pytest.raises(InvalidTraceError):
-            throughput(trace)
 
 
 @settings(max_examples=200, deadline=None)
@@ -204,6 +205,19 @@ def test_jobs_normalized_sorted_by_id():
 def test_heat_accepts_decimal_strings_exactly():
     assert Job(1, 0, 1, "0.4").heat == Fraction(2, 5)
     assert Job(1, 0, 1, "1.9").heat == Fraction(19, 10)
+    assert Job(1, 0, 1, "0.1").heat == Fraction(1, 10)
+
+
+def test_float_heat_is_rejected():
+    with pytest.raises(TypeError, match="float"):
+        Job(1, 0, 1, 0.1)
+
+
+@pytest.mark.parametrize("field", ["threshold", "cooling_factor"])
+def test_float_config_is_rejected(field):
+    with pytest.raises(TypeError, match="float"):
+        ThermalConfig(**{field: 0.3})
+    assert getattr(ThermalConfig(**{field: "0.3"}), field) == Fraction(3, 10)
 
 
 def test_horizon_of_empty_instance():

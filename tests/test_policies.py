@@ -97,7 +97,7 @@ class TestRunOnline:
             jobs=(Job(1, 0, 2, Fraction(2)), Job(2, 0, 2, Fraction(2)))
         )
 
-        def hot_headed(time, tau, pending, history, config):
+        def hot_headed(time, tau, pending, config):
             return pending[0].id if pending else None
 
         with pytest.raises(PolicyViolationError, match="not admissible"):

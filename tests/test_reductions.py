@@ -148,10 +148,8 @@ class TestGenFrom3Partition:
     def test_origins(self):
         _, meta = gen_from_3partition(ALL_THREES)
         assert meta.ids_with_role(ROLE_ELEMENT) == (1, 2, 3, 4, 5, 6)
-        assert meta.origin_of(1).value == 3
-        assert meta.origin_of(7).role == ROLE_GADGET
-        with pytest.raises(KeyError):
-            meta.origin_of(99)
+        assert meta.ids_with_role(ROLE_GADGET) == (7, 8)
+        assert [o.value for o in meta.origins if o.role == ROLE_ELEMENT] == [3] * 6
 
     def test_accepts_raw_value_list(self):
         instance, meta = gen_from_3partition([3, 3, 3])

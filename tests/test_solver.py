@@ -15,6 +15,7 @@ from thermosched import (
     enumerate_optimal_bruteforce,
     simulate,
     solve_optimal,
+    step_temperature,
 )
 
 
@@ -151,12 +152,12 @@ def test_cooler_state_never_completes_fewer(instance, k, start):
     def explore(time, tau, used):
         if time == instance.horizon:
             return 0
-        result = explore(time + 1, tau / cfg.cooling_factor, used)
+        result = explore(time + 1, step_temperature(tau, Fraction(0), cfg), used)
         for idx, job in enumerate(instance.jobs):
             bit = 1 << idx
             if used & bit or not job.pending_at(time):
                 continue
-            after = (tau + job.heat) / cfg.cooling_factor
+            after = step_temperature(tau, job.heat, cfg)
             if after <= cfg.threshold:
                 result = max(result, 1 + explore(time + 1, after, used | bit))
         return result
