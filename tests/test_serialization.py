@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,40 @@ from thermosched.serialization import (
     serialize_run,
     serialize_transcript,
 )
+from thermosched.cli import main
 from thermosched.reductions import InvalidSourceError, N3DMInstance
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _opt_document(instance, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(serialize_instance(instance))
+    main(["opt", str(path)])
+    return capsys.readouterr().out
+
+
+GOLDEN_DOCUMENTS = {
+    "instance": lambda inst, *_: serialize_instance(inst),
+    "schedule": lambda *_: serialize_schedule(Schedule((1, None, 3, 2, 4, None))),
+    "trace": lambda inst, *_: serialize_trace(simulate(inst, Schedule((1, 2, 3, None, 4, None)))),
+    "run": lambda inst, *_: serialize_run(run_online(inst, coolest_first_decide)),
+    "transcript": lambda *_: serialize_transcript(run_lower_bound_game(always_idle)),
+    "report": lambda *_: serialize_report(
+        ratio_experiment(RandomModel(n=2, seed=4), ("coolest", "idle"), 2)
+    ),
+    "meta": lambda *_: serialize_reduction_meta(
+        gen_from_n3dm(N3DMInstance(a=(0, 8), b=(8, 0), c=(4, 4), beta=12))[1]
+    ),
+    "opt": _opt_document,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DOCUMENTS))
+def test_golden_bytes(kind, four_job_example, tmp_path, capsys):
+    """Every document kind keeps its exact canonical bytes."""
+    text = GOLDEN_DOCUMENTS[kind](four_job_example, tmp_path, capsys)
+    assert text == (GOLDEN / f"{kind}.json").read_text()
 
 
 class TestRationals:
