@@ -21,6 +21,7 @@ from .gantt import GanttRendering, render_gantt
 from .model import (
     DEFAULT_CONFIG,
     Instance,
+    InvalidInstanceError,
     Job,
     Schedule,
     SimulationTrace,
@@ -28,6 +29,7 @@ from .model import (
     ValidationIssue,
     Violation,
     is_admissible,
+    require_valid,
     simulate,
     step_temperature,
     validate_instance,

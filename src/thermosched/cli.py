@@ -10,14 +10,13 @@ infeasible source, bound counterexample), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .adversary import RandomModel, ratio_experiment, run_lower_bound_game
 from .gantt import SVG_FORMAT, TEXT_FORMAT, approx_decimal, render_gantt
-from .model import simulate, validate_instance
+from .model import InvalidInstanceError, simulate, validate_instance
 from .policies import POLICIES, PolicyViolationError, run_online
 from .reductions import (
     InvalidCertificateError,
@@ -34,6 +33,7 @@ from .serialization import (
     parse_schedule,
     parse_three_partition_source,
     serialize_instance,
+    serialize_opt_result,
     serialize_reduction_meta,
     serialize_report,
     serialize_run,
@@ -44,6 +44,7 @@ from .serialization import (
 from .solver import InstanceTooLargeError, solve_optimal
 
 _DOMAIN_ERRORS = (
+    InvalidInstanceError,
     PolicyViolationError,
     InvalidSourceError,
     InvalidCertificateError,
@@ -87,13 +88,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_opt(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
     result = solve_optimal(instance, budget=args.budget)
-    document = {
-        "best_throughput": result.best_throughput,
-        "proven_optimal": result.proven_optimal,
-        "explored": result.explored,
-        "witness": list(result.witness.slots),
-    }
-    _write(args.out, json.dumps(document, indent=2) + "\n")
+    _write(args.out, serialize_opt_result(result))
     if args.witness_out:
         _write(args.witness_out, serialize_schedule(result.witness))
     return 0 if result.proven_optimal else 1

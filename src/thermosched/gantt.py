@@ -11,6 +11,7 @@ documents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
 from .model import Instance, Schedule, Violation, simulate
@@ -42,8 +43,13 @@ class GanttRendering:
 
 
 def approx_decimal(value: Fraction) -> str:
-    """4-significant-digit decimal form used next to exact fractions."""
-    return f"{float(value):#.4g}"
+    """4-significant-digit '#.4g' form, rounded from the exact value (no float overflow)."""
+    with localcontext(Context(prec=4, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        rounded = Decimal(value.numerator) / value.denominator
+    exponent = rounded.adjusted()
+    if -4 <= exponent < 4:
+        return f"{rounded:.{3 - exponent}f}" + ("." if exponent == 3 else "")
+    return f"{rounded.scaleb(-exponent):.3f}e{exponent:+03d}"
 
 
 def build_rendering(instance: Instance, schedule: Schedule) -> GanttRendering:

@@ -210,6 +210,17 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
     return issues
 
 
+class InvalidInstanceError(ValueError):
+    """An instance fails validate_instance; the message joins its issues."""
+
+
+def require_valid(instance: Instance) -> None:
+    """Raise InvalidInstanceError unless validate_instance finds no issue."""
+    issues = validate_instance(instance)
+    if issues:
+        raise InvalidInstanceError("; ".join(issue.message for issue in issues))
+
+
 def step_temperature(
     tau: Fraction, heat: Fraction, config: ThermalConfig = DEFAULT_CONFIG
 ) -> Fraction:

@@ -31,6 +31,7 @@ from .model import (
     SimulationTrace,
     ThermalConfig,
     is_admissible,
+    require_valid,
     simulate,
     step_temperature,
 )
@@ -81,7 +82,9 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
     The harness reveals each job at its release time, asks the policy
     for a decision, applies it, and records it. The resulting schedule
     re-simulates to exactly the trace returned here.
+    Raises InvalidInstanceError on an invalid instance.
     """
+    require_valid(instance)
     cfg = instance.config
     horizon = instance.horizon
     done: set[int] = set()

@@ -4,9 +4,12 @@ All structured documents are JSON with two-space indent, a trailing
 newline and fixed key order; rationals appear as lowest-terms "p/q"
 strings (a "7/4" heat is emitted verbatim, never as a float). Parsing
 is strict: unknown fields are rejected, rationals must be "p/q" or a
-finite decimal, and every diagnostic names the offending field. The
-point of one canonical byte form is that round-trip and determinism
+finite decimal, and every diagnostic names the offending field path.
+The point of one canonical byte form is that round-trip and determinism
 tests can compare serialized documents directly.
+
+Each JSON document is one table of (key, codec) rows that both its
+writer and its parser read, so the two directions cannot drift apart.
 
 Reduction source files are plain integer tokens with '#' comments;
 see parse_three_partition_source and parse_n3dm_source.
@@ -16,8 +19,11 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from functools import partial
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .adversary import (
     AdversaryTranscript,
@@ -34,13 +40,14 @@ from .model import (
     ThermalConfig,
     Violation,
 )
-from .policies import OnlineRun
+from .policies import DecisionRecord, OnlineRun
 from .reductions import (
     JobOrigin,
     N3DMInstance,
     ReductionMeta,
     ThreePartitionInstance,
 )
+from .solver import OptResult
 
 _FRACTION_RE = re.compile(r"[+-]?\d+/\d+\Z")
 _DECIMAL_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
@@ -93,345 +100,238 @@ def _require_object(value: Any, where: str, fields: Sequence[str]) -> dict:
     return value
 
 
-def _require_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
-    return value
+# -- codecs ------------------------------------------------------------
+
+class _Codec(NamedTuple):
+    """Python value to JSON value and back; decode gets the field path its errors name."""
+
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any, str], Any]
 
 
-def _require_list(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected an array, got {type(value).__name__}")
-    return value
+def _leaf(what: str, kind: type) -> _Codec:
+    """A JSON scalar kept as is; the exact type test keeps a bool out of integers."""
+
+    def decode(value: Any, where: str) -> Any:
+        if type(value) is not kind:
+            raise ParseError(f"{where}: expected {what}, got {value!r}")
+        return value
+
+    return _Codec(lambda value: value, decode)
 
 
-# -- instances ---------------------------------------------------------
+_INT = _leaf("an integer", int)
+_STR = _leaf("a string", str)
+_BOOL = _leaf("a boolean", bool)
+_RATIONAL = _Codec(format_rational, parse_rational)
+
+
+def _optional(codec: _Codec) -> _Codec:
+    return _Codec(
+        lambda v: None if v is None else codec.encode(v),
+        lambda v, where: None if v is None else codec.decode(v, where),
+    )
+
+
+def _array(item: _Codec, container: Callable = tuple, length: Optional[int] = None) -> _Codec:
+    """JSON array of items; a set is written sorted, so its bytes are canonical."""
+
+    def encode(value: Any) -> list:
+        items = sorted(value) if isinstance(value, frozenset) else value
+        return [item.encode(x) for x in items]
+
+    def decode(value: Any, where: str) -> Any:
+        if not isinstance(value, list):
+            raise ParseError(f"{where}: expected an array, got {type(value).__name__}")
+        if length is not None and len(value) != length:
+            raise ParseError(f"{where}: expected {length} items, got {len(value)}")
+        return container(item.decode(x, f"{where}[{pos}]") for pos, x in enumerate(value))
+
+    return _Codec(encode, decode)
+
+
+def _record(build: Callable, *rows: tuple) -> _Codec:
+    """JSON object from (key, codec[, attribute path]) rows, in row order.
+
+    Encoding reads each attribute path (the key by default) with
+    getattr; decoding checks the exact key set and calls build with
+    one keyword per row, named by the last component of its path.
+    """
+    keys = tuple(row[0] for row in rows)
+    table = []
+    for key, codec, *path in rows:
+        attribute = path[0] if path else key
+        table.append((key, codec, attrgetter(attribute), attribute.rpartition(".")[2]))
+
+    def encode(value: Any) -> dict:
+        return {key: codec.encode(get(value)) for key, codec, get, _ in table}
+
+    def decode(value: Any, where: str) -> Any:
+        obj = _require_object(value, where, keys)
+        return build(**{name: c.decode(obj[k], f"{where}.{k}") for k, c, _, name in table})
+
+    return _Codec(encode, decode)
+
+
+def _named(names: Sequence[str], codec: _Codec) -> _Codec:
+    """Object with one key per name, holding a tuple aligned with names."""
+
+    def decode(value: Any, where: str) -> tuple:
+        obj = _require_object(value, where, names)
+        return tuple(codec.decode(obj[n], f"{where}.{n}") for n in names)
+
+    return _Codec(lambda values: {n: codec.encode(v) for n, v in zip(names, values)}, decode)
+
+
+_SCHEDULE = _array(_optional(_INT), container=Schedule)
+_INSTANCE = _record(
+    lambda threshold, cooling_factor, jobs: Instance(
+        jobs, ThermalConfig(threshold, cooling_factor)
+    ),
+    ("threshold", _RATIONAL, "config.threshold"),
+    ("cooling_factor", _RATIONAL, "config.cooling_factor"),
+    ("jobs", _array(_record(
+        Job, ("id", _INT), ("release", _INT), ("deadline", _INT), ("heat", _RATIONAL)
+    ))),
+)
+_TRACE = _record(
+    SimulationTrace,
+    ("temperatures", _array(_RATIONAL)),
+    ("completed", _array(_INT, container=frozenset)),
+    ("throughput", _INT),
+    ("violations", _array(_record(
+        Violation, ("time", _INT), ("kind", _STR), ("job", _optional(_INT))
+    ))),
+)
+# The run document leaves out the instance, so only its encoder is used.
+_RUN = _record(
+    OnlineRun,
+    ("schedule", _SCHEDULE),
+    ("trace", _TRACE),
+    ("decisions", _array(_record(
+        DecisionRecord, ("time", _INT), ("temperature", _RATIONAL),
+        ("pending", _array(_INT)), ("decision", _optional(_INT)),
+    ))),
+)
+_TRANSCRIPT = _record(
+    AdversaryTranscript,
+    ("branch", _STR),
+    ("instance", _INSTANCE),
+    ("algorithm", _RUN, "run"),
+    ("adversary_schedule", _SCHEDULE),
+    ("adversary_trace", _TRACE),
+    ("alg_throughput", _INT),
+    ("adv_throughput", _INT),
+)
+_OPT_RESULT = _record(
+    OptResult,
+    ("best_throughput", _INT),
+    ("proven_optimal", _BOOL),
+    ("explored", _INT),
+    ("witness", _SCHEDULE),
+)
+_POLICY_NAMES = _array(_STR)
+
+
+def _report(names: Sequence[str]) -> _Codec:
+    ratios = _named(names, _optional(_RATIONAL))
+    return _record(
+        RatioReport,
+        ("model", _record(RandomModel, *((field.name, _INT) for field in fields(RandomModel)))),
+        ("count", _INT),
+        ("policies", _POLICY_NAMES),
+        ("records", _array(_record(
+            RatioRecord, ("seed", _INT), ("opt", _INT), ("proven_optimal", _BOOL),
+            ("throughputs", _named(names, _INT)), ("ratios", ratios),
+        ))),
+        ("skipped_zero_opt", _INT),
+        ("max_ratios", ratios),
+        ("mean_ratios", ratios),
+        ("counterexamples", _array(_record(
+            BoundCounterexample,
+            ("seed", _INT), ("policy", _STR), ("opt", _INT), ("throughput", _INT),
+        ))),
+    )
+
+
+def _reduction_meta(instance: Instance) -> _Codec:
+    known = {job.id for job in instance.jobs}
+
+    def job_id(value: Any, where: str) -> int:
+        if _INT.decode(value, where) not in known:
+            raise ParseError(f"{where}: id {value} is not in the instance")
+        return value
+
+    return _record(
+        partial(ReductionMeta, instance=instance),
+        ("kind", _STR),
+        ("n", _INT),
+        ("beta", _INT),
+        ("origins", _array(_record(
+            JobOrigin, ("job", _Codec(_INT.encode, job_id), "job_id"),
+            ("role", _STR), ("index", _INT), ("value", _optional(_INT)),
+        ))),
+        ("intervals", _array(_array(_INT, length=2))),
+    )
+
+
+# -- documents -----------------------------------------------------------
 
 def serialize_instance(instance: Instance) -> str:
-    return _dumps(_instance_document(instance))
-
-
-def _instance_document(instance: Instance) -> dict:
-    return {
-        "threshold": format_rational(instance.config.threshold),
-        "cooling_factor": format_rational(instance.config.cooling_factor),
-        "jobs": [
-            {
-                "id": job.id,
-                "release": job.release,
-                "deadline": job.deadline,
-                "heat": format_rational(job.heat),
-            }
-            for job in instance.jobs
-        ],
-    }
+    return _dumps(_INSTANCE.encode(instance))
 
 
 def parse_instance(text: str) -> Instance:
-    document = _require_object(
-        _loads(text), "instance", ("threshold", "cooling_factor", "jobs")
-    )
-    config = ThermalConfig(
-        threshold=parse_rational(document["threshold"], "threshold"),
-        cooling_factor=parse_rational(document["cooling_factor"], "cooling_factor"),
-    )
-    jobs = []
-    for pos, entry in enumerate(_require_list(document["jobs"], "jobs")):
-        where = f"jobs[{pos}]"
-        obj = _require_object(entry, where, ("id", "release", "deadline", "heat"))
-        jobs.append(
-            Job(
-                id=_require_int(obj["id"], f"{where}.id"),
-                release=_require_int(obj["release"], f"{where}.release"),
-                deadline=_require_int(obj["deadline"], f"{where}.deadline"),
-                heat=parse_rational(obj["heat"], f"{where}.heat"),
-            )
-        )
-    return Instance(jobs=tuple(jobs), config=config)
+    return _INSTANCE.decode(_loads(text), "instance")
 
-
-# -- schedules ---------------------------------------------------------
 
 def serialize_schedule(schedule: Schedule) -> str:
-    return _dumps(list(schedule.slots))
+    return _dumps(_SCHEDULE.encode(schedule))
 
 
 def parse_schedule(text: str) -> Schedule:
-    entries = _require_list(_loads(text), "schedule")
-    slots: list[Optional[int]] = []
-    for pos, entry in enumerate(entries):
-        if entry is None:
-            slots.append(None)
-        else:
-            slots.append(_require_int(entry, f"slot[{pos}]"))
-    return Schedule(tuple(slots))
+    """Errors name the slot, as in "slot[3]: expected an integer"."""
+    return _SCHEDULE.decode(_loads(text), "slot")
 
-
-# -- traces ------------------------------------------------------------
 
 def serialize_trace(trace: SimulationTrace) -> str:
-    return _dumps(_trace_document(trace))
-
-
-def _trace_document(trace: SimulationTrace) -> dict:
-    return {
-        "temperatures": [format_rational(t) for t in trace.temperatures],
-        "completed": sorted(trace.completed),
-        "throughput": trace.throughput,
-        "violations": [
-            {"time": v.time, "kind": v.kind, "job": v.job} for v in trace.violations
-        ],
-    }
+    return _dumps(_TRACE.encode(trace))
 
 
 def parse_trace(text: str) -> SimulationTrace:
-    return _trace_from(_loads(text), "trace")
+    return _TRACE.decode(_loads(text), "trace")
 
-
-def _trace_from(value: Any, where: str) -> SimulationTrace:
-    document = _require_object(
-        value, where, ("temperatures", "completed", "throughput", "violations")
-    )
-    temperatures = tuple(
-        parse_rational(t, f"{where}.temperatures[{pos}]")
-        for pos, t in enumerate(_require_list(document["temperatures"], f"{where}.temperatures"))
-    )
-    completed = frozenset(
-        _require_int(i, f"{where}.completed[{pos}]")
-        for pos, i in enumerate(_require_list(document["completed"], f"{where}.completed"))
-    )
-    violations = []
-    for pos, entry in enumerate(_require_list(document["violations"], f"{where}.violations")):
-        vwhere = f"{where}.violations[{pos}]"
-        obj = _require_object(entry, vwhere, ("time", "kind", "job"))
-        if not isinstance(obj["kind"], str):
-            raise ParseError(f"{vwhere}.kind: expected a string")
-        job = None if obj["job"] is None else _require_int(obj["job"], f"{vwhere}.job")
-        violations.append(Violation(_require_int(obj["time"], f"{vwhere}.time"), obj["kind"], job))
-    return SimulationTrace(
-        temperatures=temperatures,
-        completed=completed,
-        throughput=_require_int(document["throughput"], f"{where}.throughput"),
-        violations=tuple(violations),
-    )
-
-
-# -- online runs and transcripts ----------------------------------------
 
 def serialize_run(run: OnlineRun) -> str:
-    return _dumps(_run_document(run))
-
-
-def _run_document(run: OnlineRun) -> dict:
-    return {
-        "schedule": list(run.schedule.slots),
-        "trace": _trace_document(run.trace),
-        "decisions": [
-            {
-                "time": d.time,
-                "temperature": format_rational(d.temperature),
-                "pending": list(d.pending),
-                "decision": d.decision,
-            }
-            for d in run.decisions
-        ],
-    }
+    return _dumps(_RUN.encode(run))
 
 
 def serialize_transcript(transcript: AdversaryTranscript) -> str:
-    return _dumps(
-        {
-            "branch": transcript.branch,
-            "instance": _instance_document(transcript.instance),
-            "algorithm": _run_document(transcript.run),
-            "adversary_schedule": list(transcript.adversary_schedule.slots),
-            "adversary_trace": _trace_document(transcript.adversary_trace),
-            "alg_throughput": transcript.alg_throughput,
-            "adv_throughput": transcript.adv_throughput,
-        }
-    )
+    return _dumps(_TRANSCRIPT.encode(transcript))
 
 
-# -- ratio reports -------------------------------------------------------
+def serialize_opt_result(result: OptResult) -> str:
+    return _dumps(_OPT_RESULT.encode(result))
+
 
 def serialize_report(report: RatioReport) -> str:
-    def ratio(value: Optional[Fraction]) -> Optional[str]:
-        return None if value is None else format_rational(value)
-
-    names = report.policies
-    return _dumps(
-        {
-            "model": {
-                "n": report.model.n,
-                "release_span": report.model.release_span,
-                "max_window": report.model.max_window,
-                "heat_denominator": report.model.heat_denominator,
-                "heat_numerator_max": report.model.heat_numerator_max,
-                "seed": report.model.seed,
-            },
-            "count": report.count,
-            "policies": list(names),
-            "records": [
-                {
-                    "seed": r.seed,
-                    "opt": r.opt,
-                    "proven_optimal": r.proven_optimal,
-                    "throughputs": dict(zip(names, r.throughputs)),
-                    "ratios": {n: ratio(x) for n, x in zip(names, r.ratios)},
-                }
-                for r in report.records
-            ],
-            "skipped_zero_opt": report.skipped_zero_opt,
-            "max_ratios": {n: ratio(x) for n, x in zip(names, report.max_ratios)},
-            "mean_ratios": {n: ratio(x) for n, x in zip(names, report.mean_ratios)},
-            "counterexamples": [
-                {"seed": c.seed, "policy": c.policy, "opt": c.opt, "throughput": c.throughput}
-                for c in report.counterexamples
-            ],
-        }
-    )
+    return _dumps(_report(report.policies).encode(report))
 
 
 def parse_report(text: str) -> RatioReport:
-    document = _require_object(
-        _loads(text),
-        "report",
-        (
-            "model",
-            "count",
-            "policies",
-            "records",
-            "skipped_zero_opt",
-            "max_ratios",
-            "mean_ratios",
-            "counterexamples",
-        ),
-    )
-    model_obj = _require_object(
-        document["model"],
-        "model",
-        ("n", "release_span", "max_window", "heat_denominator", "heat_numerator_max", "seed"),
-    )
-    model = RandomModel(**{k: _require_int(v, f"model.{k}") for k, v in model_obj.items()})
-    names = tuple(document["policies"])
-    for pos, name in enumerate(names):
-        if not isinstance(name, str):
-            raise ParseError(f"policies[{pos}]: expected a string")
+    document = _loads(text)
+    policies = document.get("policies", []) if isinstance(document, dict) else []
+    return _report(_POLICY_NAMES.decode(policies, "report.policies")).decode(document, "report")
 
-    def named_ratios(obj: Any, where: str) -> tuple[Optional[Fraction], ...]:
-        mapping = _require_object(obj, where, names)
-        return tuple(
-            None if mapping[n] is None else parse_rational(mapping[n], f"{where}.{n}")
-            for n in names
-        )
-
-    records = []
-    for pos, entry in enumerate(_require_list(document["records"], "records")):
-        where = f"records[{pos}]"
-        obj = _require_object(
-            entry, where, ("seed", "opt", "proven_optimal", "throughputs", "ratios")
-        )
-        if not isinstance(obj["proven_optimal"], bool):
-            raise ParseError(f"{where}.proven_optimal: expected a boolean")
-        throughputs = _require_object(obj["throughputs"], f"{where}.throughputs", names)
-        records.append(
-            RatioRecord(
-                seed=_require_int(obj["seed"], f"{where}.seed"),
-                opt=_require_int(obj["opt"], f"{where}.opt"),
-                proven_optimal=obj["proven_optimal"],
-                throughputs=tuple(
-                    _require_int(throughputs[n], f"{where}.throughputs.{n}") for n in names
-                ),
-                ratios=named_ratios(obj["ratios"], f"{where}.ratios"),
-            )
-        )
-    counterexamples = []
-    for pos, entry in enumerate(_require_list(document["counterexamples"], "counterexamples")):
-        where = f"counterexamples[{pos}]"
-        obj = _require_object(entry, where, ("seed", "policy", "opt", "throughput"))
-        if not isinstance(obj["policy"], str):
-            raise ParseError(f"{where}.policy: expected a string")
-        counterexamples.append(
-            BoundCounterexample(
-                seed=_require_int(obj["seed"], f"{where}.seed"),
-                policy=obj["policy"],
-                opt=_require_int(obj["opt"], f"{where}.opt"),
-                throughput=_require_int(obj["throughput"], f"{where}.throughput"),
-            )
-        )
-    return RatioReport(
-        model=model,
-        count=_require_int(document["count"], "count"),
-        policies=names,
-        records=tuple(records),
-        skipped_zero_opt=_require_int(document["skipped_zero_opt"], "skipped_zero_opt"),
-        max_ratios=named_ratios(document["max_ratios"], "max_ratios"),
-        mean_ratios=named_ratios(document["mean_ratios"], "mean_ratios"),
-        counterexamples=tuple(counterexamples),
-    )
-
-
-# -- reduction metadata ---------------------------------------------------
 
 def serialize_reduction_meta(meta: ReductionMeta) -> str:
     """Sidecar document: origins and interval geometry, not the instance."""
-    return _dumps(
-        {
-            "kind": meta.kind,
-            "n": meta.n,
-            "beta": meta.beta,
-            "origins": [
-                {"job": o.job_id, "role": o.role, "index": o.index, "value": o.value}
-                for o in meta.origins
-            ],
-            "intervals": [list(interval) for interval in meta.intervals],
-        }
-    )
+    return _dumps(_reduction_meta(meta.instance).encode(meta))
 
 
 def parse_reduction_meta(text: str, instance: Instance) -> ReductionMeta:
     """Rebuild a ReductionMeta from its sidecar plus the generated instance."""
-    document = _require_object(
-        _loads(text), "meta", ("kind", "n", "beta", "origins", "intervals")
-    )
-    if not isinstance(document["kind"], str):
-        raise ParseError("meta.kind: expected a string")
-    origins = []
-    known_ids = {job.id for job in instance.jobs}
-    for pos, entry in enumerate(_require_list(document["origins"], "origins")):
-        where = f"origins[{pos}]"
-        obj = _require_object(entry, where, ("job", "role", "index", "value"))
-        job_id = _require_int(obj["job"], f"{where}.job")
-        if job_id not in known_ids:
-            raise ParseError(f"{where}.job: id {job_id} is not in the instance")
-        if not isinstance(obj["role"], str):
-            raise ParseError(f"{where}.role: expected a string")
-        value = None if obj["value"] is None else _require_int(obj["value"], f"{where}.value")
-        origins.append(
-            JobOrigin(
-                job_id=job_id,
-                role=obj["role"],
-                index=_require_int(obj["index"], f"{where}.index"),
-                value=value,
-            )
-        )
-    intervals = []
-    for pos, entry in enumerate(_require_list(document["intervals"], "intervals")):
-        where = f"intervals[{pos}]"
-        pair = _require_list(entry, where)
-        if len(pair) != 2:
-            raise ParseError(f"{where}: expected [start, end]")
-        intervals.append(
-            (_require_int(pair[0], f"{where}[0]"), _require_int(pair[1], f"{where}[1]"))
-        )
-    return ReductionMeta(
-        kind=document["kind"],
-        n=_require_int(document["n"], "n"),
-        beta=_require_int(document["beta"], "beta"),
-        instance=instance,
-        origins=tuple(origins),
-        intervals=tuple(intervals),
-    )
+    return _reduction_meta(instance).decode(_loads(text), "meta")
 
 
 # -- reduction source files -----------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import Instance, Schedule, step_temperature
+from .model import Instance, Schedule, require_valid, step_temperature
 
 BRUTE_FORCE_MAX_JOBS = 10
 BRUTE_FORCE_MAX_HORIZON = 16
@@ -61,7 +61,9 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
 
     budget caps the number of search nodes; when it is hit the best
     schedule found so far is returned with proven_optimal=False.
+    Raises InvalidInstanceError on an invalid instance.
     """
+    require_valid(instance)
     cfg = instance.config
     jobs = instance.jobs
     n = len(jobs)
@@ -140,6 +142,7 @@ def enumerate_optimal_bruteforce(instance: Instance) -> int:
     at most 10 jobs and horizon 16 because the search space is raw
     exponential.
     """
+    require_valid(instance)
     n = len(instance.jobs)
     horizon = instance.horizon
     if n > BRUTE_FORCE_MAX_JOBS or horizon > BRUTE_FORCE_MAX_HORIZON:

@@ -18,7 +18,6 @@ from thermosched import (
     BoundCounterexample,
     Instance,
     Job,
-    MatchingCertificate,
     N3DMInstance,
     RandomModel,
     RatioRecord,

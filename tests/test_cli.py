@@ -102,6 +102,26 @@ class TestSimulate:
         assert trace.violations
 
 
+@pytest.fixture
+def duplicate_id_file(tmp_path):
+    path = tmp_path / "duplicate.json"
+    job = {"id": 1, "release": 0, "deadline": 2, "heat": "1/2"}
+    path.write_text(
+        json.dumps({"threshold": "1/1", "cooling_factor": "2/1", "jobs": [job, job]})
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command", [["opt"], ["online", "--policy", "coolest"]], ids=["opt", "online"]
+)
+def test_invalid_instance_exits_one(command, duplicate_id_file, capsys):
+    assert main([*command, duplicate_id_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: job 1: duplicate id\n"
+
+
 class TestOpt:
     def test_result_document(self, tmp_path, instance_file, four_job_example, capsys):
         witness_out = tmp_path / "witness.json"
@@ -243,6 +263,21 @@ class TestRender:
         code = main(["render", instance_file, schedule_file, "--format", "svg"])
         assert code == 0
         assert capsys.readouterr().out.startswith("<svg ")
+
+    def test_huge_heat(self, tmp_path, capsys):
+        instance = tmp_path / "huge.json"
+        instance.write_text(
+            json.dumps(
+                {
+                    "threshold": "1/1",
+                    "cooling_factor": "2/1",
+                    "jobs": [{"id": 1, "release": 0, "deadline": 1, "heat": f"{10**400}/1"}],
+                }
+            )
+        )
+        schedule_file = write_schedule(tmp_path, Schedule((1,)))
+        assert main(["render", str(instance), schedule_file]) == 0
+        assert "5.000e+399" in capsys.readouterr().out
 
     def test_unknown_format_is_a_usage_error(self, tmp_path, instance_file):
         schedule_file = write_schedule(tmp_path, OPTIMAL)

@@ -39,6 +39,19 @@ class TestApproxDecimal:
         assert approx_decimal(Fraction(19, 20)) == "0.9500"
         assert approx_decimal(Fraction(2, 3)) == "0.6667"
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (Fraction(8546), "8546."),
+            (Fraction(12345), "1.234e+04"),
+            (Fraction(-1, 10**5), "-1.000e-05"),
+            (Fraction(10**400), "1.000e+400"),
+            (Fraction(1, 3 * 10**400), "3.333e-401"),
+        ],
+    )
+    def test_any_magnitude(self, value, text):
+        assert approx_decimal(value) == text
+
 
 class TestBuildRendering:
     def test_worked_example(self, four_job_example):

@@ -9,11 +9,17 @@ from strategies import instance_with_arbitrary_schedule, instance_with_feasible_
 from thermosched import (
     DEFAULT_CONFIG,
     Instance,
+    InvalidInstanceError,
     Job,
     Schedule,
     ThermalConfig,
+    coolest_first_decide,
+    enumerate_optimal_bruteforce,
     is_admissible,
+    require_valid,
+    run_online,
     simulate,
+    solve_optimal,
     step_temperature,
     validate_instance,
 )
@@ -91,6 +97,37 @@ class TestValidateInstance:
         assert [(i.field, i.message) for i in issues] == [
             (field, f"job {job.id}: {field} must be an integer")
         ]
+
+
+# Two jobs share id 1: the solver used to count both (OPT 2, witness [1, 1])
+# while run_online counted one.
+DUPLICATE_ID = Instance(jobs=(Job(1, 0, 2, Fraction(1, 2)), Job(1, 0, 2, Fraction(1, 2))))
+
+
+class TestRequireValid:
+    def test_valid_instance_passes(self, four_job_example):
+        assert require_valid(four_job_example) is None
+
+    def test_message_joins_every_issue(self):
+        instance = Instance(jobs=(Job(2, -1, 2, Fraction(-1, 2)),))
+        with pytest.raises(InvalidInstanceError) as excinfo:
+            require_valid(instance)
+        assert str(excinfo.value) == (
+            "job 2: release must be non-negative; job 2: heat must be non-negative"
+        )
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            solve_optimal,
+            enumerate_optimal_bruteforce,
+            lambda instance: run_online(instance, coolest_first_decide),
+        ],
+        ids=["solve_optimal", "enumerate_optimal_bruteforce", "run_online"],
+    )
+    def test_entry_points_reject_invalid_instances(self, entry):
+        with pytest.raises(InvalidInstanceError, match="job 1: duplicate id"):
+            entry(DUPLICATE_ID)
 
 
 class TestSimulate:

@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from strategies import instance_with_feasible_schedule, instances
 from thermosched import (
     Instance,
-    Job,
     RandomModel,
     Schedule,
-    ThermalConfig,
     always_idle,
     coolest_first_decide,
     format_rational,
@@ -301,6 +299,14 @@ class TestReportFormat:
         for entry in document["records"]:
             value = entry["ratios"]["coolest"]
             assert value is None or "/" in value
+
+    @pytest.mark.parametrize("policies", [5, {"coolest": 1}])
+    def test_policies_must_be_an_array(self, policies):
+        report = ratio_experiment(RandomModel(n=2, seed=1), ("coolest",), 2)
+        document = json.loads(serialize_report(report))
+        document["policies"] = policies
+        with pytest.raises(ParseError, match="policies"):
+            parse_report(json.dumps(document))
 
     def test_policy_names_must_match(self):
         report = ratio_experiment(RandomModel(n=2, seed=1), ("coolest",), 2)

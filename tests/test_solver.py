@@ -11,7 +11,6 @@ from thermosched import (
     Instance,
     InstanceTooLargeError,
     Job,
-    Schedule,
     enumerate_optimal_bruteforce,
     simulate,
     solve_optimal,
