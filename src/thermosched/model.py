@@ -20,6 +20,7 @@ pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -226,6 +227,46 @@ def step_temperature(
 ) -> Fraction:
     """One slot of the thermal recurrence: (tau + heat) / R, exactly."""
     return (tau + heat) / config.cooling_factor
+
+
+@dataclass(frozen=True)
+class ScaledKernel:
+    """step_temperature on integers, exact for the slots of one instance.
+
+    Write R = p/q in lowest terms, let D be the lcm of the denominators
+    of T and of every heat, and let H be the horizon. With the scale
+    L = D·p^H a temperature tau is held as the integer S = tau·L, and a
+    heat h and the threshold T as h·L and T·L, which are integers
+    because D clears their denominators.
+
+    One slot maps S to (S + h·L)·q // p, and the division leaves no
+    remainder while the slot ends at t <= H. From 0, the temperature
+    after t slots is the sum of h_i·(q/p)^(t-i) over the slots i < t,
+    so S_t is the sum of (h_i·D)·q^(t-i)·p^(H-t+i): an integer.
+    The scale is positive, so S <= T·L iff tau <= T, and a job is
+    admissible iff its scaled step is at most the scaled threshold,
+    i.e. (S + h·L)·q <= T·L·p.
+    """
+
+    scale: int
+    p: int
+    q: int
+    threshold: int
+
+    @classmethod
+    def for_instance(cls, instance: Instance) -> ScaledKernel:
+        cfg = instance.config
+        lcm = math.lcm(cfg.threshold.denominator, *(j.heat.denominator for j in instance.jobs))
+        R = cfg.cooling_factor
+        scale = lcm * R.numerator**instance.horizon
+        return cls(scale, R.numerator, R.denominator, int(cfg.threshold * scale))
+
+    def heat(self, heat: Fraction) -> int:
+        return int(heat * self.scale)
+
+    def step(self, s: int, heat: int) -> int:
+        """The scaled step_temperature: (s + heat)·q // p, with heat scaled."""
+        return (s + heat) * self.q // self.p
 
 
 def is_admissible(

@@ -15,10 +15,19 @@ the best complete schedule found, and prunes with
 Expired jobs drop out of the dominance key because they cannot affect
 the future; their count is kept in the Pareto value instead.
 
+The search runs on integers: model.ScaledKernel scales every
+temperature, heat and the threshold by L = D·p^H (R = p/q, D the lcm
+of the heat and threshold denominators, H the horizon), so each step
+is an exact integer division and the memo, the Pareto fronts and the
+threshold test compare integers; Fraction is used only to build the
+scaled integers. The search keeps its own stack instead of recursing, so
+a long horizon does not hit Python's recursion limit; it visits nodes
+in the same pre-order as the recursion would.
+
 enumerate_optimal_bruteforce() is the deliberately dumb cross-check:
 plain recursion over every violation-free schedule with no memoization
-and no bounds. It exists so the clever solver has something independent
-to agree with.
+and no bounds. It stays on Fraction and model.step_temperature, so it
+is independent of the scaled kernel it checks.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import Instance, Schedule, require_valid, step_temperature
+from .model import Instance, ScaledKernel, Schedule, require_valid, step_temperature
 
 BRUTE_FORCE_MAX_JOBS = 10
 BRUTE_FORCE_MAX_HORIZON = 16
@@ -52,10 +61,6 @@ class InstanceTooLargeError(ValueError):
     """Input exceeds a brute-force guard."""
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult:
     """Exact maximum throughput and a witness schedule.
 
@@ -64,68 +69,66 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     Raises InvalidInstanceError on an invalid instance.
     """
     require_valid(instance)
-    cfg = instance.config
     jobs = instance.jobs
-    n = len(jobs)
     horizon = instance.horizon
+    kernel = ScaledKernel.for_instance(instance)
+    step, limit = kernel.step, kernel.threshold
     # Branch earliest-deadline-first: good incumbents early mean more pruning.
-    order = sorted(range(n), key=lambda i: (jobs[i].deadline, jobs[i].heat, jobs[i].id))
+    order = sorted(range(len(jobs)), key=lambda i: (jobs[i].deadline, jobs[i].heat, jobs[i].id))
+    heats = [kernel.heat(job.heat) for job in jobs]
+    # pending[t]: (bit, scaled heat, id) of each job pending at slot t,
+    # in reverse branching order, because children are pushed on a stack.
+    pending = [
+        [(1 << i, heats[i], jobs[i].id) for i in reversed(order) if jobs[i].pending_at(t)]
+        for t in range(horizon)
+    ]
+    alive = [
+        sum(1 << i for i, job in enumerate(jobs) if job.deadline > t) for t in range(horizon + 1)
+    ]
     best = 0
     best_slots: list[Optional[int]] = [None] * horizon
-    current: list[Optional[int]] = [None] * horizon
-    # memo[(time, frozen unexpired done-mask)] -> Pareto set of (count, temperature)
-    memo: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    # path[t + 1] is the entry of slot t on the way to the node being visited.
+    path: list[Optional[int]] = [None] * (horizon + 1)
+    # memo[(time, unexpired done-mask)] -> Pareto set of (count, scaled temperature)
+    memo: dict[tuple[int, int], list[tuple[int, int]]] = {}
     explored = 0
-
-    def alive_mask(time: int) -> int:
-        mask = 0
-        for i, job in enumerate(jobs):
-            if job.deadline > time:
-                mask |= 1 << i
-        return mask
-
-    alive = [alive_mask(t) for t in range(horizon + 1)]
-
-    def dfs(time: int, tau: Fraction, done: int, count: int) -> None:
-        nonlocal best, explored
+    proven = True
+    # Depth-first in pre-order: a node is (time, scaled temperature, done-mask,
+    # count, entry of slot time - 1); its job children pop before its idle child.
+    stack: list[tuple[int, int, int, int, Optional[int]]] = [(0, 0, 0, 0, None)]
+    while stack:
+        time, s, done, count, entry = stack.pop()
         explored += 1
         if budget is not None and explored > budget:
-            raise _BudgetExhausted
+            proven = False
+            break
+        path[time] = entry
         if time == horizon:
             if count > best:
                 best = count
-                best_slots[:] = current
-            return
-        remaining = bin(alive[time] & ~done).count("1")
+                best_slots = path[1:]
+            continue
+        remaining = (alive[time] & ~done).bit_count()
         if count + min(remaining, horizon - time) <= best:
-            return
+            continue
         key = (time, done & alive[time])
         pareto = memo.setdefault(key, [])
-        for seen_count, seen_tau in pareto:
-            if seen_count >= count and seen_tau <= tau:
-                return
-        pareto[:] = [
-            (c, t) for c, t in pareto if not (count >= c and tau <= t)
-        ]
-        pareto.append((count, tau))
-        for i in order:
-            job = jobs[i]
-            bit = 1 << i
-            if done & bit or not job.pending_at(time):
-                continue
-            after = step_temperature(tau, job.heat, cfg)
-            if after > cfg.threshold:
-                continue
-            current[time] = job.id
-            dfs(time + 1, after, done | bit, count + 1)
-            current[time] = None
-        dfs(time + 1, step_temperature(tau, Fraction(0), cfg), done, count)
-
-    proven = True
-    try:
-        dfs(0, Fraction(0), 0, 0)
-    except _BudgetExhausted:
-        proven = False
+        dominated = False
+        for c, t in pareto:
+            if c >= count and t <= s:
+                dominated = True
+                break
+        if dominated:
+            continue
+        pareto[:] = [(c, t) for c, t in pareto if not (count >= c and s <= t)]
+        pareto.append((count, s))
+        child = time + 1
+        stack.append((child, step(s, 0), done, count, None))
+        for bit, heat, job_id in pending[time]:
+            if not done & bit:
+                after = step(s, heat)
+                if after <= limit:
+                    stack.append((child, after, done | bit, count + 1, job_id))
     return OptResult(
         best_throughput=best,
         witness=Schedule(tuple(best_slots)),

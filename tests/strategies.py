@@ -3,17 +3,37 @@
 Instances stay small (the exact solver runs inside several properties)
 and heats come from the k/16 grid so thermal boundary equalities are
 actually exercised instead of almost never hit.
+
+Instances use the default config (T = 1, R = 2) unless a config
+strategy such as configs() is passed: the 2-competitive properties of
+the online policies hold only for the default.
 """
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from thermosched import Instance, Job, Schedule, is_admissible, step_temperature
+from thermosched import (
+    DEFAULT_CONFIG,
+    Instance,
+    Job,
+    Schedule,
+    ThermalConfig,
+    is_admissible,
+    step_temperature,
+)
 
 
 def heats(max_sixteenths: int = 32) -> st.SearchStrategy[Fraction]:
     return st.integers(0, max_sixteenths).map(lambda k: Fraction(k, 16))
+
+
+def configs() -> st.SearchStrategy[ThermalConfig]:
+    return st.builds(
+        ThermalConfig,
+        threshold=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+        cooling_factor=st.sampled_from([Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)]),
+    )
 
 
 @st.composite
@@ -23,6 +43,7 @@ def instances(
     max_jobs: int = 6,
     release_span: int = 4,
     max_window: int = 4,
+    config: st.SearchStrategy[ThermalConfig] = st.just(DEFAULT_CONFIG),
 ) -> Instance:
     n = draw(st.integers(min_jobs, max_jobs))
     jobs = []
@@ -32,7 +53,7 @@ def instances(
         jobs.append(
             Job(id=i, release=release, deadline=release + window, heat=draw(heats()))
         )
-    return Instance(jobs=tuple(jobs))
+    return Instance(jobs=tuple(jobs), config=draw(config))
 
 
 @st.composite

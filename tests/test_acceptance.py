@@ -13,7 +13,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import instance_with_arbitrary_schedule, instance_with_feasible_schedule, instances
+from strategies import (
+    configs,
+    instance_with_arbitrary_schedule,
+    instance_with_feasible_schedule,
+    instances,
+)
 from thermosched import (
     BoundCounterexample,
     Instance,
@@ -362,15 +367,16 @@ def _prop_idle_monotonicity(pair, pick):
 
 
 @settings(max_examples=200, deadline=None)
-@given(instance_with_arbitrary_schedule())
+@given(instance_with_arbitrary_schedule(config=configs()))
 def _prop_closed_form(pair):
     instance, schedule = pair
     heats = {job.id: job.heat for job in instance.jobs}
+    R = instance.config.cooling_factor
     temps = simulate(instance, schedule).temperatures
     for u, observed in enumerate(temps):
         expected = sum(
             (
-                heats.get(schedule[i], Fraction(0)) / 2 ** (u - i)
+                heats.get(schedule[i], Fraction(0)) / R ** (u - i)
                 for i in range(min(u, len(schedule)))
                 if schedule[i] is not None
             ),

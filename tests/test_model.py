@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from strategies import instance_with_arbitrary_schedule, instance_with_feasible_schedule
+from strategies import configs, instance_with_arbitrary_schedule, instance_with_feasible_schedule
 from thermosched import (
     DEFAULT_CONFIG,
     Instance,
@@ -23,7 +23,7 @@ from thermosched import (
     step_temperature,
     validate_instance,
 )
-from thermosched.model import OUT_OF_WINDOW, REPEATED_JOB, THERMAL, UNKNOWN_JOB
+from thermosched.model import OUT_OF_WINDOW, REPEATED_JOB, THERMAL, UNKNOWN_JOB, ScaledKernel
 
 
 class TestStepTemperature:
@@ -211,7 +211,7 @@ def test_idle_monotonicity(pair):
 
 
 @settings(max_examples=200, deadline=None)
-@given(instance_with_arbitrary_schedule())
+@given(instance_with_arbitrary_schedule(config=configs()))
 def test_closed_form_temperature(pair):
     """tau_u equals sum of executed heats h(i) / R^(u-i), exactly."""
     instance, schedule = pair
@@ -225,6 +225,40 @@ def test_closed_form_temperature(pair):
     for u in range(len(trace.temperatures)):
         closed = sum((h / R ** (u - i) for i, h in enumerate(applied[:u])), Fraction(0))
         assert trace.temperatures[u] == closed
+
+
+def _scaled_steps_match(instance, schedule):
+    """Every slot's integer step, scaled back by L, is step_temperature,
+    and its threshold test agrees with the exact one."""
+    cfg = instance.config
+    kernel = ScaledKernel.for_instance(instance)
+    jobs = instance.job_map()
+    temps = simulate(instance, schedule).temperatures
+    for t in range(instance.horizon):
+        heat = jobs[schedule[t]].heat if schedule[t] in jobs else Fraction(0)
+        scaled = temps[t] * kernel.scale
+        assert scaled.denominator == 1
+        after = kernel.step(int(scaled), kernel.heat(heat))
+        exact = step_temperature(temps[t], heat, cfg)
+        assert Fraction(after, kernel.scale) == exact
+        assert (after <= kernel.threshold) == (exact <= cfg.threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_with_arbitrary_schedule(config=configs()))
+def test_scaled_kernel_matches_step_temperature(pair):
+    _scaled_steps_match(*pair)
+
+
+def test_scaled_kernel_clears_every_denominator():
+    config = ThermalConfig(threshold=Fraction(5, 3), cooling_factor=Fraction(7, 3))
+    instance = Instance(
+        jobs=(Job(1, 0, 2, Fraction(1, 3)), Job(2, 1, 4, Fraction(5, 6))), config=config
+    )
+    kernel = ScaledKernel.for_instance(instance)
+    assert (kernel.scale, kernel.p, kernel.q, kernel.threshold) == (6 * 7**4, 7, 3, 24010)
+    _scaled_steps_match(instance, Schedule((1, 2, None, None)))
+    _scaled_steps_match(instance, Schedule((None, 1, 2, None)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import instances
+from strategies import configs, instances
 from thermosched import (
     Instance,
     InstanceTooLargeError,
     Job,
+    N3DMInstance,
+    ThreePartitionInstance,
     enumerate_optimal_bruteforce,
+    gen_from_3partition,
+    gen_from_n3dm,
     simulate,
     solve_optimal,
     step_temperature,
@@ -55,6 +59,33 @@ class TestSolveOptimal:
         assert result.proven_optimal
         assert result.best_throughput == 4
 
+    def test_long_horizon_does_not_recurse(self):
+        instance = Instance(
+            jobs=(Job(1, 0, 1500, Fraction(1, 2)), Job(2, 0, 1500, Fraction(1, 2)))
+        )
+        result = solve_optimal(instance)
+        assert result.best_throughput == 2
+        assert result.proven_optimal
+
+
+class TestNodeCounts:
+    """explored is machine-independent; these pin the search order and
+    pruning on reduction instances that the budget-free solver proves."""
+
+    def test_3partition_no_instance(self):
+        instance, _ = gen_from_3partition(
+            ThreePartitionInstance.from_values((4, 4, 4, 4, 4, 6))
+        )
+        result = solve_optimal(instance)
+        assert (result.best_throughput, result.explored) == (7, 2241)
+        assert result.proven_optimal
+
+    def test_n3dm_no_instance(self):
+        instance, _ = gen_from_n3dm(N3DMInstance(a=(2, 0), b=(2, 0), c=(2, 0), beta=3))
+        result = solve_optimal(instance)
+        assert (result.best_throughput, result.explored) == (8, 13167)
+        assert result.proven_optimal
+
 
 class TestBruteForce:
     def test_worked_example(self, four_job_example):
@@ -81,13 +112,13 @@ class TestBruteForce:
 
 
 @settings(max_examples=150, deadline=None)
-@given(instances(max_jobs=5, release_span=3, max_window=3))
+@given(instances(max_jobs=5, release_span=3, max_window=3, config=configs()))
 def test_oracle_agreement(instance):
     assert solve_optimal(instance).best_throughput == enumerate_optimal_bruteforce(instance)
 
 
 @settings(max_examples=100, deadline=None)
-@given(instances(max_jobs=5, release_span=3, max_window=3))
+@given(instances(max_jobs=5, release_span=3, max_window=3, config=configs()))
 def test_witness_always_valid(instance):
     result = solve_optimal(instance)
     trace = simulate(instance, result.witness)
