@@ -180,22 +180,24 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
         )
     seen: set[int] = set()
     for job in instance.jobs:
+        non_integer: set[str] = set()
         for field in ("id", "release", "deadline"):
             value = getattr(job, field)
             if isinstance(value, bool) or not isinstance(value, int):
+                non_integer.add(field)
                 issues.append(
                     ValidationIssue(job.id, field, f"job {job.id}: {field} must be an integer")
                 )
-        if job.id < 0:
+        if "id" not in non_integer and job.id < 0:
             issues.append(ValidationIssue(job.id, "id", f"job {job.id}: id must be non-negative"))
         if job.id in seen:
             issues.append(ValidationIssue(job.id, "id", f"job {job.id}: duplicate id"))
         seen.add(job.id)
-        if job.release < 0:
+        if "release" not in non_integer and job.release < 0:
             issues.append(
                 ValidationIssue(job.id, "release", f"job {job.id}: release must be non-negative")
             )
-        if job.release >= job.deadline:
+        if not non_integer & {"release", "deadline"} and job.release >= job.deadline:
             issues.append(
                 ValidationIssue(
                     job.id,

@@ -14,11 +14,13 @@ is admissible and (ii) never executes a job that is strictly dominated
 by another pending job, where j dominates k when h_j <= h_k and
 d_j <= d_k (strictly if at least one inequality is strict). Reasonable
 policies are 2-competitive for throughput; CoolestFirst and
-EarliestDeadlineFirst below are the two canonical members.
+EarliestDeadlineFirst below are the two canonical members. Only the
+harness derives what is pending; ``check_reasonable`` reads its log.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -79,22 +81,23 @@ class PolicyViolationError(ValueError):
 def run_online(instance: Instance, policy: Policy) -> OnlineRun:
     """Drive a policy over the instance, one slot at a time.
 
-    The harness reveals each job at its release time, asks the policy
-    for a decision, applies it, and records it. The resulting schedule
-    re-simulates to exactly the trace returned here.
+    Jobs are pending from release until they run or expire. Each slot
+    the policy sees them and its decision is applied and recorded. The
+    schedule re-simulates to exactly the trace returned here.
     Raises InvalidInstanceError on an invalid instance.
     """
     require_valid(instance)
     cfg = instance.config
-    horizon = instance.horizon
-    done: set[int] = set()
+    arrivals = sorted(instance.jobs, key=lambda j: j.release, reverse=True)
+    live: list[Job] = []
     slots: list[Optional[int]] = []
     decisions: list[DecisionRecord] = []
     tau = Fraction(0)
-    for time in range(horizon):
-        pending = tuple(
-            j for j in instance.jobs if j.pending_at(time) and j.id not in done
-        )
+    for time in range(instance.horizon):
+        while arrivals and arrivals[-1].release <= time:
+            insort(live, arrivals.pop(), key=lambda j: j.id)
+        live = [j for j in live if time < j.deadline]
+        pending = tuple(live)
         choice = policy(time, tau, pending, cfg)
         heat = Fraction(0)
         if choice is not None:
@@ -107,7 +110,7 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
                 raise PolicyViolationError(
                     f"policy returned job {choice} at time {time}, which is not admissible"
                 )
-            done.add(choice)
+            live.remove(chosen)
             heat = chosen.heat
         decisions.append(DecisionRecord(time, tau, tuple(j.id for j in pending), choice))
         slots.append(choice)
@@ -183,34 +186,28 @@ def strictly_dominates(j: Job, k: Job) -> bool:
 def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
     """Report every slot where a run behaved unreasonably.
 
-    The check is behavioral: it replays the recorded schedule against
-    the instance, so it applies to any policy, not just the built-ins.
-    A NON_WAITING violation is an idle slot with some admissible
-    pending job; a DOMINANCE violation is an executed job strictly
-    dominated by another pending job at that slot.
+    The check is behavioral: it reads the decision log, which is what
+    the policy was shown, so it applies to any policy. A NON_WAITING
+    violation is an idle slot with an admissible pending job, a
+    DOMINANCE violation an executed job strictly dominated by a pending
+    one; the witness is the first such pending job in id order.
     """
-    instance = run.instance
-    cfg = instance.config
-    jobs = instance.job_map()
+    cfg = run.instance.config
+    jobs = run.instance.job_map()
     violations: list[ReasonablenessViolation] = []
-    done: set[int] = set()
-    for time in range(instance.horizon):
-        tau = run.trace.temperatures[time]
-        pending = [j for j in instance.jobs if j.pending_at(time) and j.id not in done]
-        choice = run.schedule[time] if time < len(run.schedule) else None
-        if choice is None:
-            admissible = [j for j in pending if is_admissible(tau, j, cfg)]
-            if admissible:
-                violations.append(
-                    ReasonablenessViolation(time, NON_WAITING, None, admissible[0].id)
-                )
+    for record in run.decisions:
+        pending = (jobs[job_id] for job_id in record.pending)
+        if record.decision is None:
+            kind = NON_WAITING
+            witness = next(
+                (j for j in pending if is_admissible(record.temperature, j, cfg)), None
+            )
         else:
-            executed = jobs[choice]
-            done.add(choice)
-            for other in pending:
-                if other.id != choice and strictly_dominates(other, executed):
-                    violations.append(
-                        ReasonablenessViolation(time, DOMINANCE, choice, other.id)
-                    )
-                    break
+            kind = DOMINANCE
+            executed = jobs[record.decision]
+            witness = next((j for j in pending if strictly_dominates(j, executed)), None)
+        if witness is not None:
+            violations.append(
+                ReasonablenessViolation(record.time, kind, record.decision, witness.id)
+            )
     return violations

@@ -90,6 +90,9 @@ class TestValidateInstance:
             (Job(1.0, 0, 2, "1/2"), "id"),
             (Job(1, 0.5, 2, "1/2"), "release"),
             (Job(1, 0, True, "1/2"), "deadline"),
+            (Job("1", 0, 2, "1/2"), "id"),
+            (Job(1, "0", 2, "1/2"), "release"),
+            (Job(1, 0, None, "1/2"), "deadline"),
         ],
     )
     def test_non_integer_fields(self, job, field):

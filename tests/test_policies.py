@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import instances
+from strategies import configs, instances
 from thermosched import (
     Instance,
     Job,
     PolicyViolationError,
+    ReasonablenessViolation,
     check_reasonable,
     always_idle,
     coolest_first_decide,
     edf_decide,
+    is_admissible,
     run_online,
     scripted_policy,
     strictly_dominates,
@@ -180,3 +183,64 @@ def test_online_runs_deterministic(instance):
     first = run_online(instance, coolest_first_decide)
     second = run_online(instance, coolest_first_decide)
     assert serialize_run(first) == serialize_run(second)
+
+
+# Instances under the default config and under drawn non-default ones, plus
+# scripts that name ids from instances() (1..6), idle or miss.
+any_config_instances = st.one_of(instances(), instances(config=configs()))
+scripts = st.lists(st.one_of(st.none(), st.integers(1, 7)), max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_config_instances, scripts)
+def test_decision_log_shows_exactly_the_pending_jobs(instance, script):
+    """Each record lists the released, unexpired, not yet run jobs, by id."""
+    for policy in (coolest_first_decide, edf_decide, scripted_policy(script)):
+        run = run_online(instance, policy)
+        assert [r.time for r in run.decisions] == list(range(instance.horizon))
+        for record in run.decisions:
+            ran = set(run.schedule.slots[: record.time])
+            expected = sorted(
+                j.id
+                for j in instance.jobs
+                if j.release <= record.time < j.deadline and j.id not in ran
+            )
+            assert record.pending == tuple(expected)
+
+
+def replay_reasonable(run):
+    """Reference oracle: re-derive the pending jobs from the instance and
+    the schedule slot by slot, independently of the decision log."""
+    instance = run.instance
+    cfg = instance.config
+    jobs = instance.job_map()
+    violations = []
+    done = set()
+    for time in range(instance.horizon):
+        tau = run.trace.temperatures[time]
+        pending = [j for j in instance.jobs if j.pending_at(time) and j.id not in done]
+        choice = run.schedule[time] if time < len(run.schedule) else None
+        if choice is None:
+            admissible = [j for j in pending if is_admissible(tau, j, cfg)]
+            if admissible:
+                violations.append(
+                    ReasonablenessViolation(time, NON_WAITING, None, admissible[0].id)
+                )
+        else:
+            executed = jobs[choice]
+            done.add(choice)
+            for other in pending:
+                if other.id != choice and strictly_dominates(other, executed):
+                    violations.append(
+                        ReasonablenessViolation(time, DOMINANCE, choice, other.id)
+                    )
+                    break
+    return violations
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_config_instances, scripts)
+def test_check_reasonable_matches_replay_oracle(instance, script):
+    for policy in (always_idle, scripted_policy(script)):
+        run = run_online(instance, policy)
+        assert check_reasonable(run) == replay_reasonable(run)
