@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .adversary import RandomModel, ratio_experiment, run_lower_bound_game
 from .gantt import SVG_FORMAT, TEXT_FORMAT, approx_decimal, render_gantt
@@ -51,6 +51,21 @@ _DOMAIN_ERRORS = (
     NotFullThroughputError,
     InstanceTooLargeError,
 )
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= minimum, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _read(path: str) -> str:
@@ -145,7 +160,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         bad = sum(1 for c in report.counterexamples if c.policy == name)
         verdict = "ok" if bad == 0 else f"{bad} counterexample(s)"
         print(f"{name.ljust(width)}{cells[0]}{cells[1]}{verdict}")
-    return 1 if report.counterexamples else 0
+    unproven = sum(1 for r in report.records if not r.proven_optimal)
+    if unproven:
+        print(f"unproven optimum: {unproven} instance(s) hit the node budget")
+    return 1 if report.counterexamples or unproven else 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -174,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("opt", help="exact maximum-throughput schedule")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=None, help="search node cap")
+    p.add_argument("--budget", type=_at_least(0), default=None, help="search node cap")
     p.add_argument("-o", "--out", default=None, help="result output path")
     p.add_argument("--witness-out", default=None, help="write the witness schedule here")
     p.set_defaults(handler=_cmd_opt)
@@ -203,8 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_adversary)
 
     p = sub.add_parser("experiment", help="online-vs-optimal ratio experiment")
-    p.add_argument("--n", type=int, required=True, help="jobs per instance")
-    p.add_argument("--count", type=int, required=True, help="number of instances")
+    p.add_argument("--n", type=_at_least(0), required=True, help="jobs per instance")
+    p.add_argument("--count", type=_at_least(0), required=True, help="number of instances")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument(
         "--policy",
@@ -213,9 +231,11 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="policy to evaluate (repeatable)",
     )
-    p.add_argument("--release-span", type=int, default=4)
-    p.add_argument("--max-window", type=int, default=4)
-    p.add_argument("--budget", type=int, default=None, help="solver node cap per instance")
+    p.add_argument("--release-span", type=_at_least(0), default=4)
+    p.add_argument("--max-window", type=_at_least(1), default=4)
+    p.add_argument(
+        "--budget", type=_at_least(0), default=None, help="solver node cap per instance"
+    )
     p.add_argument("-o", "--out", default=None, help="report output path")
     p.set_defaults(handler=_cmd_experiment)
 

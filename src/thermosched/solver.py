@@ -15,6 +15,17 @@ the best complete schedule found, and prunes with
 Expired jobs drop out of the dominance key because they cannot affect
 the future; their count is kept in the Pareto value instead.
 
+The search order does the rest. Jobs branch earliest deadline first
+and, among equal deadlines, hottest first, so the hot jobs that fit
+only while the processor is cool are tried while it is, and a full or
+near-full incumbent turns up early. Twins (jobs with the same release,
+deadline and heat) are interchangeable, so a twin may run only after
+its predecessor in branching order has run; this cuts the permutations
+of the identical gadget jobs of the hardness reductions. Dominance
+stays sound because states with the same done-mask face the same twin
+order and twins expire together. Jobs hotter than R·T can never run
+and are dropped before the search.
+
 The search runs on integers: model.ScaledKernel scales every
 temperature, heat and the threshold by L = D·p^H (R = p/q, D the lcm
 of the heat and threshold denominators, H the horizon), so each step
@@ -66,25 +77,38 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
 
     budget caps the number of search nodes; when it is hit the best
     schedule found so far is returned with proven_optimal=False.
-    Raises InvalidInstanceError on an invalid instance.
+    Raises InvalidInstanceError on an invalid instance and ValueError
+    on a negative budget.
     """
     require_valid(instance)
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     jobs = instance.jobs
     horizon = instance.horizon
     kernel = ScaledKernel.for_instance(instance)
     step, limit = kernel.step, kernel.threshold
-    # Branch earliest-deadline-first: good incumbents early mean more pruning.
-    order = sorted(range(len(jobs)), key=lambda i: (jobs[i].deadline, jobs[i].heat, jobs[i].id))
     heats = [kernel.heat(job.heat) for job in jobs]
-    # pending[t]: (bit, scaled heat, id) of each job pending at slot t,
+    # Branch earliest-deadline-first and, among equal deadlines, hottest
+    # first: hot jobs fit only while the processor is cool, so good
+    # incumbents come early and prune more. A job with h > R·T is too
+    # hot even from temperature 0 and is left out.
+    order = sorted(
+        (i for i in range(len(jobs)) if step(0, heats[i]) <= limit),
+        key=lambda i: (jobs[i].deadline, -jobs[i].heat, jobs[i].id),
+    )
+    # Twins (same release, deadline and heat) are interchangeable, so they
+    # run only in branching order: need[i] is the bit of i's previous twin.
+    need, last = {}, {}
+    for i in order:
+        twin = (jobs[i].release, jobs[i].deadline, jobs[i].heat)
+        need[i], last[twin] = last.get(twin, 0), 1 << i
+    # pending[t]: (bit, need, scaled heat, id) of each job pending at slot t,
     # in reverse branching order, because children are pushed on a stack.
     pending = [
-        [(1 << i, heats[i], jobs[i].id) for i in reversed(order) if jobs[i].pending_at(t)]
+        [(1 << i, need[i], heats[i], jobs[i].id) for i in reversed(order) if jobs[i].pending_at(t)]
         for t in range(horizon)
     ]
-    alive = [
-        sum(1 << i for i, job in enumerate(jobs) if job.deadline > t) for t in range(horizon + 1)
-    ]
+    alive = [sum(1 << i for i in order if jobs[i].deadline > t) for t in range(horizon + 1)]
     best = 0
     best_slots: list[Optional[int]] = [None] * horizon
     # path[t + 1] is the entry of slot t on the way to the node being visited.
@@ -124,8 +148,8 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
         pareto.append((count, s))
         child = time + 1
         stack.append((child, step(s, 0), done, count, None))
-        for bit, heat, job_id in pending[time]:
-            if not done & bit:
+        for bit, prev, heat, job_id in pending[time]:
+            if not done & bit and done & prev == prev:
                 after = step(s, heat)
                 if after <= limit:
                     stack.append((child, after, done | bit, count + 1, job_id))

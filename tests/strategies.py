@@ -57,6 +57,20 @@ def instances(
 
 
 @st.composite
+def twin_instances(draw, **kwargs) -> Instance:
+    """instances(**kwargs) where each job after the first copies the
+    release, deadline and heat of an earlier job about 30% of the time,
+    so identical twins, which instances() almost never draws, are common."""
+    instance = draw(instances(**kwargs))
+    jobs = list(instance.jobs)
+    for i in range(1, len(jobs)):
+        if draw(st.integers(0, 9)) < 3:
+            model = jobs[draw(st.integers(0, i - 1))]
+            jobs[i] = Job(jobs[i].id, model.release, model.deadline, model.heat)
+    return Instance(jobs=tuple(jobs), config=instance.config)
+
+
+@st.composite
 def arbitrary_schedules(draw, instance: Instance, allow_garbage: bool = True) -> Schedule:
     """Slot entries drawn freely: duplicates, out-of-window starts and
     (optionally) ids the instance does not know. For diagnostics tests."""

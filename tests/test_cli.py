@@ -141,6 +141,13 @@ class TestOpt:
         document = json.loads(capsys.readouterr().out)
         assert document["proven_optimal"] is False
 
+    @pytest.mark.parametrize("budget", ["-5", "many"])
+    def test_bad_budget_is_a_usage_error(self, instance_file, budget, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["opt", instance_file, "--budget", budget])
+        assert excinfo.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
 
 class TestOnline:
     def test_run_document(self, instance_file, four_job_example, capsys):
@@ -248,6 +255,40 @@ class TestExperiment:
         )
         assert code == 1
         assert "counterexample" in capsys.readouterr().out
+
+    def test_unproven_optimum_exits_one(self, capsys):
+        code = main(
+            ["experiment", "--n", "3", "--count", "2", "--policy", "coolest", "--budget", "1"]
+        )
+        assert code == 1
+        assert "unproven optimum: 2 instance(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--budget", "-5"),
+            ("--max-window", "0"),
+            ("--release-span", "-1"),
+            ("--n", "-1"),
+            ("--count", "-1"),
+        ],
+    )
+    def test_out_of_range_option_is_a_usage_error(self, option, value, capsys):
+        argv = ["experiment", "--n", "3", "--count", "2", "--policy", "coolest"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, option, value])
+        assert excinfo.value.code == 2
+        assert option in capsys.readouterr().err
+
+    def test_smallest_options_run(self, capsys):
+        code = main(
+            [
+                "experiment", "--n", "0", "--count", "0", "--policy", "coolest",
+                "--release-span", "0", "--max-window", "1", "--budget", "0",
+            ]
+        )
+        assert code == 0
+        assert "instances: 0" in capsys.readouterr().out
 
 
 class TestRender:

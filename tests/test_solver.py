@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configs, instances
+from strategies import configs, instances, twin_instances
 from thermosched import (
     Instance,
     InstanceTooLargeError,
     Job,
     N3DMInstance,
+    ThermalConfig,
     ThreePartitionInstance,
     enumerate_optimal_bruteforce,
     gen_from_3partition,
@@ -33,7 +34,18 @@ class TestSolveOptimal:
 
     def test_never_admissible_job(self):
         instance = Instance(jobs=(Job(1, 0, 5, Fraction(5, 2)),))
-        assert solve_optimal(instance).best_throughput == 0
+        result = solve_optimal(instance)
+        # h > R·T is dropped before the search, so the root's bound proves OPT = 0.
+        assert (result.best_throughput, result.explored) == (0, 1)
+
+    def test_job_at_exactly_r_times_t_still_runs(self):
+        instance = Instance(
+            jobs=(Job(1, 0, 2, Fraction(9, 4)),),
+            config=ThermalConfig(threshold=Fraction(3, 2), cooling_factor=Fraction(3, 2)),
+        )
+        result = solve_optimal(instance)
+        assert result.best_throughput == 1
+        assert simulate(instance, result.witness).violations == ()
 
     def test_empty_instance(self):
         result = solve_optimal(Instance(jobs=()))
@@ -54,6 +66,14 @@ class TestSolveOptimal:
         assert trace.violations == ()
         assert trace.throughput == capped.best_throughput
 
+    def test_zero_budget_proves_nothing(self, four_job_example):
+        result = solve_optimal(four_job_example, budget=0)
+        assert (result.best_throughput, result.proven_optimal) == (0, False)
+
+    def test_negative_budget_is_rejected(self, four_job_example):
+        with pytest.raises(ValueError, match="budget"):
+            solve_optimal(four_job_example, budget=-5)
+
     def test_generous_budget_still_proves(self, four_job_example):
         result = solve_optimal(four_job_example, budget=10_000_000)
         assert result.proven_optimal
@@ -69,7 +89,8 @@ class TestSolveOptimal:
 
 
 class TestNodeCounts:
-    """explored is machine-independent; these pin the search order and
+    """explored is machine-independent; these pin the search order
+    (hottest first among equal deadlines, twins in one fixed order) and
     pruning on reduction instances that the budget-free solver proves."""
 
     def test_3partition_no_instance(self):
@@ -77,13 +98,21 @@ class TestNodeCounts:
             ThreePartitionInstance.from_values((4, 4, 4, 4, 4, 6))
         )
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (7, 2241)
+        assert (result.best_throughput, result.explored) == (7, 260)
         assert result.proven_optimal
 
     def test_n3dm_no_instance(self):
         instance, _ = gen_from_n3dm(N3DMInstance(a=(2, 0), b=(2, 0), c=(2, 0), beta=3))
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (8, 13167)
+        assert (result.best_throughput, result.explored) == (8, 1202)
+        assert result.proven_optimal
+
+    def test_n3dm_n4_no_instance(self):
+        instance, _ = gen_from_n3dm(
+            N3DMInstance(a=(2, 0, 2, 0), b=(2, 0, 2, 0), c=(2, 0, 2, 0), beta=3)
+        )
+        result = solve_optimal(instance)
+        assert (result.best_throughput, result.explored) == (16, 40658)
         assert result.proven_optimal
 
 
@@ -115,6 +144,18 @@ class TestBruteForce:
 @given(instances(max_jobs=5, release_span=3, max_window=3, config=configs()))
 def test_oracle_agreement(instance):
     assert solve_optimal(instance).best_throughput == enumerate_optimal_bruteforce(instance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_instances(max_jobs=7, release_span=3, max_window=4, config=configs()))
+def test_oracle_agreement_with_twins(instance):
+    """The twin rule and the hopeless-job drop against the oracle, on
+    instances where about 30% of the jobs copy an earlier one."""
+    result = solve_optimal(instance)
+    assert result.best_throughput == enumerate_optimal_bruteforce(instance)
+    trace = simulate(instance, result.witness)
+    assert trace.violations == ()
+    assert trace.throughput == result.best_throughput
 
 
 @settings(max_examples=100, deadline=None)
