@@ -118,6 +118,13 @@ def scripted_policy(intents: Sequence[Optional[int]]) -> Policy:
     return decide
 
 
+# The least value of each RandomModel field that random_instance can draw from.
+_MODEL_MINIMA = (
+    ("n", 0), ("release_span", 0), ("max_window", 1), ("heat_denominator", 1),
+    ("heat_numerator_max", 0),
+)
+
+
 @dataclass(frozen=True)
 class RandomModel:
     """Seeded generator parameters for random instances.
@@ -126,6 +133,9 @@ class RandomModel:
     1..max_window, heats uniform on the grid k/heat_denominator with
     0 <= k <= heat_numerator_max (defaults span 0..2, crossing every
     admissibility regime). Generation is a pure function of the seed.
+    Raises ValueError naming the field when n, release_span or
+    heat_numerator_max is negative, or max_window or heat_denominator
+    is below 1.
     """
 
     n: int
@@ -134,6 +144,12 @@ class RandomModel:
     heat_denominator: int = 16
     heat_numerator_max: int = 32
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for field, low in _MODEL_MINIMA:
+            value = getattr(self, field)
+            if value < low:
+                raise ValueError(f"{field} must be at least {low}, got {value}")
 
 
 def random_instance(model: RandomModel) -> Instance:
@@ -215,7 +231,10 @@ def ratio_experiment(
     and records arrive sorted by seed. policies may be registry names
     or a mapping of names to custom policies; budget is passed through
     to the solver and budget-capped optima are recorded per instance.
+    Raises ValueError when count is negative.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     named = _resolve_policies(policies)
     names = tuple(named)
     records = []

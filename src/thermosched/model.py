@@ -274,8 +274,14 @@ class ScaledKernel:
 def is_admissible(
     tau: Fraction, job: Job, config: ThermalConfig = DEFAULT_CONFIG
 ) -> bool:
-    """True iff executing the job now keeps the post-step temperature <= T."""
-    return step_temperature(tau, job.heat, config) <= config.threshold
+    """True iff executing the job now keeps the post-step temperature <= T.
+
+    (tau + h) / R <= T, cross-multiplied: one integer comparison, no Fraction
+    built and no gcd taken. It is exact because Fraction denominators are positive.
+    """
+    h, R, T = job.heat, config.cooling_factor, config.threshold
+    left = (tau.numerator * h.denominator + h.numerator * tau.denominator) * R.denominator
+    return left * T.denominator <= R.numerator * T.numerator * h.denominator * tau.denominator
 
 
 def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:

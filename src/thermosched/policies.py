@@ -45,10 +45,12 @@ DOMINANCE = "dominated-choice"
 
 @dataclass(frozen=True)
 class DecisionRecord:
-    """One slot of an online run: what was pending and what the policy chose."""
+    """One slot of an online run: what was pending and what the policy chose.
+
+    The temperature the policy saw is run.trace.temperatures[time].
+    """
 
     time: int
-    temperature: Fraction
     pending: tuple[int, ...]
     decision: Optional[int]
 
@@ -112,7 +114,7 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
                 )
             live.remove(chosen)
             heat = chosen.heat
-        decisions.append(DecisionRecord(time, tau, tuple(j.id for j in pending), choice))
+        decisions.append(DecisionRecord(time, tuple(j.id for j in pending), choice))
         slots.append(choice)
         tau = step_temperature(tau, heat, cfg)
     schedule = Schedule(tuple(slots))
@@ -132,13 +134,11 @@ def coolest_first_decide(
 ) -> Optional[int]:
     """Pick the coolest admissible pending job.
 
-    Ties go to the earlier deadline, then to the smaller id. Idles only
-    when no pending job is admissible.
+    Ties go to the earlier deadline, then to the smaller id. Admissibility is
+    monotone in heat, so only the coolest job is tested: if it fails, all fail.
     """
-    admissible = [j for j in pending if is_admissible(temperature, j, config)]
-    if not admissible:
-        return None
-    return min(admissible, key=lambda j: (j.heat, j.deadline, j.id)).id
+    coolest = min(pending, key=lambda j: (j.heat, j.deadline, j.id), default=None)
+    return coolest.id if coolest and is_admissible(temperature, coolest, config) else None
 
 
 def edf_decide(
@@ -149,13 +149,11 @@ def edf_decide(
 ) -> Optional[int]:
     """Pick the admissible pending job with the earliest deadline.
 
-    Ties go to the cooler job, then to the smaller id. Idles only when
-    no pending job is admissible.
+    Ties go to the cooler job, then to the smaller id. The first admissible
+    job in that order wins; the policy idles only when none is.
     """
-    admissible = [j for j in pending if is_admissible(temperature, j, config)]
-    if not admissible:
-        return None
-    return min(admissible, key=lambda j: (j.deadline, j.heat, j.id)).id
+    by_deadline = sorted(pending, key=lambda j: (j.deadline, j.heat, j.id))
+    return next((j.id for j in by_deadline if is_admissible(temperature, j, config)), None)
 
 
 def always_idle(
@@ -186,22 +184,23 @@ def strictly_dominates(j: Job, k: Job) -> bool:
 def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
     """Report every slot where a run behaved unreasonably.
 
-    The check is behavioral: it reads the decision log, which is what
-    the policy was shown, so it applies to any policy. A NON_WAITING
-    violation is an idle slot with an admissible pending job, a
-    DOMINANCE violation an executed job strictly dominated by a pending
-    one; the witness is the first such pending job in id order.
+    The check is behavioral: it reads the decision log and the trace's
+    temperatures, which are what the policy was shown, so it applies to
+    any policy. A NON_WAITING violation is an idle slot with an
+    admissible pending job, a DOMINANCE violation an executed job
+    strictly dominated by a pending one; the witness is the first such
+    pending job in id order.
     """
     cfg = run.instance.config
     jobs = run.instance.job_map()
+    temperatures = run.trace.temperatures
     violations: list[ReasonablenessViolation] = []
     for record in run.decisions:
         pending = (jobs[job_id] for job_id in record.pending)
         if record.decision is None:
             kind = NON_WAITING
-            witness = next(
-                (j for j in pending if is_admissible(record.temperature, j, cfg)), None
-            )
+            tau = temperatures[record.time]
+            witness = next((j for j in pending if is_admissible(tau, j, cfg)), None)
         else:
             kind = DOMINANCE
             executed = jobs[record.decision]

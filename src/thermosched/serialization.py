@@ -155,7 +155,9 @@ def _record(build: Callable, *rows: tuple) -> _Codec:
 
     Encoding reads each attribute path (the key by default) with
     getattr; decoding checks the exact key set and calls build with
-    one keyword per row, named by the last component of its path.
+    one keyword per row, named by the last component of its path. A
+    ValueError from build, such as an out-of-range RandomModel field,
+    becomes a ParseError at this object's path.
     """
     keys = tuple(row[0] for row in rows)
     table = []
@@ -168,7 +170,11 @@ def _record(build: Callable, *rows: tuple) -> _Codec:
 
     def decode(value: Any, where: str) -> Any:
         obj = _require_object(value, where, keys)
-        return build(**{name: c.decode(obj[k], f"{where}.{k}") for k, c, _, name in table})
+        kwargs = {name: c.decode(obj[k], f"{where}.{k}") for k, c, _, name in table}
+        try:
+            return build(**kwargs)
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from None
 
     return _Codec(encode, decode)
 
@@ -209,8 +215,7 @@ _RUN = _record(
     ("schedule", _SCHEDULE),
     ("trace", _TRACE),
     ("decisions", _array(_record(
-        DecisionRecord, ("time", _INT), ("temperature", _RATIONAL),
-        ("pending", _array(_INT)), ("decision", _optional(_INT)),
+        DecisionRecord, ("time", _INT), ("pending", _array(_INT)), ("decision", _optional(_INT)),
     ))),
 )
 _TRANSCRIPT = _record(

@@ -37,6 +37,16 @@ def configs() -> st.SearchStrategy[ThermalConfig]:
 
 
 @st.composite
+def stepped_temperatures(draw, config: ThermalConfig, max_slots: int = 40) -> Fraction:
+    """A temperature reached from 0 by up to max_slots steps of drawn heats
+    (0 is an idle slot), so its denominator is a large power of R's."""
+    tau = Fraction(0)
+    for _ in range(draw(st.integers(0, max_slots))):
+        tau = step_temperature(tau, draw(heats()), config)
+    return tau
+
+
+@st.composite
 def instances(
     draw,
     min_jobs: int = 0,

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from thermosched import (
+    Job,
     RandomModel,
     always_idle,
     coolest_first_decide,
@@ -127,6 +128,26 @@ class TestRandomInstance:
         assert random_instance(model) == random_instance(model)
         assert random_instance(model) != random_instance(replace(model, seed=124))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", -1),
+            ("release_span", -1),
+            ("max_window", 0),
+            ("heat_denominator", 0),
+            ("heat_numerator_max", -1),
+        ],
+    )
+    def test_out_of_range_field_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be at least {value + 1}"):
+            RandomModel(**{"n": 2, field: value})
+
+    def test_smallest_fields_are_accepted(self):
+        model = RandomModel(
+            n=1, release_span=0, max_window=1, heat_denominator=1, heat_numerator_max=0
+        )
+        assert random_instance(model).jobs == (Job(1, 0, 1, Fraction(0)),)
+
     def test_draws_respect_model_bounds(self):
         for seed in range(30):
             model = RandomModel(n=5, release_span=3, max_window=2, seed=seed)
@@ -146,6 +167,10 @@ class TestRatioExperiment:
         assert report.max_ratios == (None, None)
         assert report.mean_ratios == (None, None)
         assert report.counterexamples == ()
+
+    def test_negative_count_is_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            ratio_experiment(RandomModel(n=3), ("coolest",), -3)
 
     def test_reproducible(self):
         model = RandomModel(n=4, seed=7)

@@ -4,8 +4,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import configs, instance_with_arbitrary_schedule, instance_with_feasible_schedule
+from strategies import (
+    configs,
+    heats,
+    instance_with_arbitrary_schedule,
+    instance_with_feasible_schedule,
+    stepped_temperatures,
+)
 from thermosched import (
     DEFAULT_CONFIG,
     Instance,
@@ -53,6 +60,19 @@ class TestAdmissibility:
         job = Job(1, 0, 1, Fraction(2))
         assert is_admissible(Fraction(0), job)
         assert not is_admissible(Fraction(1, 100), job)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just(DEFAULT_CONFIG), configs()), st.data())
+def test_is_admissible_is_the_threshold_test_of_one_step(cfg, data):
+    """The cross-multiplied comparison equals step_temperature(...) <= T,
+    on stepped temperatures and on exact boundaries tau + h == R·T."""
+    tau = data.draw(stepped_temperatures(cfg))
+    boundary = cfg.cooling_factor * cfg.threshold - tau
+    candidates = [data.draw(heats()), boundary, boundary + Fraction(1, tau.denominator)]
+    for heat in (h for h in candidates if h >= 0):
+        expected = step_temperature(tau, heat, cfg) <= cfg.threshold
+        assert is_admissible(tau, Job(1, 0, 1, heat), cfg) == expected
 
 
 class TestValidateInstance:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configs, instances
+from strategies import configs, heats, instances, stepped_temperatures
 from thermosched import (
+    DEFAULT_CONFIG,
     Instance,
     Job,
     PolicyViolationError,
@@ -19,6 +20,7 @@ from thermosched import (
     is_admissible,
     run_online,
     scripted_policy,
+    step_temperature,
     strictly_dominates,
 )
 from thermosched.policies import DOMINANCE, NON_WAITING
@@ -85,7 +87,7 @@ class TestRunOnline:
     def test_decision_log_matches_schedule(self, four_job_example):
         run = run_online(four_job_example, edf_decide)
         assert tuple(r.decision for r in run.decisions) == run.schedule.slots
-        assert tuple(r.temperature for r in run.decisions) == run.trace.temperatures[:-1]
+        assert check_reasonable(run) == replay_reasonable(run)
 
     def test_policy_returning_unknown_job_rejected(self, four_job_example):
         with pytest.raises(PolicyViolationError, match="not pending"):
@@ -244,3 +246,45 @@ def test_check_reasonable_matches_replay_oracle(instance, script):
     for policy in (always_idle, scripted_policy(script)):
         run = run_online(instance, policy)
         assert check_reasonable(run) == replay_reasonable(run)
+
+
+def _old_admissible(pending, tau, config):
+    """The admissible pending jobs, by the recurrence itself."""
+    return [j for j in pending if step_temperature(tau, j.heat, config) <= config.threshold]
+
+
+def coolest_first_reference(time, temperature, pending, config):
+    """Reference oracle: CoolestFirst as "filter admissible, then min"."""
+    admissible = _old_admissible(pending, temperature, config)
+    return min(admissible, key=lambda j: (j.heat, j.deadline, j.id)).id if admissible else None
+
+
+def edf_reference(time, temperature, pending, config):
+    """Reference oracle: EDF as "filter admissible, then min"."""
+    admissible = _old_admissible(pending, temperature, config)
+    return min(admissible, key=lambda j: (j.deadline, j.heat, j.id)).id if admissible else None
+
+
+@st.composite
+def decision_slots(draw):
+    """A config, a stepped temperature and up to 8 pending jobs (distinct
+    ids, few deadlines, so ties are common); hot jobs and high
+    temperatures make slots with no admissible job common too."""
+    cfg = draw(st.one_of(st.just(DEFAULT_CONFIG), configs()))
+    tau = draw(stepped_temperatures(cfg))
+    ids = draw(st.lists(st.integers(1, 20), unique=True, max_size=8))
+    pending = tuple(
+        Job(i, 0, draw(st.integers(1, 3)), draw(heats())) for i in sorted(ids)
+    )
+    return cfg, tau, pending
+
+
+@settings(max_examples=500, deadline=None)
+@given(decision_slots())
+def test_decide_bodies_match_filter_then_min(slot):
+    cfg, tau, pending = slot
+    for policy, reference in (
+        (coolest_first_decide, coolest_first_reference),
+        (edf_decide, edf_reference),
+    ):
+        assert policy(0, tau, pending, cfg) == reference(0, tau, pending, cfg)

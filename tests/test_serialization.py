@@ -256,12 +256,7 @@ class TestRunAndTranscriptDocuments:
         assert set(document) == {"schedule", "trace", "decisions"}
         assert document["schedule"] == [1, 2, None, None, 4, None]
         first = document["decisions"][0]
-        assert first == {
-            "time": 0,
-            "temperature": "0/1",
-            "pending": [1, 2],
-            "decision": 1,
-        }
+        assert first == {"time": 0, "pending": [1, 2], "decision": 1}
 
     def test_transcript_document_shape(self):
         transcript = run_lower_bound_game(always_idle)
@@ -306,6 +301,13 @@ class TestReportFormat:
         document = json.loads(serialize_report(report))
         document["policies"] = policies
         with pytest.raises(ParseError, match="policies"):
+            parse_report(json.dumps(document))
+
+    def test_out_of_range_model_is_a_parse_error(self):
+        report = ratio_experiment(RandomModel(n=2, seed=1), ("coolest",), 2)
+        document = json.loads(serialize_report(report))
+        document["model"]["max_window"] = 0
+        with pytest.raises(ParseError, match=r"^report\.model: max_window must be at least 1"):
             parse_report(json.dumps(document))
 
     def test_policy_names_must_match(self):
