@@ -24,7 +24,7 @@ guaranteed ceil(OPT/2) is flagged as a counterexample.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -118,6 +118,11 @@ def scripted_policy(intents: Sequence[Optional[int]]) -> Policy:
     return decide
 
 
+def _require_int(name: str, value: object) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 # The least value of each RandomModel field that random_instance can draw from.
 _MODEL_MINIMA = (
     ("n", 0), ("release_span", 0), ("max_window", 1), ("heat_denominator", 1),
@@ -133,9 +138,9 @@ class RandomModel:
     1..max_window, heats uniform on the grid k/heat_denominator with
     0 <= k <= heat_numerator_max (defaults span 0..2, crossing every
     admissibility regime). Generation is a pure function of the seed.
-    Raises ValueError naming the field when n, release_span or
-    heat_numerator_max is negative, or max_window or heat_denominator
-    is below 1.
+    Raises ValueError naming the field when a field is not an int (a
+    bool is not), when n, release_span or heat_numerator_max is
+    negative, or when max_window or heat_denominator is below 1.
     """
 
     n: int
@@ -146,6 +151,8 @@ class RandomModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for spec in fields(self):
+            _require_int(spec.name, getattr(self, spec.name))
         for field, low in _MODEL_MINIMA:
             value = getattr(self, field)
             if value < low:
@@ -231,8 +238,9 @@ def ratio_experiment(
     and records arrive sorted by seed. policies may be registry names
     or a mapping of names to custom policies; budget is passed through
     to the solver and budget-capped optima are recorded per instance.
-    Raises ValueError when count is negative.
+    Raises ValueError when count is not an int or is negative.
     """
+    _require_int("count", count)
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     named = _resolve_policies(policies)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .model import Instance, Job, Schedule, simulate
 from .solver import InstanceTooLargeError
@@ -174,8 +174,10 @@ class ReductionMeta:
     (a bijection on non-gadget jobs), and intervals give the slot
     ranges [start, end) holding element jobs: the inter-gadget
     intervals of the 3-Partition construction or the 3-slot blocks of
-    the matching construction. The generated instance rides along so
-    extractors can re-simulate schedules without extra arguments.
+    the matching construction. Origins may be listed in any order;
+    ids_with_role and values_with_role read them by index. The
+    generated instance rides along so extractors can re-simulate
+    schedules without extra arguments.
     """
 
     kind: str
@@ -185,19 +187,39 @@ class ReductionMeta:
     origins: tuple[JobOrigin, ...]
     intervals: tuple[tuple[int, int], ...]
 
+    def _with_role(self, role: str) -> list[JobOrigin]:
+        return sorted((o for o in self.origins if o.role == role), key=lambda o: o.index)
+
     def ids_with_role(self, role: str) -> tuple[int, ...]:
-        picked = [o for o in self.origins if o.role == role]
-        picked.sort(key=lambda o: o.index)
-        return tuple(o.job_id for o in picked)
+        return tuple(o.job_id for o in self._with_role(role))
+
+    def values_with_role(self, role: str) -> tuple[Optional[int], ...]:
+        return tuple(o.value for o in self._with_role(role))
 
 
-ThreePartitionSource = Union[ThreePartitionInstance, Sequence[int]]
+def _generate(
+    kind: str, n: int, beta: int, rows: list[tuple], intervals: list[tuple[int, int]]
+) -> tuple[Instance, ReductionMeta]:
+    """Instance and sidecar from (role, index, value, release, deadline,
+    heat) rows; the job of row k has id k + 1."""
+    jobs = tuple(Job(k, *row[3:]) for k, row in enumerate(rows, start=1))
+    origins = tuple(JobOrigin(k, *row[:3]) for k, row in enumerate(rows, start=1))
+    instance = Instance(jobs=jobs)
+    return instance, ReductionMeta(kind, n, beta, instance, origins, tuple(intervals))
 
 
-def _as_3partition(src: ThreePartitionSource) -> ThreePartitionInstance:
-    if isinstance(src, ThreePartitionInstance):
-        return src
-    return ThreePartitionInstance.from_values(src)
+def _require_full(meta: ReductionMeta, kind: str, name: str, schedule: Schedule) -> None:
+    """Raise unless meta is a kind reduction and schedule runs all its
+    jobs without violations."""
+    if meta.kind != kind:
+        raise ValueError(f"meta is not a {name} reduction")
+    trace = simulate(meta.instance, schedule)
+    want = len(meta.instance.jobs)
+    if trace.violations or trace.throughput != want:
+        raise NotFullThroughputError(
+            f"need a violation-free schedule completing all {want} jobs, "
+            f"got throughput {trace.throughput} with {len(trace.violations)} violation(s)"
+        )
 
 
 def validate_3partition_source(src: ThreePartitionInstance) -> None:
@@ -257,55 +279,31 @@ def element_heat(value: int) -> Fraction:
     return Fraction(2**value - 1, 2 ** (value - 1))
 
 
-def gen_from_3partition(
-    src: ThreePartitionSource, max_value: int = DEFAULT_MAX_ELEMENT
-) -> tuple[Instance, ReductionMeta]:
+def gen_from_3partition(src: ThreePartitionInstance) -> tuple[Instance, ReductionMeta]:
     """Scheduling instance with 4n jobs that is fully schedulable iff
     the source has a 3-partition.
 
     Element job i (ids 1..3n) has heat 2 - 2^(1-a_i), release 1 and
     deadline n(beta+1). Gadget jobs (ids 3n+1..4n) are tight: the
     first has heat 2 at time 0, the rest heat 1 at times j(beta+1).
+    Values above DEFAULT_MAX_ELEMENT (64) raise InvalidSourceError.
     """
-    src = _as_3partition(src)
     validate_3partition_source(src)
-    if max(src.values) > max_value:
+    if max(src.values) > DEFAULT_MAX_ELEMENT:
         raise InvalidSourceError(
-            f"largest value {max(src.values)} exceeds the supported cap {max_value}"
+            f"largest value {max(src.values)} exceeds the supported cap {DEFAULT_MAX_ELEMENT}"
         )
     n, beta = src.n, src.beta
-    horizon = n * (beta + 1)
-    jobs = [
-        Job(id=i + 1, release=1, deadline=horizon, heat=element_heat(value))
+    rows = [
+        (ROLE_ELEMENT, i, value, 1, n * (beta + 1), element_heat(value))
         for i, value in enumerate(src.values)
     ]
-    origins = [
-        JobOrigin(job_id=i + 1, role=ROLE_ELEMENT, index=i, value=value)
-        for i, value in enumerate(src.values)
+    rows += [
+        (ROLE_GADGET, j, None, j * (beta + 1), j * (beta + 1) + 1, Fraction(1 if j else 2))
+        for j in range(n)
     ]
-    jobs.append(Job(id=3 * n + 1, release=0, deadline=1, heat=Fraction(2)))
-    origins.append(JobOrigin(job_id=3 * n + 1, role=ROLE_GADGET, index=0, value=None))
-    for j in range(1, n):
-        release = j * (beta + 1)
-        jobs.append(
-            Job(id=3 * n + 1 + j, release=release, deadline=release + 1, heat=Fraction(1))
-        )
-        origins.append(
-            JobOrigin(job_id=3 * n + 1 + j, role=ROLE_GADGET, index=j, value=None)
-        )
-    intervals = tuple(
-        ((j - 1) * (beta + 1) + 1, (j - 1) * (beta + 1) + 1 + beta) for j in range(1, n + 1)
-    )
-    instance = Instance(jobs=tuple(jobs))
-    meta = ReductionMeta(
-        kind="3partition",
-        n=n,
-        beta=beta,
-        instance=instance,
-        origins=tuple(origins),
-        intervals=intervals,
-    )
-    return instance, meta
+    intervals = [(j * (beta + 1) + 1, j * (beta + 1) + 1 + beta) for j in range(n)]
+    return _generate("3partition", n, beta, rows, intervals)
 
 
 def _check_partition_certificate(
@@ -325,7 +323,7 @@ def _check_partition_certificate(
 
 
 def canonical_schedule_3partition(
-    src: ThreePartitionSource, meta: ReductionMeta, cert: PartitionCertificate
+    src: ThreePartitionInstance, meta: ReductionMeta, cert: PartitionCertificate
 ) -> Schedule:
     """The full-throughput schedule a 3-partition induces.
 
@@ -333,15 +331,13 @@ def canonical_schedule_3partition(
     interval with each element job preceded by value-1 idle slots. The
     temperature is exactly 1 at every interval boundary.
     """
-    src = _as_3partition(src)
     if meta.kind != "3partition" or meta.n != src.n or meta.beta != src.beta:
         raise ValueError("meta does not belong to this source instance")
     _check_partition_certificate(src, cert)
     gadget_ids = meta.ids_with_role(ROLE_GADGET)
     element_ids = meta.ids_with_role(ROLE_ELEMENT)
     slots: list[Optional[int]] = [None] * (src.n * (src.beta + 1))
-    slots[0] = gadget_ids[0]
-    for j in range(1, src.n):
+    for j in range(src.n):
         slots[j * (src.beta + 1)] = gadget_ids[j]
     for (start, _end), triple in zip(meta.intervals, cert.triples):
         t = start
@@ -359,14 +355,7 @@ def extract_3partition(meta: ReductionMeta, schedule: Schedule) -> PartitionCert
     execution slot form the triples. Raises NotFullThroughputError
     unless the schedule completes all 4n jobs without violations.
     """
-    if meta.kind != "3partition":
-        raise ValueError("meta is not a 3-Partition reduction")
-    trace = simulate(meta.instance, schedule)
-    if trace.violations or trace.throughput != 4 * meta.n:
-        raise NotFullThroughputError(
-            f"need a violation-free schedule completing all {4 * meta.n} jobs, "
-            f"got throughput {trace.throughput} with {len(trace.violations)} violation(s)"
-        )
+    _require_full(meta, "3partition", "3-Partition", schedule)
     slot_of = {job_id: t for t, job_id in enumerate(schedule) if job_id is not None}
     buckets: list[list[int]] = [[] for _ in meta.intervals]
     for origin in meta.origins:
@@ -389,9 +378,7 @@ def extract_3partition(meta: ReductionMeta, schedule: Schedule) -> PartitionCert
             )
         triples.append(tuple(sorted(bucket)))
     cert = PartitionCertificate(tuple(triples))
-    src = ThreePartitionInstance(
-        tuple(o.value for o in meta.origins if o.role == ROLE_ELEMENT), meta.beta
-    )
+    src = ThreePartitionInstance(meta.values_with_role(ROLE_ELEMENT), meta.beta)
     _check_partition_certificate(src, cert)
     return cert
 
@@ -412,40 +399,17 @@ def gen_from_n3dm(src: N3DMInstance) -> tuple[Instance, ReductionMeta]:
     validate_n3dm_source(src)
     n, beta = src.n, src.beta
     deadline = 4 * n + 1
-    jobs: list[Job] = []
-    origins: list[JobOrigin] = []
-    rows = ((ROLE_A, src.a, 8), (ROLE_B, src.b, 4), (ROLE_C, src.c, 2))
-    next_id = 1
-    for role, row, factor in rows:
-        for i, value in enumerate(row):
-            jobs.append(
-                Job(
-                    id=next_id,
-                    release=0,
-                    deadline=deadline,
-                    heat=factor * f_scaled(value, beta),
-                )
-            )
-            origins.append(JobOrigin(job_id=next_id, role=role, index=i, value=value))
-            next_id += 1
-    jobs.append(Job(id=next_id, release=0, deadline=deadline, heat=Fraction(2)))
-    origins.append(JobOrigin(job_id=next_id, role=ROLE_GADGET, index=0, value=None))
-    next_id += 1
-    for i in range(1, n + 1):
-        jobs.append(Job(id=next_id, release=0, deadline=deadline, heat=Fraction(7, 4)))
-        origins.append(JobOrigin(job_id=next_id, role=ROLE_GADGET, index=i, value=None))
-        next_id += 1
-    blocks = tuple((4 * i - 3, 4 * i) for i in range(1, n + 1))
-    instance = Instance(jobs=tuple(jobs))
-    meta = ReductionMeta(
-        kind="n3dm",
-        n=n,
-        beta=beta,
-        instance=instance,
-        origins=tuple(origins),
-        intervals=blocks,
-    )
-    return instance, meta
+    rows = [
+        (role, i, value, 0, deadline, factor * f_scaled(value, beta))
+        for role, row, factor in ((ROLE_A, src.a, 8), (ROLE_B, src.b, 4), (ROLE_C, src.c, 2))
+        for i, value in enumerate(row)
+    ]
+    rows += [
+        (ROLE_GADGET, i, None, 0, deadline, Fraction(7, 4) if i else Fraction(2))
+        for i in range(n + 1)
+    ]
+    blocks = [(4 * i - 3, 4 * i) for i in range(1, n + 1)]
+    return _generate("n3dm", n, beta, rows, blocks)
 
 
 def _check_matching_certificate(src: N3DMInstance, cert: MatchingCertificate) -> None:
@@ -480,9 +444,7 @@ def canonical_schedule_n3dm(
         raise ValueError("meta does not belong to this source instance")
     _check_matching_certificate(src, cert)
     gadget_ids = meta.ids_with_role(ROLE_GADGET)
-    a_ids = meta.ids_with_role(ROLE_A)
-    b_ids = meta.ids_with_role(ROLE_B)
-    c_ids = meta.ids_with_role(ROLE_C)
+    a_ids, b_ids, c_ids = map(meta.ids_with_role, (ROLE_A, ROLE_B, ROLE_C))
     slots: list[Optional[int]] = [None] * (4 * src.n + 1)
     slots[0] = gadget_ids[0]
     for block, (i, j, k) in enumerate(cert.triples, start=1):
@@ -500,18 +462,9 @@ def extract_n3dm_matching(meta: ReductionMeta, schedule: Schedule) -> MatchingCe
     4, 8, ...; the three jobs of each block between gadgets are one
     a-, one b- and one c-job, and their source values sum to beta.
     """
-    if meta.kind != "n3dm":
-        raise ValueError("meta is not a matching reduction")
-    trace = simulate(meta.instance, schedule)
-    want = 4 * meta.n + 1
-    if trace.violations or trace.throughput != want:
-        raise NotFullThroughputError(
-            f"need a violation-free schedule completing all {want} jobs, "
-            f"got throughput {trace.throughput} with {len(trace.violations)} violation(s)"
-        )
+    _require_full(meta, "n3dm", "matching", schedule)
     role_of = {o.job_id: o for o in meta.origins}
-    gadget_slots = [0] + [4 * i for i in range(1, meta.n + 1)]
-    for slot in gadget_slots:
+    for slot in range(0, 4 * meta.n + 1, 4):
         occupant = schedule[slot]
         if occupant is None or role_of[occupant].role != ROLE_GADGET:
             raise InvalidCertificateError(
@@ -530,24 +483,17 @@ def extract_n3dm_matching(meta: ReductionMeta, schedule: Schedule) -> MatchingCe
             )
         triples.append((by_role[ROLE_A], by_role[ROLE_B], by_role[ROLE_C]))
     cert = MatchingCertificate(tuple(triples))
-    values = {role: [0] * meta.n for role in (ROLE_A, ROLE_B, ROLE_C)}
-    for origin in meta.origins:
-        if origin.role in values:
-            values[origin.role][origin.index] = origin.value
-    src = N3DMInstance(
-        tuple(values[ROLE_A]), tuple(values[ROLE_B]), tuple(values[ROLE_C]), meta.beta
-    )
+    src = N3DMInstance(*map(meta.values_with_role, (ROLE_A, ROLE_B, ROLE_C)), meta.beta)
     _check_matching_certificate(src, cert)
     return cert
 
 
-def brute_3partition(src: ThreePartitionSource) -> Optional[PartitionCertificate]:
+def brute_3partition(src: ThreePartitionInstance) -> Optional[PartitionCertificate]:
     """Decide 3-Partition by trying every partition into triples.
 
     Works on the source numbers directly, independent of any
     scheduling machinery. Limited to 12 values.
     """
-    src = _as_3partition(src)
     validate_3partition_source(src)
     if len(src.values) > BRUTE_3PARTITION_MAX_VALUES:
         raise InstanceTooLargeError(

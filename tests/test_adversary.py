@@ -142,6 +142,22 @@ class TestRandomInstance:
         with pytest.raises(ValueError, match=f"^{field} must be at least {value + 1}"):
             RandomModel(**{"n": 2, field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 2.5),
+            ("heat_denominator", 2.0),
+            ("max_window", 1.5),
+            ("n", True),
+            ("release_span", "4"),
+            ("heat_numerator_max", None),
+            ("seed", 1.5),
+        ],
+    )
+    def test_non_integer_field_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            RandomModel(**{"n": 2, field: value})
+
     def test_smallest_fields_are_accepted(self):
         model = RandomModel(
             n=1, release_span=0, max_window=1, heat_denominator=1, heat_numerator_max=0
@@ -171,6 +187,11 @@ class TestRatioExperiment:
     def test_negative_count_is_rejected(self):
         with pytest.raises(ValueError, match="count"):
             ratio_experiment(RandomModel(n=3), ("coolest",), -3)
+
+    @pytest.mark.parametrize("count", [2.0, True])
+    def test_non_integer_count_is_rejected(self, count):
+        with pytest.raises(ValueError, match=f"^count must be an integer, got {count!r}$"):
+            ratio_experiment(RandomModel(n=3), ("coolest",), count)
 
     def test_reproducible(self):
         model = RandomModel(n=4, seed=7)

@@ -10,6 +10,7 @@ from thermosched import (
     N3DMInstance,
     RandomModel,
     Schedule,
+    ThreePartitionInstance,
     coolest_first_decide,
     gen_from_3partition,
     gen_from_n3dm,
@@ -172,7 +173,8 @@ class TestReduce:
         source.write_text("3 3 3 3 3 3\n")
         out = tmp_path / "gen.json"
         assert main(["reduce", "3part", str(source), "-o", str(out)]) == 0
-        expected_instance, expected_meta = gen_from_3partition((3,) * 6)
+        src = ThreePartitionInstance.from_values((3,) * 6)
+        expected_instance, expected_meta = gen_from_3partition(src)
         instance = parse_instance(out.read_text())
         assert instance == expected_instance
         sidecar = tmp_path / "gen.json.meta"

@@ -20,6 +20,7 @@ from thermosched import (
     is_admissible,
     run_online,
     scripted_policy,
+    simulate,
     step_temperature,
     strictly_dominates,
 )
@@ -208,6 +209,15 @@ def test_decision_log_shows_exactly_the_pending_jobs(instance, script):
                 if j.release <= record.time < j.deadline and j.id not in ran
             )
             assert record.pending == tuple(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(config=configs()), scripts)
+def test_run_trace_is_the_simulated_schedule(instance, script):
+    """The trace a run returns is exactly simulate of its schedule."""
+    for policy in (coolest_first_decide, edf_decide, always_idle, scripted_policy(script)):
+        run = run_online(instance, policy)
+        assert run.trace == simulate(instance, run.schedule)
 
 
 def replay_reasonable(run):

@@ -1,6 +1,7 @@
 """Hardness reductions: generators, canonical schedules, extraction,
 and the standalone brute-force deciders for the source problems."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from thermosched.reductions import (
     validate_3partition_source,
     validate_n3dm_source,
 )
+from thermosched.serialization import parse_reduction_meta, serialize_reduction_meta
 
 ALL_THREES = ThreePartitionInstance.from_values((3,) * 6)  # n=2, beta=9
 NO_PARTITION = ThreePartitionInstance.from_values((4, 4, 4, 4, 4, 6))  # beta=13
@@ -151,17 +153,12 @@ class TestGenFrom3Partition:
         assert meta.ids_with_role(ROLE_GADGET) == (7, 8)
         assert [o.value for o in meta.origins if o.role == ROLE_ELEMENT] == [3] * 6
 
-    def test_accepts_raw_value_list(self):
-        instance, meta = gen_from_3partition([3, 3, 3])
-        assert meta.n == 1 and meta.beta == 9
-        assert instance.horizon == 10
-
     def test_element_cap(self):
-        oversized = (65,) * 6
-        with pytest.raises(InvalidSourceError, match="cap"):
+        oversized = ThreePartitionInstance.from_values((65,) * 6)
+        with pytest.raises(InvalidSourceError, match="cap 64"):
             gen_from_3partition(oversized)
-        instance, _ = gen_from_3partition(oversized, max_value=70)
-        assert instance.job_map()[1].heat == Fraction(2**65 - 1, 2**64)
+        instance, _ = gen_from_3partition(ThreePartitionInstance.from_values((64,) * 3))
+        assert instance.job_map()[1].heat == element_heat(64)
 
 
 class TestCanonical3Partition:
@@ -197,7 +194,7 @@ class TestCanonical3Partition:
             canonical_schedule_3partition(src, meta, cert)
 
     def test_rejects_foreign_meta(self):
-        _, meta = gen_from_3partition((4, 4, 4, 4, 5, 5))
+        _, meta = gen_from_3partition(ThreePartitionInstance.from_values((4, 4, 4, 4, 5, 5)))
         cert = PartitionCertificate(((0, 1, 2), (3, 4, 5)))
         with pytest.raises(ValueError, match="does not belong"):
             canonical_schedule_3partition(ALL_THREES, meta, cert)
@@ -233,6 +230,110 @@ class TestExtract3Partition:
     def test_unsatisfiable_source_caps_throughput(self):
         instance, _ = gen_from_3partition(NO_PARTITION)
         assert solve_optimal(instance).best_throughput == 7
+
+
+def edited_sidecar(instance, meta, edit):
+    """The meta after a round trip through its sidecar, with edit applied
+    to the JSON document in between; parse_reduction_meta accepts it."""
+    document = json.loads(serialize_reduction_meta(meta))
+    edit(document)
+    return parse_reduction_meta(json.dumps(document), instance)
+
+
+def list_origins(*job_ids):
+    """An edit that lists the sidecar's origins in the given job order."""
+
+    def edit(document):
+        by_job = {o["job"]: o for o in document["origins"]}
+        document["origins"] = [by_job[job_id] for job_id in job_ids]
+
+    return edit
+
+
+def set_role(job_id, role):
+    def edit(document):
+        for origin in document["origins"]:
+            if origin["job"] == job_id:
+                origin["role"] = role
+
+    return edit
+
+
+class TestExtractFromSidecar:
+    """Extraction reads the source back by index, whatever order the
+    sidecar lists its origins in, and names what is wrong with a schedule
+    that reaches full throughput but does not fit the sidecar."""
+
+    def test_3partition_origins_out_of_order(self):
+        src = ThreePartitionInstance.from_values((4, 5, 6, 5, 4, 4))  # beta=14
+        instance, meta = gen_from_3partition(src)
+        cert = brute_3partition(src)
+        schedule = canonical_schedule_3partition(src, meta, cert)
+        shuffled = edited_sidecar(instance, meta, list_origins(7, 1, 5, 8, 6, 2, 3, 4))
+        assert [o.job_id for o in shuffled.origins] == [7, 1, 5, 8, 6, 2, 3, 4]
+        assert extract_3partition(shuffled, schedule) == cert
+        assert cert.triples == ((0, 1, 3), (2, 4, 5))
+
+    def test_n3dm_origins_out_of_order(self):
+        instance, meta = gen_from_n3dm(MATCHABLE_N2)
+        cert = MatchingCertificate(((0, 0, 0), (1, 1, 1)))
+        schedule = canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
+        shuffled = edited_sidecar(instance, meta, list_origins(6, 2, 9, 3, 7, 5, 1, 8, 4))
+        assert extract_n3dm_matching(shuffled, schedule) == cert
+
+    def test_element_outside_every_interval(self):
+        instance, meta = gen_from_3partition(ALL_THREES)
+        schedule = canonical_schedule_3partition(ALL_THREES, meta, brute_3partition(ALL_THREES))
+
+        def edit(document):
+            document["intervals"] = [[1, 9], [11, 20]]
+
+        moved = edited_sidecar(instance, meta, edit)
+        with pytest.raises(
+            InvalidCertificateError,
+            match=r"^element job 3 ran at slot 9, outside every interval$",
+        ):
+            extract_3partition(moved, schedule)
+
+    def test_interval_holding_the_wrong_count(self):
+        instance, meta = gen_from_3partition(ALL_THREES)
+        schedule = canonical_schedule_3partition(ALL_THREES, meta, brute_3partition(ALL_THREES))
+
+        def edit(document):
+            document["intervals"] = [[1, 20], [11, 20]]
+
+        widened = edited_sidecar(instance, meta, edit)
+        with pytest.raises(
+            InvalidCertificateError,
+            match=r"^interval \[1, 20\) holds 6 element jobs, expected 3$",
+        ):
+            extract_3partition(widened, schedule)
+
+    def test_gadget_slot_holding_another_job(self):
+        instance, meta = gen_from_n3dm(MATCHABLE_N2)
+        cert = MatchingCertificate(((0, 0, 0), (1, 1, 1)))
+        schedule = canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
+
+        def swap(document):
+            set_role(1, ROLE_GADGET)(document)
+            set_role(7, ROLE_A)(document)
+
+        swapped = edited_sidecar(instance, meta, swap)
+        with pytest.raises(
+            InvalidCertificateError, match=r"^slot 0 must hold a gadget job, found 7$"
+        ):
+            extract_n3dm_matching(swapped, schedule)
+
+    def test_block_missing_a_role(self):
+        instance, meta = gen_from_n3dm(MATCHABLE_N2)
+        cert = MatchingCertificate(((0, 0, 0), (1, 1, 1)))
+        schedule = canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
+        relabelled = edited_sidecar(instance, meta, set_role(3, ROLE_A))
+        with pytest.raises(
+            InvalidCertificateError,
+            match=r"^block \[1, 4\) must hold one a-, b- and c-job, found roles \['a', 'c'\]$",
+        ):
+            extract_n3dm_matching(relabelled, schedule)
 
 
 class TestGenFromN3DM:
@@ -372,7 +473,7 @@ class TestBrute3Partition:
     def test_size_guard(self):
         values = (3,) * (BRUTE_3PARTITION_MAX_VALUES + 3)
         with pytest.raises(InstanceTooLargeError):
-            brute_3partition(values)
+            brute_3partition(ThreePartitionInstance.from_values(values))
 
     def test_validates_source_first(self):
         with pytest.raises(InvalidSourceError):

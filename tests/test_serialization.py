@@ -12,6 +12,7 @@ from thermosched import (
     Instance,
     RandomModel,
     Schedule,
+    ThreePartitionInstance,
     always_idle,
     coolest_first_decide,
     format_rational,
@@ -320,7 +321,7 @@ class TestReportFormat:
 
 class TestReductionMetaFormat:
     def test_3partition_round_trip(self):
-        instance, meta = gen_from_3partition((3, 3, 3, 3, 3, 3))
+        instance, meta = gen_from_3partition(ThreePartitionInstance.from_values((3,) * 6))
         text = serialize_reduction_meta(meta)
         assert parse_reduction_meta(text, instance) == meta
 
@@ -331,12 +332,12 @@ class TestReductionMetaFormat:
         assert parse_reduction_meta(text, instance) == meta
 
     def test_sidecar_never_embeds_the_instance(self):
-        _, meta = gen_from_3partition((3, 3, 3))
+        _, meta = gen_from_3partition(ThreePartitionInstance.from_values((3, 3, 3)))
         document = json.loads(serialize_reduction_meta(meta))
         assert set(document) == {"kind", "n", "beta", "origins", "intervals"}
 
     def test_unknown_job_id_rejected(self):
-        instance, meta = gen_from_3partition((3, 3, 3))
+        instance, meta = gen_from_3partition(ThreePartitionInstance.from_values((3, 3, 3)))
         text = serialize_reduction_meta(meta)
         smaller = Instance(jobs=instance.jobs[:-1])
         with pytest.raises(ParseError, match="not in the instance"):
