@@ -36,7 +36,6 @@ from .model import (
 )
 from .policies import (
     POLICIES,
-    DecisionRecord,
     OnlineRun,
     Policy,
     PolicyViolationError,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .model import (
     DEFAULT_CONFIG,
@@ -53,7 +53,7 @@ class AdversaryTranscript:
     """Full record of one lower-bound game.
 
     instance is the final revealed instance of the chosen branch; the
-    reveal order is visible in the run's per-slot pending snapshots.
+    reveal order is visible in run.pending, the ids shown at each slot.
     branch is BRANCH_EXECUTE when the policy ran job 1 at slot 0 and
     BRANCH_IDLE otherwise.
     """
@@ -217,33 +217,25 @@ class RatioReport:
     counterexamples: tuple[BoundCounterexample, ...]
 
 
-PolicySpec = Union[Sequence[str], Mapping[str, Policy]]
-
-
-def _resolve_policies(policies: PolicySpec) -> dict[str, Policy]:
-    if isinstance(policies, Mapping):
-        return dict(policies)
-    return {name: POLICIES[name] for name in policies}
-
-
 def ratio_experiment(
     model: RandomModel,
-    policies: PolicySpec,
+    policies: Sequence[str],
     count: int,
     budget: Optional[int] = None,
 ) -> RatioReport:
     """Compare online policies against the exact optimum on seeded instances.
 
     Instance i uses seed model.seed + i, so reports are reproducible
-    and records arrive sorted by seed. policies may be registry names
-    or a mapping of names to custom policies; budget is passed through
-    to the solver and budget-capped optima are recorded per instance.
-    Raises ValueError when count is not an int or is negative.
+    and records arrive sorted by seed. policies are names in the
+    POLICIES registry (an unknown name raises KeyError); budget is
+    passed through to the solver and budget-capped optima are recorded
+    per instance. Raises ValueError when count is not an int or is
+    negative.
     """
     _require_int("count", count)
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    named = _resolve_policies(policies)
+    named = {name: POLICIES[name] for name in policies}
     names = tuple(named)
     records = []
     counterexamples = []

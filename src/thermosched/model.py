@@ -37,9 +37,12 @@ REPEATED_JOB = "repeated-job"
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    # Fraction(0.1) would silently keep the binary expansion of the float.
-    if isinstance(value, float):
-        raise TypeError(f"{value!r} is a float; pass a Fraction, int or decimal string")
+    # Fraction(0.1) would silently keep the binary expansion of the float,
+    # and Fraction(True) would silently be 1.
+    if isinstance(value, (float, bool)):
+        raise TypeError(
+            f"{value!r} is a {type(value).__name__}; pass a Fraction, int or decimal string"
+        )
     return Fraction(value)
 
 

@@ -15,7 +15,8 @@ by another pending job, where j dominates k when h_j <= h_k and
 d_j <= d_k (strictly if at least one inequality is strict). Reasonable
 policies are 2-competitive for throughput; CoolestFirst and
 EarliestDeadlineFirst below are the two canonical members. Only the
-harness derives what is pending; ``check_reasonable`` reads its log.
+harness derives what is pending; ``check_reasonable`` reads the pending
+ids the run recorded.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .model import (
     ThermalConfig,
     is_admissible,
     require_valid,
-    simulate,
     step_temperature,
 )
 
@@ -44,25 +44,18 @@ DOMINANCE = "dominated-choice"
 
 
 @dataclass(frozen=True)
-class DecisionRecord:
-    """One slot of an online run: what was pending and what the policy chose.
-
-    The temperature the policy saw is run.trace.temperatures[time].
-    """
-
-    time: int
-    pending: tuple[int, ...]
-    decision: Optional[int]
-
-
-@dataclass(frozen=True)
 class OnlineRun:
-    """Schedule, trace and per-slot decision log of one online execution."""
+    """Schedule, trace and per-slot pending ids of one online execution.
+
+    pending[t] holds the ids the policy was shown at slot t, sorted;
+    schedule[t] is what it chose and trace.temperatures[t] the
+    temperature it saw.
+    """
 
     instance: Instance
     schedule: Schedule
     trace: SimulationTrace
-    decisions: tuple[DecisionRecord, ...]
+    pending: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -86,15 +79,18 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
     Jobs are pending from release until they run or expire. Each slot
     the policy sees them and its decision is applied and recorded. The
     schedule re-simulates to exactly the trace returned here.
-    Raises InvalidInstanceError on an invalid instance.
+    Raises InvalidInstanceError on an invalid instance, and
+    PolicyViolationError when the policy returns anything but None or
+    the int id of a pending, admissible job.
     """
     require_valid(instance)
     cfg = instance.config
     arrivals = sorted(instance.jobs, key=lambda j: j.release, reverse=True)
     live: list[Job] = []
     slots: list[Optional[int]] = []
-    decisions: list[DecisionRecord] = []
+    shown: list[tuple[int, ...]] = []
     tau = Fraction(0)
+    temperatures = [tau]
     for time in range(instance.horizon):
         while arrivals and arrivals[-1].release <= time:
             insort(live, arrivals.pop(), key=lambda j: j.id)
@@ -103,7 +99,8 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
         choice = policy(time, tau, pending, cfg)
         heat = Fraction(0)
         if choice is not None:
-            chosen = next((j for j in pending if j.id == choice), None)
+            # 1.0 == 1 and True == 1, so only an exact int may name a job.
+            chosen = next((j for j in pending if j.id == choice and type(choice) is int), None)
             if chosen is None:
                 raise PolicyViolationError(
                     f"policy returned job {choice} at time {time}, which is not pending"
@@ -114,15 +111,17 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
                 )
             live.remove(chosen)
             heat = chosen.heat
-        decisions.append(DecisionRecord(time, tuple(j.id for j in pending), choice))
+        shown.append(tuple(j.id for j in pending))
         slots.append(choice)
         tau = step_temperature(tau, heat, cfg)
-    schedule = Schedule(tuple(slots))
+        temperatures.append(tau)
+    # Every choice above was pending and admissible, so no slot violates a rule.
+    ran = frozenset(job_id for job_id in slots if job_id is not None)
     return OnlineRun(
         instance=instance,
-        schedule=schedule,
-        trace=simulate(instance, schedule),
-        decisions=tuple(decisions),
+        schedule=Schedule(tuple(slots)),
+        trace=SimulationTrace(tuple(temperatures), ran, len(ran), ()),
+        pending=tuple(shown),
     )
 
 
@@ -184,29 +183,26 @@ def strictly_dominates(j: Job, k: Job) -> bool:
 def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
     """Report every slot where a run behaved unreasonably.
 
-    The check is behavioral: it reads the decision log and the trace's
-    temperatures, which are what the policy was shown, so it applies to
-    any policy. A NON_WAITING violation is an idle slot with an
+    The check is behavioral: it reads the run's pending ids and the
+    trace's temperatures, which are what the policy was shown, so it
+    applies to any policy. A NON_WAITING violation is an idle slot with an
     admissible pending job, a DOMINANCE violation an executed job
     strictly dominated by a pending one; the witness is the first such
     pending job in id order.
     """
     cfg = run.instance.config
     jobs = run.instance.job_map()
-    temperatures = run.trace.temperatures
     violations: list[ReasonablenessViolation] = []
-    for record in run.decisions:
-        pending = (jobs[job_id] for job_id in record.pending)
-        if record.decision is None:
+    slots = zip(run.schedule, run.pending, run.trace.temperatures)
+    for time, (choice, shown, tau) in enumerate(slots):
+        pending = (jobs[job_id] for job_id in shown)
+        if choice is None:
             kind = NON_WAITING
-            tau = temperatures[record.time]
             witness = next((j for j in pending if is_admissible(tau, j, cfg)), None)
         else:
             kind = DOMINANCE
-            executed = jobs[record.decision]
+            executed = jobs[choice]
             witness = next((j for j in pending if strictly_dominates(j, executed)), None)
         if witness is not None:
-            violations.append(
-                ReasonablenessViolation(record.time, kind, record.decision, witness.id)
-            )
+            violations.append(ReasonablenessViolation(time, kind, choice, witness.id))
     return violations

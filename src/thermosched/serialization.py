@@ -40,7 +40,7 @@ from .model import (
     ThermalConfig,
     Violation,
 )
-from .policies import DecisionRecord, OnlineRun
+from .policies import OnlineRun
 from .reductions import (
     JobOrigin,
     N3DMInstance,
@@ -214,9 +214,7 @@ _RUN = _record(
     OnlineRun,
     ("schedule", _SCHEDULE),
     ("trace", _TRACE),
-    ("decisions", _array(_record(
-        DecisionRecord, ("time", _INT), ("pending", _array(_INT)), ("decision", _optional(_INT)),
-    ))),
+    ("pending", _array(_array(_INT))),
 )
 _TRANSCRIPT = _record(
     AdversaryTranscript,

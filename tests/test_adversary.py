@@ -31,10 +31,10 @@ def assert_transcript_sound(transcript):
     assert transcript.alg_throughput == transcript.run.trace.throughput
     assert transcript.alg_throughput <= 1
     job_map = transcript.instance.job_map()
-    for record in transcript.run.decisions:
-        for job_id in record.pending:
+    for time, shown in enumerate(transcript.run.pending):
+        for job_id in shown:
             job = job_map[job_id]
-            assert job.release <= record.time < job.deadline
+            assert job.release <= time < job.deadline
     revealed = {j.id for j in transcript.instance.jobs}
     if transcript.branch == BRANCH_EXECUTE:
         assert revealed == {1, 2}
@@ -225,9 +225,7 @@ class TestRatioExperiment:
         assert report.counterexamples == ()
 
     def test_idling_policy_is_flagged(self):
-        report = ratio_experiment(
-            RandomModel(n=3, seed=0), {"idle": always_idle}, 6
-        )
+        report = ratio_experiment(RandomModel(n=3, seed=0), ("idle",), 6)
         assert report.policies == ("idle",)
         assert report.counterexamples
         for ce in report.counterexamples:

@@ -314,6 +314,16 @@ def test_float_config_is_rejected(field):
     assert getattr(ThermalConfig(**{field: "0.3"}), field) == Fraction(3, 10)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_rational_is_rejected(value):
+    # Fraction(True) is 1; a bool is no more a rational than a float is.
+    with pytest.raises(TypeError, match="is a bool"):
+        Job(1, 0, 2, value)
+    for field in ("threshold", "cooling_factor"):
+        with pytest.raises(TypeError, match="is a bool"):
+            ThermalConfig(**{field: value})
+
+
 def test_horizon_of_empty_instance():
     assert Instance(jobs=()).horizon == 0
     assert simulate(Instance(jobs=()), Schedule(())).temperatures == (Fraction(0),)

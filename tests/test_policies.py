@@ -81,13 +81,13 @@ class TestRunOnline:
 
     def test_unreleased_jobs_never_shown(self, four_job_example):
         run = run_online(four_job_example, coolest_first_decide)
-        for record in run.decisions:
-            for job_id in record.pending:
-                assert four_job_example.job_map()[job_id].release <= record.time
+        for time, shown in enumerate(run.pending):
+            for job_id in shown:
+                assert four_job_example.job_map()[job_id].release <= time
 
     def test_decision_log_matches_schedule(self, four_job_example):
         run = run_online(four_job_example, edf_decide)
-        assert tuple(r.decision for r in run.decisions) == run.schedule.slots
+        assert len(run.pending) == len(run.schedule) == four_job_example.horizon
         assert check_reasonable(run) == replay_reasonable(run)
 
     def test_policy_returning_unknown_job_rejected(self, four_job_example):
@@ -97,6 +97,13 @@ class TestRunOnline:
     def test_policy_returning_unreleased_job_rejected(self, four_job_example):
         with pytest.raises(PolicyViolationError, match="not pending"):
             run_online(four_job_example, lambda *a: 4)
+
+    @pytest.mark.parametrize("choice", [1.0, True])
+    def test_policy_returning_non_int_id_rejected(self, choice):
+        # 1.0 and True both equal job id 1, but neither is a job id.
+        instance = Instance((Job(1, 0, 2, Fraction(1, 2)),))
+        with pytest.raises(PolicyViolationError, match=rf"job {choice} at time 0, .* not pending"):
+            run_online(instance, lambda t, tau, pending, config: choice if pending else None)
 
     def test_policy_returning_inadmissible_job_rejected(self):
         instance = Instance(
@@ -197,18 +204,18 @@ scripts = st.lists(st.one_of(st.none(), st.integers(1, 7)), max_size=10)
 @settings(max_examples=200, deadline=None)
 @given(any_config_instances, scripts)
 def test_decision_log_shows_exactly_the_pending_jobs(instance, script):
-    """Each record lists the released, unexpired, not yet run jobs, by id."""
+    """Each slot's entry lists the released, unexpired, not yet run jobs, by id."""
     for policy in (coolest_first_decide, edf_decide, scripted_policy(script)):
         run = run_online(instance, policy)
-        assert [r.time for r in run.decisions] == list(range(instance.horizon))
-        for record in run.decisions:
-            ran = set(run.schedule.slots[: record.time])
+        assert len(run.pending) == instance.horizon
+        for time, shown in enumerate(run.pending):
+            ran = set(run.schedule.slots[:time])
             expected = sorted(
                 j.id
                 for j in instance.jobs
-                if j.release <= record.time < j.deadline and j.id not in ran
+                if j.release <= time < j.deadline and j.id not in ran
             )
-            assert record.pending == tuple(expected)
+            assert shown == tuple(expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,7 +229,7 @@ def test_run_trace_is_the_simulated_schedule(instance, script):
 
 def replay_reasonable(run):
     """Reference oracle: re-derive the pending jobs from the instance and
-    the schedule slot by slot, independently of the decision log."""
+    the schedule slot by slot, independently of run.pending."""
     instance = run.instance
     cfg = instance.config
     jobs = instance.job_map()

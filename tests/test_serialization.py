@@ -254,10 +254,9 @@ class TestRunAndTranscriptDocuments:
     def test_run_document_shape(self, four_job_example):
         run = run_online(four_job_example, coolest_first_decide)
         document = json.loads(serialize_run(run))
-        assert set(document) == {"schedule", "trace", "decisions"}
+        assert set(document) == {"schedule", "trace", "pending"}
         assert document["schedule"] == [1, 2, None, None, 4, None]
-        first = document["decisions"][0]
-        assert first == {"time": 0, "pending": [1, 2], "decision": 1}
+        assert document["pending"] == [[1, 2], [2], [3], [], [4], []]
 
     def test_transcript_document_shape(self):
         transcript = run_lower_bound_game(always_idle)
@@ -281,11 +280,7 @@ class TestReportFormat:
         assert serialize_report(parse_report(text)) == text
 
     def test_round_trip_with_undefined_ratios(self):
-        report = ratio_experiment(
-            RandomModel(n=2, seed=11),
-            {"coolest": coolest_first_decide, "idle": always_idle},
-            5,
-        )
+        report = ratio_experiment(RandomModel(n=2, seed=11), ("coolest", "idle"), 5)
         assert any(r.ratios[1] is None for r in report.records)
         assert parse_report(serialize_report(report)) == report
 
