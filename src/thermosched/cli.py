@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from .adversary import RandomModel, ratio_experiment, run_lower_bound_game
 from .gantt import SVG_FORMAT, TEXT_FORMAT, approx_decimal, render_gantt
-from .model import InvalidInstanceError, simulate, validate_instance
+from .model import InvalidInstanceError, require_valid, simulate, validate_instance
 from .policies import POLICIES, PolicyViolationError, run_online
 from .reductions import (
     InvalidCertificateError,
@@ -94,6 +94,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
+    require_valid(instance)
     schedule = parse_schedule(_read(args.schedule))
     trace = simulate(instance, schedule)
     _write(args.out, serialize_trace(trace))
@@ -168,6 +169,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
+    require_valid(instance)
     schedule = parse_schedule(_read(args.schedule))
     _write(args.out, render_gantt(instance, schedule, args.format))
     return 0

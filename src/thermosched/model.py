@@ -105,15 +105,24 @@ class Instance:
 class Schedule:
     """Per-slot assignment: a job id or None for idle.
 
-    The wrapper deliberately does not reject duplicate ids or foreign
-    ids; simulate() reports those as violations so broken schedules can
-    be inspected rather than refused.
+    An entry that is neither None nor an exact int (a float such as 1.0,
+    a bool, a string) raises TypeError, since it would compare equal to
+    a job id without being one. The wrapper deliberately does not reject
+    duplicate ids or foreign ids; simulate() reports those as violations
+    so broken schedules can be inspected rather than refused.
     """
 
     slots: tuple[Optional[int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "slots", tuple(self.slots))
+        slots = tuple(self.slots)
+        for time, entry in enumerate(slots):
+            if entry is not None and type(entry) is not int:
+                raise TypeError(
+                    f"slot {time}: {entry!r} is a {type(entry).__name__}; "
+                    "pass a job id (int) or None"
+                )
+        object.__setattr__(self, "slots", slots)
 
     def __len__(self) -> int:
         return len(self.slots)
@@ -130,8 +139,8 @@ class Violation:
     """One rule breach observed during simulation.
 
     kind is one of THERMAL, OUT_OF_WINDOW, UNKNOWN_JOB, REPEATED_JOB;
-    job is the offending id (None only for slots naming an id that does
-    not exist in the instance, where the id is kept in the message).
+    job is the id the slot names, which for UNKNOWN_JOB is an id that no
+    job of the instance has.
     """
 
     time: int

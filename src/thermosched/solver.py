@@ -4,8 +4,11 @@ solve_optimal() is a depth-first branch-and-bound over the slots: at
 each slot it tries every admissible pending job and then idling, keeps
 the best complete schedule found, and prunes with
 
-  * an upper bound (completions so far plus jobs still alive can never
-    beat the incumbent), and
+  * an upper bound: completions so far plus the smaller of the jobs
+    still alive and the slots left. A node computes the bound of each
+    child and pushes only the children whose bound beats the
+    incumbent; a pushed node carries its bound and is checked again
+    when it is popped, since the incumbent may have improved, and
   * state dominance: two search states at the same slot with the same
     set of completed still-alive jobs are comparable, and the one with
     at least as many completions and a temperature at most as high can
@@ -31,9 +34,10 @@ temperature, heat and the threshold by L = D·p^H (R = p/q, D the lcm
 of the heat and threshold denominators, H the horizon), so each step
 is an exact integer division and the memo, the Pareto fronts and the
 threshold test compare integers; Fraction is used only to build the
-scaled integers. The search keeps its own stack instead of recursing, so
-a long horizon does not hit Python's recursion limit; it visits nodes
-in the same pre-order as the recursion would.
+scaled integers. The search loop steps inline and tests admissibility
+before it divides. The search keeps its own stack instead of
+recursing, so a long horizon does not hit Python's recursion limit; it
+visits nodes in the same pre-order as the recursion would.
 
 enumerate_optimal_bruteforce() is the deliberately dumb cross-check:
 plain recursion over every violation-free schedule with no memoization
@@ -43,6 +47,7 @@ is independent of the scaled kernel it checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -58,8 +63,10 @@ class OptResult:
     """Outcome of solve_optimal.
 
     witness re-simulates violation-free with exactly best_throughput
-    completions. proven_optimal is False only when a node budget was
-    hit, in which case best_throughput is a lower bound.
+    completions. explored counts the search nodes popped; a child whose
+    bound cannot beat the incumbent is never pushed, so it is not
+    counted. proven_optimal is False only when a node budget was hit,
+    in which case best_throughput is a lower bound.
     """
 
     best_throughput: int
@@ -86,14 +93,15 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     jobs = instance.jobs
     horizon = instance.horizon
     kernel = ScaledKernel.for_instance(instance)
-    step, limit = kernel.step, kernel.threshold
+    p, q = kernel.p, kernel.q
+    hot = kernel.threshold * p
     heats = [kernel.heat(job.heat) for job in jobs]
     # Branch earliest-deadline-first and, among equal deadlines, hottest
     # first: hot jobs fit only while the processor is cool, so good
     # incumbents come early and prune more. A job with h > R·T is too
     # hot even from temperature 0 and is left out.
     order = sorted(
-        (i for i in range(len(jobs)) if step(0, heats[i]) <= limit),
+        (i for i in range(len(jobs)) if kernel.step(0, heats[i]) <= kernel.threshold),
         key=lambda i: (jobs[i].deadline, -jobs[i].heat, jobs[i].id),
     )
     # Twins (same release, deadline and heat) are interchangeable, so they
@@ -102,57 +110,87 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     for i in order:
         twin = (jobs[i].release, jobs[i].deadline, jobs[i].heat)
         need[i], last[twin] = last.get(twin, 0), 1 << i
-    # pending[t]: (bit, need, scaled heat, id) of each job pending at slot t,
-    # in reverse branching order, because children are pushed on a stack.
+    # pending[t]: (bit, need, scaled heat, id, still alive at t + 1) of each
+    # job pending at slot t, in reverse branching order, because children
+    # are pushed on a stack.
     pending = [
-        [(1 << i, need[i], heats[i], jobs[i].id) for i in reversed(order) if jobs[i].pending_at(t)]
+        [
+            (1 << i, need[i], heats[i], jobs[i].id, jobs[i].deadline > t + 1)
+            for i in reversed(order)
+            if jobs[i].pending_at(t)
+        ]
         for t in range(horizon)
     ]
     alive = [sum(1 << i for i in order if jobs[i].deadline > t) for t in range(horizon + 1)]
+    cap = math.inf if budget is None else budget
     best = 0
     best_slots: list[Optional[int]] = [None] * horizon
     # path[t + 1] is the entry of slot t on the way to the node being visited.
     path: list[Optional[int]] = [None] * (horizon + 1)
-    # memo[(time, unexpired done-mask)] -> Pareto set of (count, scaled temperature)
-    memo: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    # memo[time][unexpired done-mask] -> Pareto set of (count, scaled temperature)
+    memo: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(horizon)]
     explored = 0
     proven = True
     # Depth-first in pre-order: a node is (time, scaled temperature, done-mask,
-    # count, entry of slot time - 1); its job children pop before its idle child.
-    stack: list[tuple[int, int, int, int, Optional[int]]] = [(0, 0, 0, 0, None)]
+    # count, entry of slot time - 1, bound); its job children pop before its
+    # idle child. bound = count + min(jobs alive and not done at time, slots
+    # left) caps the completions of every schedule through the node.
+    stack: list[tuple[int, int, int, int, Optional[int], int]] = [
+        (0, 0, 0, 0, None, min(alive[0].bit_count(), horizon))
+    ]
     while stack:
-        time, s, done, count, entry = stack.pop()
+        time, s, done, count, entry, bound = stack.pop()
         explored += 1
-        if budget is not None and explored > budget:
+        if explored > cap:
             proven = False
             break
+        # Every node was pushed with bound > best, but best may have risen since.
+        if bound <= best:
+            continue
         path[time] = entry
         if time == horizon:
-            if count > best:
-                best = count
-                best_slots = path[1:]
+            # A leaf's bound is its count.
+            best = count
+            best_slots = path[1:]
             continue
-        remaining = (alive[time] & ~done).bit_count()
-        if count + min(remaining, horizon - time) <= best:
-            continue
-        key = (time, done & alive[time])
-        pareto = memo.setdefault(key, [])
-        dominated = False
-        for c, t in pareto:
-            if c >= count and t <= s:
-                dominated = True
-                break
-        if dominated:
-            continue
-        pareto[:] = [(c, t) for c, t in pareto if not (count >= c and s <= t)]
-        pareto.append((count, s))
+        key = done & alive[time]
+        fronts = memo[time]
+        pareto = fronts.get(key)
+        if pareto is None:
+            fronts[key] = [(count, s)]
+        else:
+            dominated = False
+            for c, t in pareto:
+                if c >= count and t <= s:
+                    dominated = True
+                    break
+            if dominated:
+                continue
+            pareto[:] = [(c, t) for c, t in pareto if not (count >= c and s <= t)]
+            pareto.append((count, s))
+        # A child that cannot beat the incumbent is never pushed. At the child,
+        # rem jobs are alive and not done and left slots remain, so the idle
+        # child's bound is count + min(rem, left). A job child completes one
+        # more; if its job stays alive, one fewer is left to do:
+        # count + 1 + min(rem - 1, left) = count + min(rem, left + 1);
+        # if it expires, count + 1 + min(rem, left).
         child = time + 1
-        stack.append((child, step(s, 0), done, count, None))
-        for bit, prev, heat, job_id in pending[time]:
-            if not done & bit and done & prev == prev:
-                after = step(s, heat)
-                if after <= limit:
-                    stack.append((child, after, done | bit, count + 1, job_id))
+        rem = (alive[child] & ~done).bit_count()
+        left = horizon - child
+        idle_bound = count + min(rem, left)
+        if idle_bound > best:
+            stack.append((child, s * q // p, done, count, None, idle_bound))
+        # No job child's bound exceeds idle_bound + 1, so skip the scan when that cannot win.
+        if idle_bound + 1 > best:
+            stays_bound = count + min(rem, left + 1)
+            for bit, prev, heat, job_id, stays in pending[time]:
+                if not done & bit and done & prev == prev:
+                    bound = stays_bound if stays else idle_bound + 1
+                    if bound > best:
+                        # ScaledKernel.step inline; admissible iff (s + h)·q <= T·L·p = hot.
+                        after = (s + heat) * q
+                        if after <= hot:
+                            stack.append((child, after // p, done | bit, count + 1, job_id, bound))
     return OptResult(
         best_throughput=best,
         witness=Schedule(tuple(best_slots)),

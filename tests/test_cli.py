@@ -123,6 +123,27 @@ def test_invalid_instance_exits_one(command, duplicate_id_file, capsys):
     assert captured.err == "error: job 1: duplicate id\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "render"])
+def test_schedule_commands_reject_invalid_instance(command, tmp_path, capsys):
+    path = tmp_path / "invalid.json"
+    jobs = [
+        {"id": 1, "release": 0, "deadline": 2, "heat": "1/2"},
+        {"id": 1, "release": 0, "deadline": 2, "heat": "1/2"},
+        {"id": 2, "release": 3, "deadline": 1, "heat": "1/2"},
+        {"id": 3, "release": 0, "deadline": 2, "heat": "-1/2"},
+    ]
+    path.write_text(json.dumps({"threshold": "1/1", "cooling_factor": "2/1", "jobs": jobs}))
+    schedule_file = write_schedule(tmp_path, Schedule((1,)))
+    assert main([command, str(path), schedule_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: job 1: duplicate id; "
+        "job 2: execution window is empty (release=3, deadline=1); "
+        "job 3: heat must be non-negative\n"
+    )
+
+
 class TestOpt:
     def test_result_document(self, tmp_path, instance_file, four_job_example, capsys):
         witness_out = tmp_path / "witness.json"

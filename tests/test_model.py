@@ -1,5 +1,6 @@
 """Thermal recurrence, admissibility, validation and diagnostic simulation."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,21 @@ class TestRequireValid:
     def test_entry_points_reject_invalid_instances(self, entry):
         with pytest.raises(InvalidInstanceError, match="job 1: duplicate id"):
             entry(DUPLICATE_ID)
+
+
+class TestSchedule:
+    @pytest.mark.parametrize(
+        "entry, kind", [(1.0, "float"), (True, "bool"), ("1", "str"), (Fraction(1), "Fraction")]
+    )
+    def test_entry_that_is_not_an_int_is_rejected(self, entry, kind):
+        with pytest.raises(TypeError, match=rf"^slot 1: {re.escape(repr(entry))} is a {kind}; "):
+            Schedule((None, entry))
+
+    def test_float_and_bool_ids_never_reach_simulate(self):
+        # 1.0 and True both compare equal to job id 1; neither may stand in for it.
+        instance = Instance((Job(1, 0, 2, Fraction(1, 2)),))
+        with pytest.raises(TypeError, match=r"^slot 0: 1\.0 is a float; "):
+            simulate(instance, Schedule((1.0, True)))
 
 
 class TestSimulate:

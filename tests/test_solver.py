@@ -12,11 +12,13 @@ from thermosched import (
     InstanceTooLargeError,
     Job,
     N3DMInstance,
+    RandomModel,
     ThermalConfig,
     ThreePartitionInstance,
     enumerate_optimal_bruteforce,
     gen_from_3partition,
     gen_from_n3dm,
+    random_instance,
     simulate,
     solve_optimal,
     step_temperature,
@@ -91,20 +93,22 @@ class TestSolveOptimal:
 class TestNodeCounts:
     """explored is machine-independent; these pin the search order
     (hottest first among equal deadlines, twins in one fixed order) and
-    pruning on reduction instances that the budget-free solver proves."""
+    pruning (children that cannot beat the incumbent are never pushed)
+    on reduction instances and on one random instance that the
+    budget-free solver proves."""
 
     def test_3partition_no_instance(self):
         instance, _ = gen_from_3partition(
             ThreePartitionInstance.from_values((4, 4, 4, 4, 4, 6))
         )
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (7, 260)
+        assert (result.best_throughput, result.explored) == (7, 236)
         assert result.proven_optimal
 
     def test_n3dm_no_instance(self):
         instance, _ = gen_from_n3dm(N3DMInstance(a=(2, 0), b=(2, 0), c=(2, 0), beta=3))
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (8, 1202)
+        assert (result.best_throughput, result.explored) == (8, 916)
         assert result.proven_optimal
 
     def test_n3dm_n4_no_instance(self):
@@ -112,7 +116,13 @@ class TestNodeCounts:
             N3DMInstance(a=(2, 0, 2, 0), b=(2, 0, 2, 0), c=(2, 0, 2, 0), beta=3)
         )
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (16, 40658)
+        assert (result.best_throughput, result.explored) == (16, 32367)
+        assert result.proven_optimal
+
+    def test_random_instance(self):
+        model = RandomModel(n=16, release_span=16, max_window=10, seed=18)
+        result = solve_optimal(random_instance(model))
+        assert (result.best_throughput, result.explored) == (14, 1897)
         assert result.proven_optimal
 
 
