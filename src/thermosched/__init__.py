@@ -17,7 +17,7 @@ from .adversary import (
     run_lower_bound_game,
     scripted_policy,
 )
-from .gantt import GanttRendering, render_gantt
+from .gantt import render_gantt
 from .model import (
     DEFAULT_CONFIG,
     Instance,

@@ -55,16 +55,27 @@ class AdversaryTranscript:
     instance is the final revealed instance of the chosen branch; the
     reveal order is visible in run.pending, the ids shown at each slot.
     branch is BRANCH_EXECUTE when the policy ran job 1 at slot 0 and
-    BRANCH_IDLE otherwise.
+    BRANCH_IDLE otherwise. adversary_trace simulates adversary_schedule
+    on the instance; alg_throughput and adv_throughput are the two
+    traces' throughputs.
     """
 
     branch: str
     instance: Instance
     run: OnlineRun
     adversary_schedule: Schedule
-    adversary_trace: SimulationTrace
-    alg_throughput: int
-    adv_throughput: int
+
+    @property
+    def adversary_trace(self) -> SimulationTrace:
+        return simulate(self.instance, self.adversary_schedule)
+
+    @property
+    def alg_throughput(self) -> int:
+        return self.run.trace.throughput
+
+    @property
+    def adv_throughput(self) -> int:
+        return self.adversary_trace.throughput
 
 
 def run_lower_bound_game(policy: Policy) -> AdversaryTranscript:
@@ -84,17 +95,7 @@ def run_lower_bound_game(policy: Policy) -> AdversaryTranscript:
         branch = BRANCH_IDLE
         instance = Instance(jobs=(_JOB_1, _JOB_3))
         adversary_schedule = Schedule((_JOB_1.id, None, _JOB_3.id))
-    run = run_online(instance, policy)
-    adversary_trace = simulate(instance, adversary_schedule)
-    return AdversaryTranscript(
-        branch=branch,
-        instance=instance,
-        run=run,
-        adversary_schedule=adversary_schedule,
-        adversary_trace=adversary_trace,
-        alg_throughput=run.trace.throughput,
-        adv_throughput=adversary_trace.throughput,
-    )
+    return AdversaryTranscript(branch, instance, run_online(instance, policy), adversary_schedule)
 
 
 def scripted_policy(intents: Sequence[Optional[int]]) -> Policy:
@@ -176,16 +177,22 @@ class RatioRecord:
     """One instance of an experiment: seed, optimum and policy results.
 
     throughputs and ratios align with the report's policy order; a
-    ratio is None when OPT = 0 or the policy completed nothing.
-    proven_optimal is False when the solver hit its node budget, in
-    which case opt is only a lower bound.
+    ratio is OPT over the throughput, and None when OPT = 0 or the
+    policy completed nothing. proven_optimal is False when the solver
+    hit its node budget, in which case opt is only a lower bound.
     """
 
     seed: int
     opt: int
     proven_optimal: bool
     throughputs: tuple[int, ...]
-    ratios: tuple[Optional[Fraction], ...]
+
+    @property
+    def ratios(self) -> tuple[Optional[Fraction], ...]:
+        opt = self.opt
+        return tuple(
+            Fraction(opt, alg) if opt > 0 and alg > 0 else None for alg in self.throughputs
+        )
 
 
 @dataclass(frozen=True)
@@ -200,21 +207,50 @@ class BoundCounterexample:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Aggregated outcome of ratio_experiment.
+    """Outcome of ratio_experiment; every aggregate is computed from records.
 
-    Aggregates skip records with OPT = 0 (ratio undefined; counted in
-    skipped_zero_opt). max_ratios and mean_ratios align with policies
-    and are None when no record contributed.
+    count is the number of records. Aggregates skip records with OPT = 0
+    (ratio undefined; counted in skipped_zero_opt). max_ratios and
+    mean_ratios align with policies and are None when no record
+    contributed. counterexamples lists, in record then policy order,
+    each throughput below ceil(OPT/2).
     """
 
     model: RandomModel
-    count: int
     policies: tuple[str, ...]
     records: tuple[RatioRecord, ...]
-    skipped_zero_opt: int
-    max_ratios: tuple[Optional[Fraction], ...]
-    mean_ratios: tuple[Optional[Fraction], ...]
-    counterexamples: tuple[BoundCounterexample, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.records)
+
+    @property
+    def skipped_zero_opt(self) -> int:
+        return sum(1 for r in self.records if r.opt == 0)
+
+    def _defined_ratios(self) -> list[list[Fraction]]:
+        """Per policy, the ratios that are not None."""
+        rows = [r.ratios for r in self.records]
+        return [
+            [row[pos] for row in rows if row[pos] is not None] for pos in range(len(self.policies))
+        ]
+
+    @property
+    def max_ratios(self) -> tuple[Optional[Fraction], ...]:
+        return tuple(max(d) if d else None for d in self._defined_ratios())
+
+    @property
+    def mean_ratios(self) -> tuple[Optional[Fraction], ...]:
+        return tuple(sum(d, Fraction(0)) / len(d) if d else None for d in self._defined_ratios())
+
+    @property
+    def counterexamples(self) -> tuple[BoundCounterexample, ...]:
+        return tuple(
+            BoundCounterexample(r.seed, name, r.opt, alg)
+            for r in self.records
+            for name, alg in zip(self.policies, r.throughputs)
+            if alg < (r.opt + 1) // 2
+        )
 
 
 def ratio_experiment(
@@ -236,54 +272,11 @@ def ratio_experiment(
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     named = {name: POLICIES[name] for name in policies}
-    names = tuple(named)
     records = []
-    counterexamples = []
-    skipped = 0
-    for index in range(count):
-        seed = model.seed + index
+    for seed in range(model.seed, model.seed + count):
         instance = random_instance(replace(model, seed=seed))
         result = solve_optimal(instance, budget=budget)
+        throughputs = tuple(run_online(instance, p).trace.throughput for p in named.values())
         opt = result.best_throughput
-        throughputs = []
-        ratios: list[Optional[Fraction]] = []
-        for name in names:
-            alg = run_online(instance, named[name]).trace.throughput
-            throughputs.append(alg)
-            if opt > 0 and alg > 0:
-                ratios.append(Fraction(opt, alg))
-            else:
-                ratios.append(None)
-            if alg < (opt + 1) // 2:
-                counterexamples.append(BoundCounterexample(seed, name, opt, alg))
-        if opt == 0:
-            skipped += 1
-        records.append(
-            RatioRecord(
-                seed=seed,
-                opt=opt,
-                proven_optimal=result.proven_optimal,
-                throughputs=tuple(throughputs),
-                ratios=tuple(ratios),
-            )
-        )
-    max_ratios: list[Optional[Fraction]] = []
-    mean_ratios: list[Optional[Fraction]] = []
-    for pos in range(len(names)):
-        defined = [r.ratios[pos] for r in records if r.opt > 0 and r.ratios[pos] is not None]
-        if defined:
-            max_ratios.append(max(defined))
-            mean_ratios.append(sum(defined, Fraction(0)) / len(defined))
-        else:
-            max_ratios.append(None)
-            mean_ratios.append(None)
-    return RatioReport(
-        model=model,
-        count=count,
-        policies=names,
-        records=tuple(records),
-        skipped_zero_opt=skipped,
-        max_ratios=tuple(max_ratios),
-        mean_ratios=tuple(mean_ratios),
-        counterexamples=tuple(counterexamples),
-    )
+        records.append(RatioRecord(seed, opt, result.proven_optimal, throughputs))
+    return RatioReport(model, tuple(named), tuple(records))

@@ -148,23 +148,24 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     report = ratio_experiment(model, args.policy, args.count, budget=args.budget)
     if args.out:
         _write(args.out, serialize_report(report))
+    counterexamples = report.counterexamples
     width = max((len(name) for name in report.policies), default=6) + 2
     print(f"instances: {report.count}  skipped (OPT=0): {report.skipped_zero_opt}")
     print(f"{'policy'.ljust(width)}{'max ratio'.ljust(18)}{'mean ratio'.ljust(18)}bound")
-    for pos, name in enumerate(report.policies):
+    for name, *aggregates in zip(report.policies, report.max_ratios, report.mean_ratios):
         cells = []
-        for value in (report.max_ratios[pos], report.mean_ratios[pos]):
+        for value in aggregates:
             if value is None:
                 cells.append("-".ljust(18))
             else:
                 cells.append(f"{format_rational(value)} ({approx_decimal(value)})".ljust(18))
-        bad = sum(1 for c in report.counterexamples if c.policy == name)
+        bad = sum(1 for c in counterexamples if c.policy == name)
         verdict = "ok" if bad == 0 else f"{bad} counterexample(s)"
         print(f"{name.ljust(width)}{cells[0]}{cells[1]}{verdict}")
     unproven = sum(1 for r in report.records if not r.proven_optimal)
     if unproven:
         print(f"unproven optimum: {unproven} instance(s) hit the node budget")
-    return 1 if report.counterexamples or unproven else 0
+    return 1 if counterexamples or unproven else 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:

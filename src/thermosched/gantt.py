@@ -10,11 +10,10 @@ documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 
-from .model import Instance, Schedule, Violation, simulate
+from .model import Instance, Schedule, simulate
 from .serialization import format_rational
 
 IDLE_MARK = "."
@@ -22,24 +21,6 @@ VIOLATION_MARK = "!"
 
 TEXT_FORMAT = "text"
 SVG_FORMAT = "svg"
-
-
-@dataclass(frozen=True)
-class GanttRendering:
-    """Layout-independent chart data extracted from one simulation.
-
-    slot_labels hold the per-slot job id (or idle/violation marks);
-    temperatures and their two string forms annotate the horizon + 1
-    slot boundaries exactly as simulated.
-    """
-
-    slot_labels: tuple[str, ...]
-    temperatures: tuple[Fraction, ...]
-    temp_fractions: tuple[str, ...]
-    temp_decimals: tuple[str, ...]
-    threshold_label: str
-    cooling_label: str
-    violations: tuple[Violation, ...]
 
 
 def approx_decimal(value: Fraction) -> str:
@@ -52,36 +33,31 @@ def approx_decimal(value: Fraction) -> str:
     return f"{rounded.scaleb(-exponent):.3f}e{exponent:+03d}"
 
 
-def build_rendering(instance: Instance, schedule: Schedule) -> GanttRendering:
+def _chart(instance: Instance, schedule: Schedule) -> tuple:
+    """Header, slot labels, boundary temperatures as fractions and as
+    decimals, and the violations of one simulation."""
     trace = simulate(instance, schedule)
-    horizon = len(trace.temperatures) - 1
     violating = {v.time for v in trace.violations}
     labels = []
-    for time in range(horizon):
+    for time in range(len(trace.temperatures) - 1):
         entry = schedule[time] if time < len(schedule) else None
         label = IDLE_MARK if entry is None else str(entry)
-        if time in violating:
-            label += VIOLATION_MARK
-        labels.append(label)
-    return GanttRendering(
-        slot_labels=tuple(labels),
-        temperatures=trace.temperatures,
-        temp_fractions=tuple(format_rational(t) for t in trace.temperatures),
-        temp_decimals=tuple(approx_decimal(t) for t in trace.temperatures),
-        threshold_label=format_rational(instance.config.threshold),
-        cooling_label=format_rational(instance.config.cooling_factor),
-        violations=trace.violations,
-    )
+        labels.append(label + VIOLATION_MARK if time in violating else label)
+    cfg = instance.config
+    header = f"T = {format_rational(cfg.threshold)}, R = {format_rational(cfg.cooling_factor)}"
+    fractions = [format_rational(t) for t in trace.temperatures]
+    decimals = [approx_decimal(t) for t in trace.temperatures]
+    return header, labels, fractions, decimals, trace.violations
 
 
 def render_text(instance: Instance, schedule: Schedule) -> str:
-    rendering = build_rendering(instance, schedule)
-    horizon = len(rendering.slot_labels)
+    header, labels, fractions, decimals, violations = _chart(instance, schedule)
+    horizon = len(labels)
     widths = []
     for i in range(horizon + 1):
-        cells = [rendering.temp_fractions[i], rendering.temp_decimals[i]]
+        cells = [fractions[i], decimals[i]]
         if i < horizon:
-            cells += [str(i), rendering.slot_labels[i]]
+            cells += [str(i), labels[i]]
         widths.append(max(len(c) for c in cells) + 2)
 
     def row(name: str, cells: list[str]) -> str:
@@ -91,16 +67,15 @@ def render_text(instance: Instance, schedule: Schedule) -> str:
         return text.rstrip()
 
     lines = [
-        f"T = {rendering.threshold_label}, R = {rendering.cooling_label}"
-        f"  ('{IDLE_MARK}' idle, '{VIOLATION_MARK}' violation)",
+        f"{header}  ('{IDLE_MARK}' idle, '{VIOLATION_MARK}' violation)",
         row("slot", [str(i) for i in range(horizon)]),
-        row("job", list(rendering.slot_labels)),
-        row("tau", list(rendering.temp_fractions)),
-        row("~", list(rendering.temp_decimals)),
+        row("job", labels),
+        row("tau", fractions),
+        row("~", decimals),
     ]
-    if rendering.violations:
+    if violations:
         lines.append("violations:")
-        for v in rendering.violations:
+        for v in violations:
             lines.append(f"  t={v.time} {v.kind} job={v.job}")
     return "\n".join(lines) + "\n"
 
@@ -111,22 +86,19 @@ _LANE_H = 34
 
 
 def render_svg(instance: Instance, schedule: Schedule) -> str:
-    rendering = build_rendering(instance, schedule)
-    horizon = len(rendering.slot_labels)
+    header, labels, fractions, decimals, _ = _chart(instance, schedule)
+    horizon = len(labels)
     margin = 28
     width = margin * 2 + _SLOT_W * max(horizon, 1)
     height = 130
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"'
         f' viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">',
-        f'<text x="{margin}" y="18">T = {rendering.threshold_label},'
-        f" R = {rendering.cooling_label}</text>",
+        f'<text x="{margin}" y="18">{header}</text>',
     ]
-    violating = {v.time for v in rendering.violations}
-    for time in range(horizon):
+    for time, label in enumerate(labels):
         x = margin + time * _SLOT_W
-        label = rendering.slot_labels[time]
-        if time in violating:
+        if label.endswith(VIOLATION_MARK):
             fill = "#e9a3a3"
         elif label == IDLE_MARK:
             fill = "#eeeeee"
@@ -151,11 +123,11 @@ def render_svg(instance: Instance, schedule: Schedule) -> str:
         )
         parts.append(
             f'<text x="{x}" y="{_LANE_Y - 16}" text-anchor="middle">'
-            f"{rendering.temp_fractions[i]}</text>"
+            f"{fractions[i]}</text>"
         )
         parts.append(
             f'<text x="{x}" y="{_LANE_Y + _LANE_H + 34}" text-anchor="middle"'
-            f' fill="#555555" font-size="10">{rendering.temp_decimals[i]}</text>'
+            f' fill="#555555" font-size="10">{decimals[i]}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

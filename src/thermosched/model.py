@@ -139,13 +139,13 @@ class Violation:
     """One rule breach observed during simulation.
 
     kind is one of THERMAL, OUT_OF_WINDOW, UNKNOWN_JOB, REPEATED_JOB;
-    job is the id the slot names, which for UNKNOWN_JOB is an id that no
-    job of the instance has.
+    job is the id the slot names, always an int, which for UNKNOWN_JOB
+    is an id that no job of the instance has.
     """
 
     time: int
     kind: str
-    job: Optional[int]
+    job: int
 
 
 @dataclass(frozen=True)
@@ -154,14 +154,17 @@ class SimulationTrace:
 
     temperatures has one entry per slot boundary (length horizon + 1,
     starting at 0). completed holds the ids executed without any
-    violation of their own; throughput == len(completed) always, and
-    equals the schedule's true throughput when violations is empty.
+    violation of their own; throughput is len(completed), and equals the
+    schedule's true throughput when violations is empty.
     """
 
     temperatures: tuple[Fraction, ...]
     completed: frozenset[int]
-    throughput: int
     violations: tuple[Violation, ...]
+
+    @property
+    def throughput(self) -> int:
+        return len(self.completed)
 
 
 @dataclass(frozen=True)
@@ -335,9 +338,4 @@ def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
                 completed.add(entry)
         elif entry is not None:
             violations.append(Violation(time, UNKNOWN_JOB, entry))
-    return SimulationTrace(
-        temperatures=tuple(temperatures),
-        completed=frozenset(completed),
-        throughput=len(completed),
-        violations=tuple(violations),
-    )
+    return SimulationTrace(tuple(temperatures), frozenset(completed), tuple(violations))

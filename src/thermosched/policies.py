@@ -120,7 +120,7 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
     return OnlineRun(
         instance=instance,
         schedule=Schedule(tuple(slots)),
-        trace=SimulationTrace(tuple(temperatures), ran, len(ran), ()),
+        trace=SimulationTrace(tuple(temperatures), ran, ()),
         pending=tuple(shown),
     )
 

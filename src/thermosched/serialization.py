@@ -10,6 +10,13 @@ tests can compare serialized documents directly.
 
 Each JSON document is one table of (key, codec) rows that both its
 writer and its parser read, so the two directions cannot drift apart.
+Some keys are derived: the writer emits them, the parser builds the
+object without them and raises ParseError at the key's path when one
+disagrees with what the object computes. They are a trace's
+throughput; a transcript's adversary_trace, alg_throughput and
+adv_throughput; a report record's ratios; and a report's count,
+skipped_zero_opt, max_ratios, mean_ratios and counterexamples. A
+violation's job is always an integer, never null.
 
 Reduction source files are plain integer tokens with '#' comments;
 see parse_three_partition_source and parse_n3dm_source.
@@ -150,14 +157,16 @@ def _array(item: _Codec, container: Callable = tuple, length: Optional[int] = No
     return _Codec(encode, decode)
 
 
-def _record(build: Callable, *rows: tuple) -> _Codec:
+def _record(build: Callable, *rows: tuple, derived: Sequence[str] = ()) -> _Codec:
     """JSON object from (key, codec[, attribute path]) rows, in row order.
 
     Encoding reads each attribute path (the key by default) with
     getattr; decoding checks the exact key set and calls build with
-    one keyword per row, named by the last component of its path. A
-    ValueError from build, such as an out-of-range RandomModel field,
-    becomes a ParseError at this object's path.
+    one keyword per row not in derived, named by the last component of
+    its path. A ValueError from build, such as an out-of-range
+    RandomModel field, becomes a ParseError at this object's path. A
+    derived key is written like any other, but on parse it must equal
+    what the built object computes, else a ParseError names its path.
     """
     keys = tuple(row[0] for row in rows)
     table = []
@@ -168,13 +177,23 @@ def _record(build: Callable, *rows: tuple) -> _Codec:
     def encode(value: Any) -> dict:
         return {key: codec.encode(get(value)) for key, codec, get, _ in table}
 
+    stored = [(key, codec, name) for key, codec, _, name in table if key not in derived]
+    checked = [(key, codec, get) for key, codec, get, _ in table if key in derived]
+
     def decode(value: Any, where: str) -> Any:
         obj = _require_object(value, where, keys)
-        kwargs = {name: c.decode(obj[k], f"{where}.{k}") for k, c, _, name in table}
+        kwargs = {name: codec.decode(obj[key], f"{where}.{key}") for key, codec, name in stored}
         try:
-            return build(**kwargs)
+            built = build(**kwargs)
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from None
+        for key, codec, get in checked:
+            if codec.decode(obj[key], f"{where}.{key}") != get(built):
+                raise ParseError(
+                    f"{where}.{key}: {obj[key]!r} disagrees with the derived "
+                    f"{codec.encode(get(built))!r}"
+                )
+        return built
 
     return _Codec(encode, decode)
 
@@ -205,9 +224,8 @@ _TRACE = _record(
     ("temperatures", _array(_RATIONAL)),
     ("completed", _array(_INT, container=frozenset)),
     ("throughput", _INT),
-    ("violations", _array(_record(
-        Violation, ("time", _INT), ("kind", _STR), ("job", _optional(_INT))
-    ))),
+    ("violations", _array(_record(Violation, ("time", _INT), ("kind", _STR), ("job", _INT)))),
+    derived=("throughput",),
 )
 # The run document leaves out the instance, so only its encoder is used.
 _RUN = _record(
@@ -225,6 +243,7 @@ _TRANSCRIPT = _record(
     ("adversary_trace", _TRACE),
     ("alg_throughput", _INT),
     ("adv_throughput", _INT),
+    derived=("adversary_trace", "alg_throughput", "adv_throughput"),
 )
 _OPT_RESULT = _record(
     OptResult,
@@ -245,7 +264,7 @@ def _report(names: Sequence[str]) -> _Codec:
         ("policies", _POLICY_NAMES),
         ("records", _array(_record(
             RatioRecord, ("seed", _INT), ("opt", _INT), ("proven_optimal", _BOOL),
-            ("throughputs", _named(names, _INT)), ("ratios", ratios),
+            ("throughputs", _named(names, _INT)), ("ratios", ratios), derived=("ratios",),
         ))),
         ("skipped_zero_opt", _INT),
         ("max_ratios", ratios),
@@ -254,6 +273,7 @@ def _report(names: Sequence[str]) -> _Codec:
             BoundCounterexample,
             ("seed", _INT), ("policy", _STR), ("opt", _INT), ("throughput", _INT),
         ))),
+        derived=("count", "skipped_zero_opt", "max_ratios", "mean_ratios", "counterexamples"),
     )
 
 

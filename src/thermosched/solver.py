@@ -85,11 +85,11 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     budget caps the number of search nodes; when it is hit the best
     schedule found so far is returned with proven_optimal=False.
     Raises InvalidInstanceError on an invalid instance and ValueError
-    on a negative budget.
+    on a budget that is not a non-negative int (a bool is not).
     """
     require_valid(instance)
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+    if budget is not None and (type(budget) is not int or budget < 0):
+        raise ValueError(f"budget must be a non-negative int, got {budget!r}")
     jobs = instance.jobs
     horizon = instance.horizon
     kernel = ScaledKernel.for_instance(instance)

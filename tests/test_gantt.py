@@ -1,5 +1,6 @@
 """Text and SVG schedule charts."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from thermosched import (
     N3DMInstance,
     Schedule,
     canonical_schedule_n3dm,
+    format_rational,
     gen_from_n3dm,
     render_gantt,
     simulate,
@@ -22,7 +24,6 @@ from thermosched.gantt import (
     TEXT_FORMAT,
     VIOLATION_MARK,
     approx_decimal,
-    build_rendering,
     render_svg,
     render_text,
 )
@@ -53,32 +54,53 @@ class TestApproxDecimal:
         assert approx_decimal(value) == text
 
 
+def _rows(instance, schedule):
+    """The job, tau and ~ rows of the text chart, without their row names."""
+    lines = render_text(instance, schedule).splitlines()
+    return [line.split()[1:] for line in lines[2:5]]
+
+
 class TestBuildRendering:
+    """What both renderers draw: labels, exact and rounded temperatures,
+    the thermal config and violation marks."""
+
     def test_worked_example(self, four_job_example):
-        rendering = build_rendering(four_job_example, OPTIMAL)
-        assert rendering.slot_labels == ("1", ".", "3", "2", "4", ".")
-        assert rendering.temp_fractions == (
-            "0/1", "1/5", "1/10", "1/1", "4/5", "4/5", "2/5",
-        )
-        assert rendering.temp_decimals == (
-            "0.000", "0.2000", "0.1000", "1.000", "0.8000", "0.8000", "0.4000",
-        )
-        assert rendering.threshold_label == "1/1"
-        assert rendering.cooling_label == "2/1"
-        assert rendering.violations == ()
+        fractions = ["0/1", "1/5", "1/10", "1/1", "4/5", "4/5", "2/5"]
+        decimals = ["0.000", "0.2000", "0.1000", "1.000", "0.8000", "0.8000", "0.4000"]
+        labels = ["1", ".", "3", "2", "4", "."]
+        assert _rows(four_job_example, OPTIMAL) == [labels, fractions, decimals]
+        text = render_text(four_job_example, OPTIMAL)
+        assert text.startswith("T = 1/1, R = 2/1  ")
+        assert "violations" not in text
+        svg = render_svg(four_job_example, OPTIMAL)
+        assert '<text x="28" y="18">T = 1/1, R = 2/1</text>' in svg
+        # After the header: a label and an index per slot, then a fraction
+        # and a decimal per boundary.
+        drawn = re.findall(r">([^<]*)</text>", svg)[1:]
+        assert drawn[:12] == [cell for i, label in enumerate(labels) for cell in (label, str(i))]
+        assert drawn[12:] == [cell for pair in zip(fractions, decimals) for cell in pair]
+        assert VIOLATION_MARK not in svg
 
     def test_violating_slot_is_marked(self, four_job_example):
-        rendering = build_rendering(four_job_example, VIOLATING)
-        assert rendering.slot_labels[2] == "3" + VIOLATION_MARK
-        assert len(rendering.violations) == 1
+        labels = _rows(four_job_example, VIOLATING)[0]
+        assert labels[2] == "3" + VIOLATION_MARK
+        assert [label for label in labels if label.endswith(VIOLATION_MARK)] == [labels[2]]
+        text = render_text(four_job_example, VIOLATING)
+        assert text.split("violations:\n")[1] == "  t=2 thermal job=3\n"
+        svg = render_svg(four_job_example, VIOLATING)
+        assert svg.count('fill="#e9a3a3"') == 1
+        assert f">3{VIOLATION_MARK}</text>" in svg
 
     def test_short_schedule_padded_with_idles(self, four_job_example):
-        rendering = build_rendering(four_job_example, Schedule((1,)))
-        assert rendering.slot_labels == ("1", ".", ".", ".", ".", ".")
+        assert _rows(four_job_example, Schedule((1,)))[0] == ["1", ".", ".", ".", ".", "."]
+        svg = render_svg(four_job_example, Schedule((1,)))
+        assert svg.count("<rect ") == 6
+        assert svg.count('fill="#eeeeee"') == 5
 
     def test_temperatures_match_simulation(self, four_job_example):
-        rendering = build_rendering(four_job_example, OPTIMAL)
-        assert rendering.temperatures == simulate(four_job_example, OPTIMAL).temperatures
+        temperatures = simulate(four_job_example, OPTIMAL).temperatures
+        assert _rows(four_job_example, OPTIMAL)[1] == [format_rational(t) for t in temperatures]
+        assert _rows(four_job_example, OPTIMAL)[2] == [approx_decimal(t) for t in temperatures]
 
 
 class TestRenderText:
@@ -172,13 +194,15 @@ def test_rendering_total_and_consistent(pair):
     """Both renderers accept any schedule, even invalid ones, and agree
     with the simulation they visualize."""
     instance, schedule = pair
-    rendering = build_rendering(instance, schedule)
     trace = simulate(instance, schedule)
-    assert rendering.temperatures == trace.temperatures
-    assert len(rendering.slot_labels) == len(trace.temperatures) - 1
-    marked = sum(1 for label in rendering.slot_labels if label.endswith(VIOLATION_MARK))
+    labels, fractions, decimals = _rows(instance, schedule)
+    assert fractions == [format_rational(t) for t in trace.temperatures]
+    assert decimals == [approx_decimal(t) for t in trace.temperatures]
+    assert len(labels) == len(trace.temperatures) - 1
+    marked = sum(1 for label in labels if label.endswith(VIOLATION_MARK))
     assert marked == len({v.time for v in trace.violations})
     text = render_text(instance, schedule)
     svg = render_svg(instance, schedule)
     assert text == render_text(instance, schedule)
-    assert svg.count("<rect ") == len(rendering.slot_labels)
+    assert svg.count("<rect ") == len(labels)
+    assert svg.count('fill="#e9a3a3"') == marked

@@ -1,6 +1,7 @@
 """Canonical text formats: exactness, strictness, round trips."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -248,6 +249,41 @@ class TestTraceFormat:
         )
         with pytest.raises(ParseError, match="kind"):
             parse_trace(text)
+
+
+    def test_violation_job_must_be_an_integer(self):
+        document = json.loads((GOLDEN / "trace.json").read_text())
+        document["violations"][0]["job"] = None
+        with pytest.raises(ParseError, match=r"^trace\.violations\[0\]\.job: expected an integer"):
+            parse_trace(json.dumps(document))
+
+
+# (document, key path of one derived value, a wrong value, the path the error names)
+_DERIVED_EDITS = [
+    ("trace", ("throughput",), 5, "trace.throughput"),
+    ("report", ("count",), 9, "report.count"),
+    ("report", ("skipped_zero_opt",), 1, "report.skipped_zero_opt"),
+    ("report", ("max_ratios", "coolest"), "1/7", "report.max_ratios"),
+    ("report", ("mean_ratios", "coolest"), "2/1", "report.mean_ratios"),
+    ("report", ("counterexamples",), [], "report.counterexamples"),
+    ("report", ("records", 0, "ratios", "coolest"), "2/1", "report.records[0].ratios"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, keys, value, where", _DERIVED_EDITS, ids=[edit[-1] for edit in _DERIVED_EDITS]
+)
+def test_derived_key_must_agree(kind, keys, value, where):
+    """A derived key that disagrees with the value the parsed object
+    computes is rejected at its path."""
+    document = json.loads((GOLDEN / f"{kind}.json").read_text())
+    parent = document
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    parse = parse_trace if kind == "trace" else parse_report
+    with pytest.raises(ParseError, match=rf"^{re.escape(where)}: .* disagrees with the derived"):
+        parse(json.dumps(document))
 
 
 class TestRunAndTranscriptDocuments:

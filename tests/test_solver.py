@@ -76,6 +76,11 @@ class TestSolveOptimal:
         with pytest.raises(ValueError, match="budget"):
             solve_optimal(four_job_example, budget=-5)
 
+    @pytest.mark.parametrize("budget", [True, 2.5, "5"])
+    def test_non_integer_budget_is_rejected(self, four_job_example, budget):
+        with pytest.raises(ValueError, match="budget must be a non-negative int"):
+            solve_optimal(four_job_example, budget=budget)
+
     def test_generous_budget_still_proves(self, four_job_example):
         result = solve_optimal(four_job_example, budget=10_000_000)
         assert result.proven_optimal
