@@ -213,12 +213,21 @@ class RatioReport:
     (ratio undefined; counted in skipped_zero_opt). max_ratios and
     mean_ratios align with policies and are None when no record
     contributed. counterexamples lists, in record then policy order,
-    each throughput below ceil(OPT/2).
+    each throughput below ceil(OPT/2). Construction raises ValueError
+    when a record's throughputs do not align with policies.
     """
 
     model: RandomModel
     policies: tuple[str, ...]
     records: tuple[RatioRecord, ...]
+
+    def __post_init__(self) -> None:
+        for record in self.records:
+            if len(record.throughputs) != len(self.policies):
+                raise ValueError(
+                    f"record with seed {record.seed} has {len(record.throughputs)} "
+                    f"throughput(s) for {len(self.policies)} policies"
+                )
 
     @property
     def count(self) -> int:

@@ -18,13 +18,7 @@ from .adversary import RandomModel, ratio_experiment, run_lower_bound_game
 from .gantt import SVG_FORMAT, TEXT_FORMAT, approx_decimal, render_gantt
 from .model import InvalidInstanceError, require_valid, simulate, validate_instance
 from .policies import POLICIES, PolicyViolationError, run_online
-from .reductions import (
-    InvalidCertificateError,
-    InvalidSourceError,
-    NotFullThroughputError,
-    gen_from_3partition,
-    gen_from_n3dm,
-)
+from .reductions import InvalidSourceError, gen_from_3partition, gen_from_n3dm
 from .serialization import (
     ParseError,
     format_rational,
@@ -41,16 +35,9 @@ from .serialization import (
     serialize_trace,
     serialize_transcript,
 )
-from .solver import InstanceTooLargeError, solve_optimal
+from .solver import solve_optimal
 
-_DOMAIN_ERRORS = (
-    InvalidInstanceError,
-    PolicyViolationError,
-    InvalidSourceError,
-    InvalidCertificateError,
-    NotFullThroughputError,
-    InstanceTooLargeError,
-)
+_DOMAIN_ERRORS = (InvalidInstanceError, PolicyViolationError, InvalidSourceError)
 
 
 def _at_least(minimum: int) -> Callable[[str], int]:

@@ -25,6 +25,12 @@ into a feasible full-throughput schedule, extractors recover a
 certificate from any full-throughput schedule, and tiny brute-force
 oracles decide the source problems directly so the equivalence can be
 cross-checked end to end.
+
+A source checks the rules above, with every number an exact int, when
+it is constructed and raises InvalidSourceError, so the source parsers
+raise it too. ReductionMeta.source gives back the source a meta was
+generated from: canonical-schedule builders refuse a meta whose source
+is not theirs, and extractors check their certificate against it.
 """
 
 from __future__ import annotations
@@ -62,15 +68,41 @@ class NotFullThroughputError(ValueError):
     """Extraction needs a violation-free schedule completing every job."""
 
 
+def _is_int(value: object) -> bool:
+    """An exact integer; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ThreePartitionInstance:
-    """3-Partition source: 3n positive integers summing to n * beta."""
+    """3-Partition source: 3n positive integers summing to n * beta,
+    each strictly between beta/4 and beta/2; construction checks it."""
 
     values: tuple[int, ...]
     beta: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+        values = tuple(self.values)
+        object.__setattr__(self, "values", values)
+        beta = self.beta
+        if not values or len(values) % 3:
+            raise InvalidSourceError(f"need 3n values for some n >= 1, got {len(values)}")
+        for i, value in enumerate(values):
+            if not _is_int(value) or value <= 0:
+                raise InvalidSourceError(f"value #{i} must be a positive integer, got {value!r}")
+        if not _is_int(beta) or beta <= 0:
+            raise InvalidSourceError(f"beta must be a positive integer, got {beta!r}")
+        if sum(values) != self.n * beta:
+            raise InvalidSourceError(
+                f"values sum to {sum(values)}, expected n*beta = {self.n * beta}"
+            )
+        for i, value in enumerate(values):
+            # beta/4 < a_i < beta/2, compared exactly as 4a > beta and 2a < beta
+            if not (4 * value > beta and 2 * value < beta):
+                raise InvalidSourceError(
+                    f"value #{i} = {value} is outside the open window "
+                    f"(beta/4, beta/2) = ({beta}/4, {beta}/2)"
+                )
 
     @property
     def n(self) -> int:
@@ -78,14 +110,11 @@ class ThreePartitionInstance:
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "ThreePartitionInstance":
+        """beta is sum/n; construction rejects a count that is not 3n."""
         values = tuple(values)
-        if not values or len(values) % 3:
-            raise InvalidSourceError(
-                f"need 3n values for some n >= 1, got {len(values)}"
-            )
-        n = len(values) // 3
+        n = max(len(values) // 3, 1)
         total = sum(values)
-        if total % n:
+        if total % n and len(values) % 3 == 0:
             raise InvalidSourceError(
                 f"sum {total} is not divisible by n={n}; no integer beta exists"
             )
@@ -94,7 +123,8 @@ class ThreePartitionInstance:
 
 @dataclass(frozen=True)
 class N3DMInstance:
-    """Numerical 3-D Matching source: rows a, b, c and target beta."""
+    """Numerical 3-D Matching source: rows a, b, c of n >= 1 integers
+    in [0, beta] summing to n * beta; construction checks it."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
@@ -105,6 +135,27 @@ class N3DMInstance:
         object.__setattr__(self, "a", tuple(self.a))
         object.__setattr__(self, "b", tuple(self.b))
         object.__setattr__(self, "c", tuple(self.c))
+        beta = self.beta
+        if not (len(self.a) == len(self.b) == len(self.c)):
+            raise InvalidSourceError(
+                f"rows must have equal length, got {len(self.a)}/{len(self.b)}/{len(self.c)}"
+            )
+        if self.n < 1:
+            raise InvalidSourceError("need at least one triple")
+        if not _is_int(beta) or beta <= 0:
+            raise InvalidSourceError(f"beta must be a positive integer, got {beta!r}")
+        total = 0
+        for name, row in (("a", self.a), ("b", self.b), ("c", self.c)):
+            for i, value in enumerate(row):
+                if not _is_int(value) or value < 0:
+                    raise InvalidSourceError(
+                        f"{name}[{i}] must be a non-negative integer, got {value!r}"
+                    )
+                if value > beta:
+                    raise InvalidSourceError(f"{name}[{i}] = {value} exceeds beta = {beta}")
+                total += value
+        if total != self.n * beta:
+            raise InvalidSourceError(f"rows sum to {total}, expected n*beta = {self.n * beta}")
 
     @property
     def n(self) -> int:
@@ -125,11 +176,6 @@ class PartitionCertificate:
         normalized = tuple(sorted(tuple(sorted(t)) for t in self.triples))
         object.__setattr__(self, "triples", normalized)
 
-    def value_triples(self, src: ThreePartitionInstance) -> tuple[tuple[int, int, int], ...]:
-        return tuple(
-            tuple(sorted(src.values[i] for i in t)) for t in self.triples
-        )
-
 
 @dataclass(frozen=True)
 class MatchingCertificate:
@@ -144,11 +190,6 @@ class MatchingCertificate:
     def __post_init__(self) -> None:
         normalized = tuple(sorted(tuple(t) for t in self.triples))
         object.__setattr__(self, "triples", normalized)
-
-    def value_triples(self, src: N3DMInstance) -> tuple[tuple[int, int, int], ...]:
-        return tuple(
-            (src.a[i], src.b[j], src.c[k]) for i, j, k in self.triples
-        )
 
 
 @dataclass(frozen=True)
@@ -175,9 +216,9 @@ class ReductionMeta:
     ranges [start, end) holding element jobs: the inter-gadget
     intervals of the 3-Partition construction or the 3-slot blocks of
     the matching construction. Origins may be listed in any order;
-    ids_with_role and values_with_role read them by index. The
-    generated instance rides along so extractors can re-simulate
-    schedules without extra arguments.
+    ids_with_role and source read them by index. The generated
+    instance rides along so extractors can re-simulate schedules
+    without extra arguments.
     """
 
     kind: str
@@ -193,8 +234,18 @@ class ReductionMeta:
     def ids_with_role(self, role: str) -> tuple[int, ...]:
         return tuple(o.job_id for o in self._with_role(role))
 
-    def values_with_role(self, role: str) -> tuple[Optional[int], ...]:
-        return tuple(o.value for o in self._with_role(role))
+    @property
+    def source(self) -> ThreePartitionInstance | N3DMInstance:
+        """The source rebuilt from beta and the origins' values by index."""
+
+        def row(role: str) -> tuple[Optional[int], ...]:
+            return tuple(o.value for o in self._with_role(role))
+
+        if self.kind == "3partition":
+            return ThreePartitionInstance(row(ROLE_ELEMENT), self.beta)
+        if self.kind == "n3dm":
+            return N3DMInstance(row(ROLE_A), row(ROLE_B), row(ROLE_C), self.beta)
+        raise ValueError(f"unknown reduction kind {self.kind!r}")
 
 
 def _generate(
@@ -222,58 +273,6 @@ def _require_full(meta: ReductionMeta, kind: str, name: str, schedule: Schedule)
         )
 
 
-def validate_3partition_source(src: ThreePartitionInstance) -> None:
-    """Raise InvalidSourceError unless all 3-Partition invariants hold."""
-    values = src.values
-    if not values or len(values) % 3:
-        raise InvalidSourceError(f"need 3n values for some n >= 1, got {len(values)}")
-    for i, value in enumerate(values):
-        if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-            raise InvalidSourceError(f"value #{i} must be a positive integer, got {value!r}")
-    n = src.n
-    if not isinstance(src.beta, int) or src.beta <= 0:
-        raise InvalidSourceError(f"beta must be a positive integer, got {src.beta!r}")
-    if sum(values) != n * src.beta:
-        raise InvalidSourceError(
-            f"values sum to {sum(values)}, expected n*beta = {n * src.beta}"
-        )
-    for i, value in enumerate(values):
-        # beta/4 < a_i < beta/2, compared exactly as 4a > beta and 2a < beta
-        if not (4 * value > src.beta and 2 * value < src.beta):
-            raise InvalidSourceError(
-                f"value #{i} = {value} is outside the open window "
-                f"(beta/4, beta/2) = ({src.beta}/4, {src.beta}/2)"
-            )
-
-
-def validate_n3dm_source(src: N3DMInstance) -> None:
-    """Raise InvalidSourceError unless all matching invariants hold."""
-    if not (len(src.a) == len(src.b) == len(src.c)):
-        raise InvalidSourceError(
-            f"rows must have equal length, got {len(src.a)}/{len(src.b)}/{len(src.c)}"
-        )
-    if src.n < 1:
-        raise InvalidSourceError("need at least one triple")
-    if not isinstance(src.beta, int) or isinstance(src.beta, bool) or src.beta <= 0:
-        raise InvalidSourceError(f"beta must be a positive integer, got {src.beta!r}")
-    total = 0
-    for row_name, row in (("a", src.a), ("b", src.b), ("c", src.c)):
-        for i, value in enumerate(row):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise InvalidSourceError(
-                    f"{row_name}[{i}] must be a non-negative integer, got {value!r}"
-                )
-            if value > src.beta:
-                raise InvalidSourceError(
-                    f"{row_name}[{i}] = {value} exceeds beta = {src.beta}"
-                )
-            total += value
-    if total != src.n * src.beta:
-        raise InvalidSourceError(
-            f"rows sum to {total}, expected n*beta = {src.n * src.beta}"
-        )
-
-
 def element_heat(value: int) -> Fraction:
     """Heat 2 - 2^(1-a) of an element job, exactly (2^a - 1) / 2^(a-1)."""
     return Fraction(2**value - 1, 2 ** (value - 1))
@@ -288,7 +287,6 @@ def gen_from_3partition(src: ThreePartitionInstance) -> tuple[Instance, Reductio
     first has heat 2 at time 0, the rest heat 1 at times j(beta+1).
     Values above DEFAULT_MAX_ELEMENT (64) raise InvalidSourceError.
     """
-    validate_3partition_source(src)
     if max(src.values) > DEFAULT_MAX_ELEMENT:
         raise InvalidSourceError(
             f"largest value {max(src.values)} exceeds the supported cap {DEFAULT_MAX_ELEMENT}"
@@ -329,9 +327,10 @@ def canonical_schedule_3partition(
 
     Gadgets run at their release times; the i-th triple fills the i-th
     interval with each element job preceded by value-1 idle slots. The
-    temperature is exactly 1 at every interval boundary.
+    temperature is exactly 1 at every interval boundary. Raises
+    ValueError unless meta was generated from src.
     """
-    if meta.kind != "3partition" or meta.n != src.n or meta.beta != src.beta:
+    if meta.kind != "3partition" or meta.source != src:
         raise ValueError("meta does not belong to this source instance")
     _check_partition_certificate(src, cert)
     gadget_ids = meta.ids_with_role(ROLE_GADGET)
@@ -378,8 +377,7 @@ def extract_3partition(meta: ReductionMeta, schedule: Schedule) -> PartitionCert
             )
         triples.append(tuple(sorted(bucket)))
     cert = PartitionCertificate(tuple(triples))
-    src = ThreePartitionInstance(meta.values_with_role(ROLE_ELEMENT), meta.beta)
-    _check_partition_certificate(src, cert)
+    _check_partition_certificate(meta.source, cert)
     return cert
 
 
@@ -396,7 +394,6 @@ def gen_from_n3dm(src: N3DMInstance) -> tuple[Instance, ReductionMeta]:
     gadget has heat 2 and n gadgets heat 7/4. Every job has release 0
     and deadline 4n+1, so full throughput fills every slot.
     """
-    validate_n3dm_source(src)
     n, beta = src.n, src.beta
     deadline = 4 * n + 1
     rows = [
@@ -438,9 +435,10 @@ def canonical_schedule_n3dm(
     The heat-2 gadget runs at slot 0 and the 7/4 gadgets at slots 4i;
     block i holds the i-th matched triple in the order a, b, c. The
     temperature is exactly 1 after every gadget and exactly 1/4 when
-    each 7/4 gadget starts.
+    each 7/4 gadget starts. Raises ValueError unless meta was generated
+    from src.
     """
-    if meta.kind != "n3dm" or meta.n != src.n or meta.beta != src.beta:
+    if meta.kind != "n3dm" or meta.source != src:
         raise ValueError("meta does not belong to this source instance")
     _check_matching_certificate(src, cert)
     gadget_ids = meta.ids_with_role(ROLE_GADGET)
@@ -483,8 +481,7 @@ def extract_n3dm_matching(meta: ReductionMeta, schedule: Schedule) -> MatchingCe
             )
         triples.append((by_role[ROLE_A], by_role[ROLE_B], by_role[ROLE_C]))
     cert = MatchingCertificate(tuple(triples))
-    src = N3DMInstance(*map(meta.values_with_role, (ROLE_A, ROLE_B, ROLE_C)), meta.beta)
-    _check_matching_certificate(src, cert)
+    _check_matching_certificate(meta.source, cert)
     return cert
 
 
@@ -494,7 +491,6 @@ def brute_3partition(src: ThreePartitionInstance) -> Optional[PartitionCertifica
     Works on the source numbers directly, independent of any
     scheduling machinery. Limited to 12 values.
     """
-    validate_3partition_source(src)
     if len(src.values) > BRUTE_3PARTITION_MAX_VALUES:
         raise InstanceTooLargeError(
             f"brute force limited to {BRUTE_3PARTITION_MAX_VALUES} values, "
@@ -528,7 +524,6 @@ def brute_n3dm(src: N3DMInstance) -> Optional[MatchingCertificate]:
     Works on the source numbers directly, independent of any
     scheduling machinery. Limited to n = 6.
     """
-    validate_n3dm_source(src)
     n = src.n
     if n > BRUTE_N3DM_MAX_N:
         raise InstanceTooLargeError(f"brute force limited to n = {BRUTE_N3DM_MAX_N}, got {n}")

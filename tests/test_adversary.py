@@ -19,7 +19,7 @@ from thermosched import (
     scripted_policy,
     solve_optimal,
 )
-from thermosched.adversary import BRANCH_EXECUTE, BRANCH_IDLE
+from thermosched.adversary import BRANCH_EXECUTE, BRANCH_IDLE, RatioRecord, RatioReport
 
 ALL_SCRIPTS = tuple(itertools.product((None, 1, 2, 3), repeat=3))
 
@@ -192,6 +192,13 @@ class TestRatioExperiment:
     def test_non_integer_count_is_rejected(self, count):
         with pytest.raises(ValueError, match=f"^count must be an integer, got {count!r}$"):
             ratio_experiment(RandomModel(n=3), ("coolest",), count)
+
+    def test_misaligned_record_is_rejected(self):
+        record = RatioRecord(seed=0, opt=2, proven_optimal=True, throughputs=(0, 0))
+        with pytest.raises(
+            ValueError, match=r"^record with seed 0 has 2 throughput\(s\) for 1 policies$"
+        ):
+            RatioReport(RandomModel(n=1), ("coolest",), (record,))
 
     def test_reproducible(self):
         model = RandomModel(n=4, seed=7)

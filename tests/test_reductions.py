@@ -2,6 +2,7 @@
 and the standalone brute-force deciders for the source problems."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -37,8 +38,6 @@ from thermosched.reductions import (
     ROLE_GADGET,
     element_heat,
     f_scaled,
-    validate_3partition_source,
-    validate_n3dm_source,
 )
 from thermosched.serialization import parse_reduction_meta, serialize_reduction_meta
 
@@ -63,46 +62,67 @@ class TestSourceValidation:
         with pytest.raises(InvalidSourceError, match="3n values"):
             ThreePartitionInstance.from_values((3, 3, 3, 3))
 
+    @pytest.mark.parametrize("count", [0, 4, 7])
+    def test_from_values_checks_count_before_divisibility(self, count):
+        with pytest.raises(InvalidSourceError, match=f"^need 3n values for some n >= 1, got {count}$"):
+            ThreePartitionInstance.from_values((3,) * count)
+
     def test_window_is_strict(self):
         # 2 and 5 fall outside (9/4, 9/2)
-        src = ThreePartitionInstance(values=(2, 2, 3, 3, 3, 5), beta=9)
         with pytest.raises(InvalidSourceError, match="window"):
-            validate_3partition_source(src)
+            ThreePartitionInstance(values=(2, 2, 3, 3, 3, 5), beta=9)
 
     def test_boundary_value_rejected(self):
         # 2a < beta must be strict: a=3, beta=6 sits on the boundary
-        src = ThreePartitionInstance(values=(3, 3, 3, 3, 3, 3), beta=6)
         with pytest.raises(InvalidSourceError):
-            validate_3partition_source(src)
+            ThreePartitionInstance(values=(3, 3, 3, 3, 3, 3), beta=6)
 
     def test_nonpositive_value_rejected(self):
-        src = ThreePartitionInstance(values=(0, 4, 5, 3, 3, 3), beta=9)
         with pytest.raises(InvalidSourceError, match="positive"):
-            validate_3partition_source(src)
+            ThreePartitionInstance(values=(0, 4, 5, 3, 3, 3), beta=9)
+
+    @pytest.mark.parametrize(
+        "values, beta, match",
+        [
+            ((3, 3, True), 3, r"^value #2 must be a positive integer, got True$"),
+            ((3, 3, 3.0), 3, r"^value #2 must be a positive integer, got 3\.0$"),
+            ((1, 1, 1), True, r"^beta must be a positive integer, got True$"),
+        ],
+    )
+    def test_3partition_numbers_are_exact_ints(self, values, beta, match):
+        with pytest.raises(InvalidSourceError, match=match):
+            ThreePartitionInstance(values, beta)
 
     def test_matching_rows_must_align(self):
-        src = N3DMInstance(a=(1,), b=(1, 2), c=(1,), beta=3)
         with pytest.raises(InvalidSourceError, match="equal length"):
-            validate_n3dm_source(src)
+            N3DMInstance(a=(1,), b=(1, 2), c=(1,), beta=3)
 
     def test_matching_values_bounded_by_beta(self):
-        src = N3DMInstance(a=(9,), b=(0,), c=(0,), beta=8)
         with pytest.raises(InvalidSourceError, match="exceeds beta"):
-            validate_n3dm_source(src)
+            N3DMInstance(a=(9,), b=(0,), c=(0,), beta=8)
 
     def test_matching_negative_value_rejected(self):
-        src = N3DMInstance(a=(-1,), b=(1,), c=(1,), beta=1)
         with pytest.raises(InvalidSourceError, match="non-negative"):
-            validate_n3dm_source(src)
+            N3DMInstance(a=(-1,), b=(1,), c=(1,), beta=1)
 
     def test_matching_total_must_hit_n_beta(self):
-        src = N3DMInstance(a=(0,), b=(0,), c=(0,), beta=1)
         with pytest.raises(InvalidSourceError, match="rows sum"):
-            validate_n3dm_source(src)
+            N3DMInstance(a=(0,), b=(0,), c=(0,), beta=1)
+
+    @pytest.mark.parametrize(
+        "c, beta, match",
+        [
+            ((False,), 1, r"^c\[0\] must be a non-negative integer, got False$"),
+            ((1,), True, r"^beta must be a positive integer, got True$"),
+        ],
+    )
+    def test_matching_numbers_are_exact_ints(self, c, beta, match):
+        with pytest.raises(InvalidSourceError, match=match):
+            N3DMInstance(a=(0,), b=(0,), c=c, beta=beta)
 
     def test_valid_sources_pass(self):
-        validate_3partition_source(ALL_THREES)
-        validate_n3dm_source(MATCHABLE_N2)
+        assert ThreePartitionInstance([3] * 6, 9) == ALL_THREES
+        assert N3DMInstance(a=[0, 8], b=[8, 0], c=[4, 4], beta=12) == MATCHABLE_N2
 
 
 class TestCertificateNormalization:
@@ -116,10 +136,12 @@ class TestCertificateNormalization:
 
     def test_value_triples(self):
         src = ThreePartitionInstance(values=(4, 4, 4, 4, 5, 5), beta=13)
-        cert = PartitionCertificate(((0, 1, 4), (2, 3, 5)))
-        assert cert.value_triples(src) == ((4, 4, 5), (4, 4, 5))
-        matching = MatchingCertificate(((0, 0, 0), (1, 1, 1)))
-        assert matching.value_triples(MATCHABLE_N2) == ((0, 8, 4), (8, 0, 4))
+        cert = PartitionCertificate(((4, 1, 0), (5, 3, 2)))
+        assert cert.triples == ((0, 1, 4), (2, 3, 5))
+        assert [[src.values[i] for i in t] for t in cert.triples] == [[4, 4, 5], [4, 4, 5]]
+        matching = MatchingCertificate(((1, 1, 1), (0, 0, 0)))
+        a, b, c = MATCHABLE_N2.a, MATCHABLE_N2.b, MATCHABLE_N2.c
+        assert [(a[i], b[j], c[k]) for i, j, k in matching.triples] == [(0, 8, 4), (8, 0, 4)]
 
 
 class TestGenFrom3Partition:
@@ -199,6 +221,22 @@ class TestCanonical3Partition:
         with pytest.raises(ValueError, match="does not belong"):
             canonical_schedule_3partition(ALL_THREES, meta, cert)
 
+    def test_rejects_meta_of_another_source_with_equal_n_and_beta(self):
+        src = ThreePartitionInstance((5, 4, 4, 5, 4, 4), 13)
+        _, foreign = gen_from_3partition(ThreePartitionInstance((4, 4, 5, 4, 4, 5), 13))
+        instance, meta = gen_from_3partition(src)
+        cert = brute_3partition(src)
+        with pytest.raises(ValueError, match="^meta does not belong to this source instance$"):
+            canonical_schedule_3partition(src, foreign, cert)
+        trace = simulate(instance, canonical_schedule_3partition(src, meta, cert))
+        assert trace.violations == () and trace.throughput == 8
+
+    def test_rejects_meta_of_the_other_construction(self):
+        _, meta = gen_from_n3dm(MATCHABLE_N1)
+        cert = PartitionCertificate(((0, 1, 2), (3, 4, 5)))
+        with pytest.raises(ValueError, match="does not belong"):
+            canonical_schedule_3partition(ALL_THREES, meta, cert)
+
 
 class TestExtract3Partition:
     def test_roundtrip_from_canonical(self):
@@ -212,7 +250,7 @@ class TestExtract3Partition:
         result = solve_optimal(instance)
         assert result.best_throughput == 8
         cert = extract_3partition(meta, result.witness)
-        assert cert.value_triples(ALL_THREES) == ((3, 3, 3), (3, 3, 3))
+        assert [[ALL_THREES.values[i] for i in t] for t in cert.triples] == [[3, 3, 3]] * 2
 
     def test_partial_schedule_rejected(self):
         _, meta = gen_from_3partition(ALL_THREES)
@@ -280,6 +318,17 @@ class TestExtractFromSidecar:
         schedule = canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
         shuffled = edited_sidecar(instance, meta, list_origins(6, 2, 9, 3, 7, 5, 1, 8, 4))
         assert extract_n3dm_matching(shuffled, schedule) == cert
+
+    def test_meta_gives_back_its_source(self):
+        src = ThreePartitionInstance.from_values((4, 5, 6, 5, 4, 4))
+        instance, meta = gen_from_3partition(src)
+        shuffled = edited_sidecar(instance, meta, list_origins(7, 1, 5, 8, 6, 2, 3, 4))
+        assert meta.source == shuffled.source == src
+        instance, meta = gen_from_n3dm(MATCHABLE_N2)
+        shuffled = edited_sidecar(instance, meta, list_origins(6, 2, 9, 3, 7, 5, 1, 8, 4))
+        assert meta.source == shuffled.source == MATCHABLE_N2
+        with pytest.raises(ValueError, match="^unknown reduction kind 'bogus'$"):
+            replace(meta, kind="bogus").source
 
     def test_element_outside_every_interval(self):
         instance, meta = gen_from_3partition(ALL_THREES)
@@ -408,6 +457,15 @@ class TestCanonicalN3DM:
         with pytest.raises(InvalidCertificateError, match="exactly once"):
             canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
 
+    def test_rejects_meta_of_another_source_with_equal_n_and_beta(self):
+        _, foreign = gen_from_n3dm(N3DMInstance(a=(0, 8), b=(0, 8), c=(4, 4), beta=12))
+        instance, meta = gen_from_n3dm(MATCHABLE_N2)
+        cert = MatchingCertificate(((0, 0, 0), (1, 1, 1)))
+        with pytest.raises(ValueError, match="^meta does not belong to this source instance$"):
+            canonical_schedule_n3dm(MATCHABLE_N2, foreign, cert)
+        trace = simulate(instance, canonical_schedule_n3dm(MATCHABLE_N2, meta, cert))
+        assert trace.violations == () and trace.throughput == 9
+
 
 class TestExtractN3DM:
     def test_roundtrip_from_canonical(self):
@@ -421,7 +479,7 @@ class TestExtractN3DM:
         result = solve_optimal(instance)
         assert result.best_throughput == 5
         cert = extract_n3dm_matching(meta, result.witness)
-        assert cert.value_triples(MATCHABLE_N1) == ((2, 2, 4),)
+        assert cert.triples == ((0, 0, 0),)
 
     def test_partial_schedule_rejected(self):
         _, meta = gen_from_n3dm(MATCHABLE_N1)
@@ -468,7 +526,7 @@ class TestBrute3Partition:
         src = ThreePartitionInstance.from_values((4, 4, 4, 4, 5, 5))
         cert = brute_3partition(src)
         assert cert is not None
-        assert cert.value_triples(src) == ((4, 4, 5), (4, 4, 5))
+        assert cert.triples == ((0, 1, 4), (2, 3, 5))
 
     def test_size_guard(self):
         values = (3,) * (BRUTE_3PARTITION_MAX_VALUES + 3)
@@ -488,7 +546,7 @@ class TestBruteN3DM:
     def test_two_triples(self):
         cert = brute_n3dm(MATCHABLE_N2)
         assert cert is not None
-        assert cert.value_triples(MATCHABLE_N2) == ((0, 8, 4), (8, 0, 4))
+        assert cert.triples == ((0, 0, 0), (1, 1, 1))
 
     def test_reports_unmatchable(self):
         assert brute_n3dm(UNMATCHABLE_N2) is None
