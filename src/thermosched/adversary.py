@@ -120,7 +120,7 @@ def scripted_policy(intents: Sequence[Optional[int]]) -> Policy:
 
 
 def _require_int(name: str, value: object) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -198,7 +198,7 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
         non_integer: set[str] = set()
         for field in ("id", "release", "deadline"):
             value = getattr(job, field)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if type(value) is not int:
                 non_integer.add(field)
                 issues.append(
                     ValidationIssue(job.id, field, f"job {job.id}: {field} must be an integer")
@@ -280,10 +280,6 @@ class ScaledKernel:
 
     def heat(self, heat: Fraction) -> int:
         return int(heat * self.scale)
-
-    def step(self, s: int, heat: int) -> int:
-        """The scaled step_temperature: (s + heat)·q // p, with heat scaled."""
-        return (s + heat) * self.q // self.p
 
 
 def is_admissible(

@@ -28,15 +28,16 @@ cross-checked end to end.
 
 A source checks the rules above, with every number an exact int, when
 it is constructed and raises InvalidSourceError, so the source parsers
-raise it too. ReductionMeta.source gives back the source a meta was
-generated from: canonical-schedule builders refuse a meta whose source
+raise it too. A ReductionMeta is computed from its source alone, so its
+fields cannot disagree; the 3-Partition construction caps element
+values at 64. Canonical-schedule builders refuse a meta whose source
 is not theirs, and extractors check their certificate against it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -68,11 +69,6 @@ class NotFullThroughputError(ValueError):
     """Extraction needs a violation-free schedule completing every job."""
 
 
-def _is_int(value: object) -> bool:
-    """An exact integer; a bool is not one."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ThreePartitionInstance:
     """3-Partition source: 3n positive integers summing to n * beta,
@@ -88,9 +84,9 @@ class ThreePartitionInstance:
         if not values or len(values) % 3:
             raise InvalidSourceError(f"need 3n values for some n >= 1, got {len(values)}")
         for i, value in enumerate(values):
-            if not _is_int(value) or value <= 0:
+            if type(value) is not int or value <= 0:
                 raise InvalidSourceError(f"value #{i} must be a positive integer, got {value!r}")
-        if not _is_int(beta) or beta <= 0:
+        if type(beta) is not int or beta <= 0:
             raise InvalidSourceError(f"beta must be a positive integer, got {beta!r}")
         if sum(values) != self.n * beta:
             raise InvalidSourceError(
@@ -142,12 +138,12 @@ class N3DMInstance:
             )
         if self.n < 1:
             raise InvalidSourceError("need at least one triple")
-        if not _is_int(beta) or beta <= 0:
+        if type(beta) is not int or beta <= 0:
             raise InvalidSourceError(f"beta must be a positive integer, got {beta!r}")
         total = 0
         for name, row in (("a", self.a), ("b", self.b), ("c", self.c)):
             for i, value in enumerate(row):
-                if not _is_int(value) or value < 0:
+                if type(value) is not int or value < 0:
                     raise InvalidSourceError(
                         f"{name}[{i}] must be a non-negative integer, got {value!r}"
                     )
@@ -209,54 +205,42 @@ class JobOrigin:
 
 @dataclass(frozen=True)
 class ReductionMeta:
-    """Sidecar emitted with a generated instance.
+    """Sidecar emitted with a generated instance, computed from its source alone.
 
-    origins map every job id back to its source number and job class
-    (a bijection on non-gadget jobs), and intervals give the slot
-    ranges [start, end) holding element jobs: the inter-gadget
-    intervals of the 3-Partition construction or the 3-slot blocks of
-    the matching construction. Origins may be listed in any order;
-    ids_with_role and source read them by index. The generated
-    instance rides along so extractors can re-simulate schedules
-    without extra arguments.
+    Every other field is derived. origins map every job id, in id order
+    and so each role by index, back to its source number and job class;
+    intervals are the slot ranges [start, end) holding element jobs: the
+    inter-gadget intervals of 3-Partition or the 3-slot blocks of the
+    matching. Raises InvalidSourceError for a 3-Partition value above 64.
     """
 
-    kind: str
-    n: int
-    beta: int
-    instance: Instance
-    origins: tuple[JobOrigin, ...]
-    intervals: tuple[tuple[int, int], ...]
+    source: ThreePartitionInstance | N3DMInstance
+    kind: str = field(init=False)
+    n: int = field(init=False)
+    beta: int = field(init=False)
+    instance: Instance = field(init=False)
+    origins: tuple[JobOrigin, ...] = field(init=False)
+    intervals: tuple[tuple[int, int], ...] = field(init=False)
 
-    def _with_role(self, role: str) -> list[JobOrigin]:
-        return sorted((o for o in self.origins if o.role == role), key=lambda o: o.index)
+    def __post_init__(self) -> None:
+        src = self.source
+        if isinstance(src, ThreePartitionInstance):
+            kind, rows, intervals = _3partition_rows(src)
+        elif isinstance(src, N3DMInstance):
+            kind, rows, intervals = _n3dm_rows(src)
+        else:
+            raise TypeError(f"not a reduction source: {src!r}")
+        # The job of row k has id k + 1.
+        jobs = tuple(Job(k, *row[3:]) for k, row in enumerate(rows, 1))
+        origins = tuple(JobOrigin(k, *row[:3]) for k, row in enumerate(rows, 1))
+        for name, value in zip(
+            ("kind", "n", "beta", "instance", "origins", "intervals"),
+            (kind, src.n, src.beta, Instance(jobs), origins, tuple(intervals)),
+        ):
+            object.__setattr__(self, name, value)
 
     def ids_with_role(self, role: str) -> tuple[int, ...]:
-        return tuple(o.job_id for o in self._with_role(role))
-
-    @property
-    def source(self) -> ThreePartitionInstance | N3DMInstance:
-        """The source rebuilt from beta and the origins' values by index."""
-
-        def row(role: str) -> tuple[Optional[int], ...]:
-            return tuple(o.value for o in self._with_role(role))
-
-        if self.kind == "3partition":
-            return ThreePartitionInstance(row(ROLE_ELEMENT), self.beta)
-        if self.kind == "n3dm":
-            return N3DMInstance(row(ROLE_A), row(ROLE_B), row(ROLE_C), self.beta)
-        raise ValueError(f"unknown reduction kind {self.kind!r}")
-
-
-def _generate(
-    kind: str, n: int, beta: int, rows: list[tuple], intervals: list[tuple[int, int]]
-) -> tuple[Instance, ReductionMeta]:
-    """Instance and sidecar from (role, index, value, release, deadline,
-    heat) rows; the job of row k has id k + 1."""
-    jobs = tuple(Job(k, *row[3:]) for k, row in enumerate(rows, start=1))
-    origins = tuple(JobOrigin(k, *row[:3]) for k, row in enumerate(rows, start=1))
-    instance = Instance(jobs=jobs)
-    return instance, ReductionMeta(kind, n, beta, instance, origins, tuple(intervals))
+        return tuple(o.job_id for o in self.origins if o.role == role)
 
 
 def _require_full(meta: ReductionMeta, kind: str, name: str, schedule: Schedule) -> None:
@@ -278,15 +262,8 @@ def element_heat(value: int) -> Fraction:
     return Fraction(2**value - 1, 2 ** (value - 1))
 
 
-def gen_from_3partition(src: ThreePartitionInstance) -> tuple[Instance, ReductionMeta]:
-    """Scheduling instance with 4n jobs that is fully schedulable iff
-    the source has a 3-partition.
-
-    Element job i (ids 1..3n) has heat 2 - 2^(1-a_i), release 1 and
-    deadline n(beta+1). Gadget jobs (ids 3n+1..4n) are tight: the
-    first has heat 2 at time 0, the rest heat 1 at times j(beta+1).
-    Values above DEFAULT_MAX_ELEMENT (64) raise InvalidSourceError.
-    """
+def _3partition_rows(src: ThreePartitionInstance) -> tuple[str, list[tuple], list]:
+    """Kind, (role, index, value, release, deadline, heat) rows and intervals."""
     if max(src.values) > DEFAULT_MAX_ELEMENT:
         raise InvalidSourceError(
             f"largest value {max(src.values)} exceeds the supported cap {DEFAULT_MAX_ELEMENT}"
@@ -301,7 +278,20 @@ def gen_from_3partition(src: ThreePartitionInstance) -> tuple[Instance, Reductio
         for j in range(n)
     ]
     intervals = [(j * (beta + 1) + 1, j * (beta + 1) + 1 + beta) for j in range(n)]
-    return _generate("3partition", n, beta, rows, intervals)
+    return "3partition", rows, intervals
+
+
+def gen_from_3partition(src: ThreePartitionInstance) -> tuple[Instance, ReductionMeta]:
+    """Scheduling instance with 4n jobs that is fully schedulable iff
+    the source has a 3-partition.
+
+    Element job i (ids 1..3n) has heat 2 - 2^(1-a_i), release 1 and
+    deadline n(beta+1). Gadget jobs (ids 3n+1..4n) are tight: the
+    first has heat 2 at time 0, the rest heat 1 at times j(beta+1).
+    Values above DEFAULT_MAX_ELEMENT (64) raise InvalidSourceError.
+    """
+    meta = ReductionMeta(src)
+    return meta.instance, meta
 
 
 def _check_partition_certificate(
@@ -330,20 +320,17 @@ def canonical_schedule_3partition(
     temperature is exactly 1 at every interval boundary. Raises
     ValueError unless meta was generated from src.
     """
-    if meta.kind != "3partition" or meta.source != src:
+    if meta.source != src:
         raise ValueError("meta does not belong to this source instance")
     _check_partition_certificate(src, cert)
-    gadget_ids = meta.ids_with_role(ROLE_GADGET)
-    element_ids = meta.ids_with_role(ROLE_ELEMENT)
-    slots: list[Optional[int]] = [None] * (src.n * (src.beta + 1))
-    for j in range(src.n):
-        slots[j * (src.beta + 1)] = gadget_ids[j]
-    for (start, _end), triple in zip(meta.intervals, cert.triples):
+    gadget_ids, element_ids = map(meta.ids_with_role, (ROLE_GADGET, ROLE_ELEMENT))
+    slots: list[Optional[int]] = [None] * meta.instance.horizon
+    for gadget, (start, _end), triple in zip(gadget_ids, meta.intervals, cert.triples):
+        slots[start - 1] = gadget
         t = start
         for index in triple:
-            t += src.values[index] - 1
-            slots[t] = element_ids[index]
-            t += 1
+            t += src.values[index]
+            slots[t - 1] = element_ids[index]
     return Schedule(tuple(slots))
 
 
@@ -351,31 +338,21 @@ def extract_3partition(meta: ReductionMeta, schedule: Schedule) -> PartitionCert
     """Read a 3-partition off a full-throughput schedule.
 
     Element jobs grouped by the inter-gadget interval containing their
-    execution slot form the triples. Raises NotFullThroughputError
-    unless the schedule completes all 4n jobs without violations.
+    execution slot form the triples; under full throughput the tight
+    gadgets hold slots j(beta+1), so every element slot lies in one.
+    Raises NotFullThroughputError unless the schedule completes all 4n
+    jobs without violations.
     """
     _require_full(meta, "3partition", "3-Partition", schedule)
-    slot_of = {job_id: t for t, job_id in enumerate(schedule) if job_id is not None}
-    buckets: list[list[int]] = [[] for _ in meta.intervals]
-    for origin in meta.origins:
-        if origin.role != ROLE_ELEMENT:
-            continue
-        slot = slot_of[origin.job_id]
-        for bucket, (start, end) in zip(buckets, meta.intervals):
-            if start <= slot < end:
-                bucket.append(origin.index)
-                break
-        else:
-            raise InvalidCertificateError(
-                f"element job {origin.job_id} ran at slot {slot}, outside every interval"
-            )
+    index_of = {o.job_id: o.index for o in meta.origins if o.role == ROLE_ELEMENT}
     triples = []
-    for bucket, (start, end) in zip(buckets, meta.intervals):
+    for start, end in meta.intervals:
+        bucket = tuple(index_of[j] for j in schedule.slots[start:end] if j in index_of)
         if len(bucket) != 3:
             raise InvalidCertificateError(
                 f"interval [{start}, {end}) holds {len(bucket)} element jobs, expected 3"
             )
-        triples.append(tuple(sorted(bucket)))
+        triples.append(bucket)
     cert = PartitionCertificate(tuple(triples))
     _check_partition_certificate(meta.source, cert)
     return cert
@@ -386,14 +363,8 @@ def f_scaled(x: int, beta: int) -> Fraction:
     return Fraction(8 * beta + x, 200 * beta)
 
 
-def gen_from_n3dm(src: N3DMInstance) -> tuple[Instance, ReductionMeta]:
-    """Scheduling instance with 4n+1 jobs that is fully schedulable iff
-    the source rows admit a numerical 3-D matching.
-
-    Jobs for row values a, b, c carry heats 8f(a), 4f(b), 2f(c); one
-    gadget has heat 2 and n gadgets heat 7/4. Every job has release 0
-    and deadline 4n+1, so full throughput fills every slot.
-    """
+def _n3dm_rows(src: N3DMInstance) -> tuple[str, list[tuple], list]:
+    """Kind, (role, index, value, release, deadline, heat) rows and blocks."""
     n, beta = src.n, src.beta
     deadline = 4 * n + 1
     rows = [
@@ -406,7 +377,19 @@ def gen_from_n3dm(src: N3DMInstance) -> tuple[Instance, ReductionMeta]:
         for i in range(n + 1)
     ]
     blocks = [(4 * i - 3, 4 * i) for i in range(1, n + 1)]
-    return _generate("n3dm", n, beta, rows, blocks)
+    return "n3dm", rows, blocks
+
+
+def gen_from_n3dm(src: N3DMInstance) -> tuple[Instance, ReductionMeta]:
+    """Scheduling instance with 4n+1 jobs that is fully schedulable iff
+    the source rows admit a numerical 3-D matching.
+
+    Jobs for row values a, b, c carry heats 8f(a), 4f(b), 2f(c); one
+    gadget has heat 2 and n gadgets heat 7/4. Every job has release 0
+    and deadline 4n+1, so full throughput fills every slot.
+    """
+    meta = ReductionMeta(src)
+    return meta.instance, meta
 
 
 def _check_matching_certificate(src: N3DMInstance, cert: MatchingCertificate) -> None:
@@ -438,18 +421,16 @@ def canonical_schedule_n3dm(
     each 7/4 gadget starts. Raises ValueError unless meta was generated
     from src.
     """
-    if meta.kind != "n3dm" or meta.source != src:
+    if meta.source != src:
         raise ValueError("meta does not belong to this source instance")
     _check_matching_certificate(src, cert)
     gadget_ids = meta.ids_with_role(ROLE_GADGET)
     a_ids, b_ids, c_ids = map(meta.ids_with_role, (ROLE_A, ROLE_B, ROLE_C))
-    slots: list[Optional[int]] = [None] * (4 * src.n + 1)
+    slots: list[Optional[int]] = [None] * meta.instance.horizon
     slots[0] = gadget_ids[0]
-    for block, (i, j, k) in enumerate(cert.triples, start=1):
-        slots[4 * block - 3] = a_ids[i]
-        slots[4 * block - 2] = b_ids[j]
-        slots[4 * block - 1] = c_ids[k]
-        slots[4 * block] = gadget_ids[block]
+    for (start, end), gadget, (i, j, k) in zip(meta.intervals, gadget_ids[1:], cert.triples):
+        slots[start:end] = a_ids[i], b_ids[j], c_ids[k]
+        slots[end] = gadget
     return Schedule(tuple(slots))
 
 

@@ -15,8 +15,10 @@ object without them and raises ParseError at the key's path when one
 disagrees with what the object computes. They are a trace's
 throughput; a transcript's adversary_trace, alg_throughput and
 adv_throughput; a report record's ratios; and a report's count,
-skipped_zero_opt, max_ratios, mean_ratios and counterexamples. A
-violation's job is always an integer, never null.
+skipped_zero_opt, max_ratios, mean_ratios and counterexamples; and a
+reduction sidecar's n and intervals. A violation's job is always an
+integer, never null. A sidecar must be the one the generator writes
+for the given instance, though its origins may come in any order.
 
 Reduction source files are plain integer tokens with '#' comments;
 see parse_three_partition_source and parse_n3dm_source.
@@ -28,7 +30,6 @@ import json
 import re
 from dataclasses import fields
 from fractions import Fraction
-from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -49,6 +50,10 @@ from .model import (
 )
 from .policies import OnlineRun
 from .reductions import (
+    ROLE_A,
+    ROLE_B,
+    ROLE_C,
+    ROLE_ELEMENT,
     JobOrigin,
     N3DMInstance,
     ReductionMeta,
@@ -277,25 +282,37 @@ def _report(names: Sequence[str]) -> _Codec:
     )
 
 
-def _reduction_meta(instance: Instance) -> _Codec:
-    known = {job.id for job in instance.jobs}
+def _reduction_meta(kind: str, beta: int, origins: tuple[JobOrigin, ...]) -> ReductionMeta:
+    """The meta of the source rebuilt from beta and the origins' values by
+    role and index, if the origins are that meta's, in any order."""
 
-    def job_id(value: Any, where: str) -> int:
-        if _INT.decode(value, where) not in known:
-            raise ParseError(f"{where}: id {value} is not in the instance")
-        return value
+    def row(role: str) -> tuple[Optional[int], ...]:
+        return tuple(o.value for o in sorted(origins, key=attrgetter("index")) if o.role == role)
 
-    return _record(
-        partial(ReductionMeta, instance=instance),
-        ("kind", _STR),
-        ("n", _INT),
-        ("beta", _INT),
-        ("origins", _array(_record(
-            JobOrigin, ("job", _Codec(_INT.encode, job_id), "job_id"),
-            ("role", _STR), ("index", _INT), ("value", _optional(_INT)),
-        ))),
-        ("intervals", _array(_array(_INT, length=2))),
-    )
+    if kind == "3partition":
+        source = ThreePartitionInstance(row(ROLE_ELEMENT), beta)
+    elif kind == "n3dm":
+        source = N3DMInstance(row(ROLE_A), row(ROLE_B), row(ROLE_C), beta)
+    else:
+        raise ValueError(f"unknown reduction kind {kind!r}")
+    meta = ReductionMeta(source)
+    if sorted(origins, key=attrgetter("job_id")) != list(meta.origins):
+        raise ValueError("origins are not the ones generated from this source")
+    return meta
+
+
+_REDUCTION_META = _record(
+    _reduction_meta,
+    ("kind", _STR),
+    ("n", _INT),
+    ("beta", _INT),
+    ("origins", _array(_record(
+        JobOrigin, ("job", _INT, "job_id"), ("role", _STR), ("index", _INT),
+        ("value", _optional(_INT)),
+    ))),
+    ("intervals", _array(_array(_INT, length=2))),
+    derived=("n", "intervals"),
+)
 
 
 # -- documents -----------------------------------------------------------
@@ -349,12 +366,16 @@ def parse_report(text: str) -> RatioReport:
 
 def serialize_reduction_meta(meta: ReductionMeta) -> str:
     """Sidecar document: origins and interval geometry, not the instance."""
-    return _dumps(_reduction_meta(meta.instance).encode(meta))
+    return _dumps(_REDUCTION_META.encode(meta))
 
 
 def parse_reduction_meta(text: str, instance: Instance) -> ReductionMeta:
-    """Rebuild a ReductionMeta from its sidecar plus the generated instance."""
-    return _reduction_meta(instance).decode(_loads(text), "meta")
+    """The meta of the sidecar's source, if the generator writes this
+    sidecar, origins in any order, with this instance."""
+    meta = _REDUCTION_META.decode(_loads(text), "meta")
+    if meta.instance != instance:
+        raise ParseError("meta: the instance is not the one generated from this source")
+    return meta
 
 
 # -- reduction source files -----------------------------------------------

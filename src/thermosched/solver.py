@@ -98,10 +98,10 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     heats = [kernel.heat(job.heat) for job in jobs]
     # Branch earliest-deadline-first and, among equal deadlines, hottest
     # first: hot jobs fit only while the processor is cool, so good
-    # incumbents come early and prune more. A job with h > R·T is too
-    # hot even from temperature 0 and is left out.
+    # incumbents come early and prune more. A job with h > R·T fails the
+    # loop's admissibility test even from temperature 0 and is left out.
     order = sorted(
-        (i for i in range(len(jobs)) if kernel.step(0, heats[i]) <= kernel.threshold),
+        (i for i in range(len(jobs)) if heats[i] * q <= hot),
         key=lambda i: (jobs[i].deadline, -jobs[i].heat, jobs[i].id),
     )
     # Twins (same release, deadline and heat) are interchangeable, so they
@@ -187,7 +187,7 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
                 if not done & bit and done & prev == prev:
                     bound = stays_bound if stays else idle_bound + 1
                     if bound > best:
-                        # ScaledKernel.step inline; admissible iff (s + h)·q <= T·L·p = hot.
+                        # The ScaledKernel step; admissible iff (s + h)·q <= T·L·p = hot.
                         after = (s + heat) * q
                         if after <= hot:
                             stack.append((child, after // p, done | bit, count + 1, job_id, bound))

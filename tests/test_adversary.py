@@ -1,7 +1,9 @@
 """Lower-bound game and seeded ratio experiments."""
 
 import itertools
+import re
 from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -152,10 +154,12 @@ class TestRandomInstance:
             ("release_span", "4"),
             ("heat_numerator_max", None),
             ("seed", 1.5),
+            ("seed", IntEnum("Seeds", "ONE").ONE),
         ],
     )
     def test_non_integer_field_is_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        message = f"{field} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RandomModel(**{"n": 2, field: value})
 
     def test_smallest_fields_are_accepted(self):

@@ -1,6 +1,7 @@
 """Thermal recurrence, admissibility, validation and diagnostic simulation."""
 
 import re
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,10 @@ def test_is_admissible_is_the_threshold_test_of_one_step(cfg, data):
         assert is_admissible(tau, Job(1, 0, 1, heat), cfg) == expected
 
 
+class _Ids(IntEnum):
+    ONE = 1
+
+
 class TestValidateInstance:
     def test_worked_example_is_valid(self, four_job_example):
         assert validate_instance(four_job_example) == []
@@ -114,6 +119,7 @@ class TestValidateInstance:
             (Job("1", 0, 2, "1/2"), "id"),
             (Job(1, "0", 2, "1/2"), "release"),
             (Job(1, 0, None, "1/2"), "deadline"),
+            (Job(_Ids.ONE, 0, 1, "1/2"), "id"),
         ],
     )
     def test_non_integer_fields(self, job, field):
@@ -126,6 +132,9 @@ class TestValidateInstance:
 # Two jobs share id 1: the solver used to count both (OPT 2, witness [1, 1])
 # while run_online counted one.
 DUPLICATE_ID = Instance(jobs=(Job(1, 0, 2, Fraction(1, 2)), Job(1, 0, 2, Fraction(1, 2))))
+# An int subclass is not an exact int: the solver used to fail in Schedule
+# with a TypeError and run_online to blame the policy for choosing it.
+ENUM_ID = Instance(jobs=(Job(_Ids.ONE, 0, 1, Fraction(1, 2)),))
 
 
 class TestRequireValid:
@@ -152,6 +161,15 @@ class TestRequireValid:
     def test_entry_points_reject_invalid_instances(self, entry):
         with pytest.raises(InvalidInstanceError, match="job 1: duplicate id"):
             entry(DUPLICATE_ID)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [solve_optimal, lambda instance: run_online(instance, coolest_first_decide)],
+        ids=["solve_optimal", "run_online"],
+    )
+    def test_entry_points_reject_an_int_subclass_id(self, entry):
+        with pytest.raises(InvalidInstanceError, match="^job 1: id must be an integer$"):
+            entry(ENUM_ID)
 
 
 class TestSchedule:
@@ -277,7 +295,7 @@ def _scaled_steps_match(instance, schedule):
         heat = jobs[schedule[t]].heat if schedule[t] in jobs else Fraction(0)
         scaled = temps[t] * kernel.scale
         assert scaled.denominator == 1
-        after = kernel.step(int(scaled), kernel.heat(heat))
+        after = (int(scaled) + kernel.heat(heat)) * kernel.q // kernel.p
         exact = step_temperature(temps[t], heat, cfg)
         assert Fraction(after, kernel.scale) == exact
         assert (after <= kernel.threshold) == (exact <= cfg.threshold)

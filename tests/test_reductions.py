@@ -2,7 +2,7 @@
 and the standalone brute-force deciders for the source problems."""
 
 import json
-from dataclasses import replace
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -14,7 +14,9 @@ from thermosched import (
     MatchingCertificate,
     N3DMInstance,
     NotFullThroughputError,
+    ParseError,
     PartitionCertificate,
+    ReductionMeta,
     Schedule,
     ThreePartitionInstance,
     brute_3partition,
@@ -87,6 +89,7 @@ class TestSourceValidation:
             ((3, 3, True), 3, r"^value #2 must be a positive integer, got True$"),
             ((3, 3, 3.0), 3, r"^value #2 must be a positive integer, got 3\.0$"),
             ((1, 1, 1), True, r"^beta must be a positive integer, got True$"),
+            ((1, 1, 1), IntEnum("Betas", "ONE").ONE, r"^beta must be a positive integer"),
         ],
     )
     def test_3partition_numbers_are_exact_ints(self, values, beta, match):
@@ -272,7 +275,7 @@ class TestExtract3Partition:
 
 def edited_sidecar(instance, meta, edit):
     """The meta after a round trip through its sidecar, with edit applied
-    to the JSON document in between; parse_reduction_meta accepts it."""
+    to the JSON document in between."""
     document = json.loads(serialize_reduction_meta(meta))
     edit(document)
     return parse_reduction_meta(json.dumps(document), instance)
@@ -288,6 +291,13 @@ def list_origins(*job_ids):
     return edit
 
 
+def set_key(key, value):
+    def edit(document):
+        document[key] = value
+
+    return edit
+
+
 def set_role(job_id, role):
     def edit(document):
         for origin in document["origins"]:
@@ -297,10 +307,84 @@ def set_role(job_id, role):
     return edit
 
 
+def swap_jobs(first, second):
+    """An edit that gives each of two jobs the other's role, index and value."""
+
+    def edit(document):
+        for origin in document["origins"]:
+            if origin["job"] in (first, second):
+                origin["job"] = first + second - origin["job"]
+
+    return edit
+
+
+def relist_origin(job_id, in_place_of):
+    """An edit that lists job_id's origin again instead of in_place_of's."""
+
+    def edit(document):
+        origin = next(o for o in document["origins"] if o["job"] == job_id)
+        document["origins"] = [
+            origin if o["job"] == in_place_of else o for o in document["origins"]
+        ]
+
+    return edit
+
+
+def set_values(value, beta):
+    """An edit that gives every source number the value, and beta."""
+
+    def edit(document):
+        document["beta"] = beta
+        for origin in document["origins"]:
+            if origin["value"] is not None:
+                origin["value"] = value
+
+    return edit
+
+
+PARTITION_15 = ThreePartitionInstance.from_values((4, 5, 6, 5, 4, 6))  # beta=15
+
+# Sidecar edits that parsed at one time and then misbehaved downstream,
+# with the ParseError each one now raises.
+LYING_SIDECARS = {
+    # extract_n3dm_matching raised a bare IndexError.
+    "n-too-large": (MATCHABLE_N2, set_key("n", 3), r"^meta\.n: 3 disagrees with the derived 2$"),
+    # The certificate was returned anyway.
+    "n-too-small": (MATCHABLE_N2, set_key("n", 1), r"^meta\.n: 1 disagrees with the derived 2$"),
+    # The canonical schedule had six thermal violations (throughput 2 of 8).
+    "intervals-shifted": (
+        PARTITION_15, set_key("intervals", [[0, 16], [16, 33]]), r"^meta\.intervals: "
+    ),
+    # The canonical schedule had no violation but left 3 jobs unrun (5 of 8).
+    "interval-dropped": (PARTITION_15, set_key("intervals", [[1, 16]]), r"^meta\.intervals: "),
+    # The canonical schedule ran job 1 twice (7 of 8).
+    "origin-listed-twice": (
+        ALL_THREES,
+        relist_origin(1, in_place_of=6),
+        r"^meta: origins are not the ones generated from this source$",
+    ),
+    # The canonical schedule had window and thermal violations (throughput 3).
+    "roles-swapped": (
+        ALL_THREES,
+        swap_jobs(3, 8),
+        r"^meta: origins are not the ones generated from this source$",
+    ),
+    "unknown-kind": (
+        MATCHABLE_N2, set_key("kind", "bogus"), r"^meta: unknown reduction kind 'bogus'$"
+    ),
+    # The construction caps element values at 64, so no generator writes this sidecar.
+    "over-the-cap": (
+        ThreePartitionInstance.from_values((64,) * 3),
+        set_values(65, beta=195),
+        r"^meta: largest value 65 exceeds the supported cap 64$",
+    ),
+}
+
+
 class TestExtractFromSidecar:
     """Extraction reads the source back by index, whatever order the
-    sidecar lists its origins in, and names what is wrong with a schedule
-    that reaches full throughput but does not fit the sidecar."""
+    sidecar lists its origins in, and a sidecar the generator would not
+    write for its instance is refused when it is parsed."""
 
     def test_3partition_origins_out_of_order(self):
         src = ThreePartitionInstance.from_values((4, 5, 6, 5, 4, 4))  # beta=14
@@ -308,7 +392,8 @@ class TestExtractFromSidecar:
         cert = brute_3partition(src)
         schedule = canonical_schedule_3partition(src, meta, cert)
         shuffled = edited_sidecar(instance, meta, list_origins(7, 1, 5, 8, 6, 2, 3, 4))
-        assert [o.job_id for o in shuffled.origins] == [7, 1, 5, 8, 6, 2, 3, 4]
+        assert [o.job_id for o in shuffled.origins] == [1, 2, 3, 4, 5, 6, 7, 8]
+        assert shuffled == meta
         assert extract_3partition(shuffled, schedule) == cert
         assert cert.triples == ((0, 1, 3), (2, 4, 5))
 
@@ -317,6 +402,7 @@ class TestExtractFromSidecar:
         cert = MatchingCertificate(((0, 0, 0), (1, 1, 1)))
         schedule = canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
         shuffled = edited_sidecar(instance, meta, list_origins(6, 2, 9, 3, 7, 5, 1, 8, 4))
+        assert [o.job_id for o in shuffled.origins] == list(range(1, 10))
         assert extract_n3dm_matching(shuffled, schedule) == cert
 
     def test_meta_gives_back_its_source(self):
@@ -327,62 +413,53 @@ class TestExtractFromSidecar:
         instance, meta = gen_from_n3dm(MATCHABLE_N2)
         shuffled = edited_sidecar(instance, meta, list_origins(6, 2, 9, 3, 7, 5, 1, 8, 4))
         assert meta.source == shuffled.source == MATCHABLE_N2
-        with pytest.raises(ValueError, match="^unknown reduction kind 'bogus'$"):
-            replace(meta, kind="bogus").source
+        with pytest.raises(TypeError, match=r"^not a reduction source: \(3, 3, 3\)$"):
+            ReductionMeta((3, 3, 3))
+
+    # The next four edits once parsed and reached the extractors' structural
+    # errors; the parser now refuses each of them.
 
     def test_element_outside_every_interval(self):
         instance, meta = gen_from_3partition(ALL_THREES)
-        schedule = canonical_schedule_3partition(ALL_THREES, meta, brute_3partition(ALL_THREES))
-
-        def edit(document):
-            document["intervals"] = [[1, 9], [11, 20]]
-
-        moved = edited_sidecar(instance, meta, edit)
-        with pytest.raises(
-            InvalidCertificateError,
-            match=r"^element job 3 ran at slot 9, outside every interval$",
-        ):
-            extract_3partition(moved, schedule)
+        with pytest.raises(ParseError, match=r"^meta\.intervals: "):
+            edited_sidecar(instance, meta, set_key("intervals", [[1, 9], [11, 20]]))
 
     def test_interval_holding_the_wrong_count(self):
         instance, meta = gen_from_3partition(ALL_THREES)
-        schedule = canonical_schedule_3partition(ALL_THREES, meta, brute_3partition(ALL_THREES))
-
-        def edit(document):
-            document["intervals"] = [[1, 20], [11, 20]]
-
-        widened = edited_sidecar(instance, meta, edit)
-        with pytest.raises(
-            InvalidCertificateError,
-            match=r"^interval \[1, 20\) holds 6 element jobs, expected 3$",
-        ):
-            extract_3partition(widened, schedule)
+        with pytest.raises(ParseError, match=r"^meta\.intervals: "):
+            edited_sidecar(instance, meta, set_key("intervals", [[1, 20], [11, 20]]))
 
     def test_gadget_slot_holding_another_job(self):
         instance, meta = gen_from_n3dm(MATCHABLE_N2)
-        cert = MatchingCertificate(((0, 0, 0), (1, 1, 1)))
-        schedule = canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
 
         def swap(document):
             set_role(1, ROLE_GADGET)(document)
             set_role(7, ROLE_A)(document)
 
-        swapped = edited_sidecar(instance, meta, swap)
         with pytest.raises(
-            InvalidCertificateError, match=r"^slot 0 must hold a gadget job, found 7$"
+            ParseError, match=r"^meta: a\[0\] must be a non-negative integer, got None$"
         ):
-            extract_n3dm_matching(swapped, schedule)
+            edited_sidecar(instance, meta, swap)
 
     def test_block_missing_a_role(self):
         instance, meta = gen_from_n3dm(MATCHABLE_N2)
-        cert = MatchingCertificate(((0, 0, 0), (1, 1, 1)))
-        schedule = canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
-        relabelled = edited_sidecar(instance, meta, set_role(3, ROLE_A))
+        with pytest.raises(ParseError, match=r"^meta: rows must have equal length, got 3/1/2$"):
+            edited_sidecar(instance, meta, set_role(3, ROLE_A))
+
+    @pytest.mark.parametrize("case", LYING_SIDECARS)
+    def test_lying_sidecar_is_refused(self, case):
+        src, edit, match = LYING_SIDECARS[case]
+        meta = ReductionMeta(src)
+        with pytest.raises(ParseError, match=match):
+            edited_sidecar(meta.instance, meta, edit)
+
+    def test_sidecar_of_another_instance_is_refused(self):
+        _, meta = gen_from_3partition(ALL_THREES)
+        other, _ = gen_from_3partition(NO_PARTITION)
         with pytest.raises(
-            InvalidCertificateError,
-            match=r"^block \[1, 4\) must hold one a-, b- and c-job, found roles \['a', 'c'\]$",
+            ParseError, match=r"^meta: the instance is not the one generated from this source$"
         ):
-            extract_n3dm_matching(relabelled, schedule)
+            parse_reduction_meta(serialize_reduction_meta(meta), other)
 
 
 class TestGenFromN3DM:

@@ -371,7 +371,7 @@ class TestReductionMetaFormat:
         instance, meta = gen_from_3partition(ThreePartitionInstance.from_values((3, 3, 3)))
         text = serialize_reduction_meta(meta)
         smaller = Instance(jobs=instance.jobs[:-1])
-        with pytest.raises(ParseError, match="not in the instance"):
+        with pytest.raises(ParseError, match="^meta: the instance is not the one generated"):
             parse_reduction_meta(text, smaller)
 
 
