@@ -14,6 +14,11 @@ several constructions in :mod:`thermosched.reductions` hinges on the
 temperature landing on the threshold *exactly*, so comparisons against
 T are exact as well (<= T passes, > T violates).
 
+The per-slot comparisons (tau against T in simulate and is_admissible,
+heat signs in validate_instance, heats in the policies) compare
+integers, never Fractions: a/b < c/d iff a·d < c·b, exact because a
+Fraction's denominator is positive (see cross_multiplied).
+
 All types are immutable after construction and every function is a
 pure function of its inputs.
 """
@@ -187,22 +192,21 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
     """
     issues: list[ValidationIssue] = []
     cfg = instance.config
-    if cfg.threshold <= 0:
+    R = cfg.cooling_factor
+    if cfg.threshold.numerator <= 0:
         issues.append(ValidationIssue(None, "threshold", "threshold must be positive"))
-    if cfg.cooling_factor <= 1:
+    if R.numerator <= R.denominator:
         issues.append(
             ValidationIssue(None, "cooling_factor", "cooling factor must exceed 1")
         )
     seen: set[int] = set()
     for job in instance.jobs:
-        non_integer: set[str] = set()
-        for field in ("id", "release", "deadline"):
-            value = getattr(job, field)
-            if type(value) is not int:
-                non_integer.add(field)
-                issues.append(
-                    ValidationIssue(job.id, field, f"job {job.id}: {field} must be an integer")
-                )
+        values = (("id", job.id), ("release", job.release), ("deadline", job.deadline))
+        non_integer = [field for field, value in values if type(value) is not int]
+        for field in non_integer:
+            issues.append(
+                ValidationIssue(job.id, field, f"job {job.id}: {field} must be an integer")
+            )
         if "id" not in non_integer and job.id < 0:
             issues.append(ValidationIssue(job.id, "id", f"job {job.id}: id must be non-negative"))
         if job.id in seen:
@@ -212,7 +216,8 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
             issues.append(
                 ValidationIssue(job.id, "release", f"job {job.id}: release must be non-negative")
             )
-        if not non_integer & {"release", "deadline"} and job.release >= job.deadline:
+        window_known = "release" not in non_integer and "deadline" not in non_integer
+        if window_known and job.release >= job.deadline:
             issues.append(
                 ValidationIssue(
                     job.id,
@@ -221,7 +226,7 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
                     f"(release={job.release}, deadline={job.deadline})",
                 )
             )
-        if job.heat < 0:
+        if job.heat.numerator < 0:
             issues.append(
                 ValidationIssue(job.id, "heat", f"job {job.id}: heat must be non-negative")
             )
@@ -239,11 +244,26 @@ def require_valid(instance: Instance) -> None:
         raise InvalidInstanceError("; ".join(issue.message for issue in issues))
 
 
+def cross_multiplied(a: Fraction, b: Fraction) -> tuple[int, int]:
+    """(a.num·b.den, b.num·a.den): two integers in the order of a and b.
+
+    Both denominators are positive, so <, == and > between the integers
+    are exactly those between a and b. This spares the Python-level type
+    dispatch of Fraction's comparison operators.
+    """
+    return a.numerator * b.denominator, b.numerator * a.denominator
+
+
 def step_temperature(
-    tau: Fraction, heat: Fraction, config: ThermalConfig = DEFAULT_CONFIG
+    tau: Fraction, heat: Union[Fraction, int], config: ThermalConfig = DEFAULT_CONFIG
 ) -> Fraction:
-    """One slot of the thermal recurrence: (tau + heat) / R, exactly."""
-    return (tau + heat) / config.cooling_factor
+    """One slot of the thermal recurrence: (tau + heat) / R, exactly.
+
+    An idle slot passes heat 0 and costs one division, tau / R.
+    """
+    if heat:
+        return (tau + heat) / config.cooling_factor
+    return tau / config.cooling_factor
 
 
 @dataclass(frozen=True)
@@ -291,8 +311,9 @@ def is_admissible(
     built and no gcd taken. It is exact because Fraction denominators are positive.
     """
     h, R, T = job.heat, config.cooling_factor, config.threshold
-    left = (tau.numerator * h.denominator + h.numerator * tau.denominator) * R.denominator
-    return left * T.denominator <= R.numerator * T.numerator * h.denominator * tau.denominator
+    b, d = tau.denominator, h.denominator
+    left = (tau.numerator * d + h.numerator * b) * R.denominator
+    return left * T.denominator <= R.numerator * T.numerator * d * b
 
 
 def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
@@ -307,16 +328,15 @@ def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
     """
     cfg = instance.config
     jobs = instance.job_map()
-    length = max(instance.horizon, len(schedule))
+    padding = (None,) * (instance.horizon - len(schedule.slots))
     violations: list[Violation] = []
     completed: set[int] = set()
     executed: set[int] = set()
     tau = Fraction(0)
     temperatures = [tau]
-    for time in range(length):
-        entry = schedule[time] if time < len(schedule) else None
+    for time, entry in enumerate(schedule.slots + padding):
         job = None if entry is None else jobs.get(entry)
-        tau = step_temperature(tau, Fraction(0) if job is None else job.heat, cfg)
+        tau = step_temperature(tau, 0 if job is None else job.heat, cfg)
         temperatures.append(tau)
         if job is not None:
             ok = True
@@ -327,7 +347,8 @@ def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
             if not job.pending_at(time):
                 violations.append(Violation(time, OUT_OF_WINDOW, entry))
                 ok = False
-            if tau > cfg.threshold:
+            left, right = cross_multiplied(tau, cfg.threshold)
+            if left > right:
                 violations.append(Violation(time, THERMAL, entry))
                 ok = False
             if ok:

@@ -17,6 +17,10 @@ policies are 2-competitive for throughput; CoolestFirst and
 EarliestDeadlineFirst below are the two canonical members. Only the
 harness derives what is pending; ``check_reasonable`` reads the pending
 ids the run recorded.
+
+CoolestFirst's scan, EDF's heat tie-break and strictly_dominates
+compare heats with model.cross_multiplied: one integer comparison,
+exact because a Fraction's denominator is positive.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .model import (
@@ -33,6 +38,7 @@ from .model import (
     Schedule,
     SimulationTrace,
     ThermalConfig,
+    cross_multiplied,
     is_admissible,
     require_valid,
     step_temperature,
@@ -85,7 +91,8 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
     """
     require_valid(instance)
     cfg = instance.config
-    arrivals = sorted(instance.jobs, key=lambda j: j.release, reverse=True)
+    arrivals = sorted(instance.jobs, key=attrgetter("release"), reverse=True)
+    job_id = attrgetter("id")
     live: list[Job] = []
     slots: list[Optional[int]] = []
     shown: list[tuple[int, ...]] = []
@@ -93,25 +100,25 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
     temperatures = [tau]
     for time in range(instance.horizon):
         while arrivals and arrivals[-1].release <= time:
-            insort(live, arrivals.pop(), key=lambda j: j.id)
+            insort(live, arrivals.pop(), key=job_id)
         live = [j for j in live if time < j.deadline]
         pending = tuple(live)
+        ids = tuple(map(job_id, pending))
         choice = policy(time, tau, pending, cfg)
-        heat = Fraction(0)
+        heat = 0
         if choice is not None:
             # 1.0 == 1 and True == 1, so only an exact int may name a job.
-            chosen = next((j for j in pending if j.id == choice and type(choice) is int), None)
-            if chosen is None:
+            if type(choice) is not int or choice not in ids:
                 raise PolicyViolationError(
                     f"policy returned job {choice} at time {time}, which is not pending"
                 )
+            chosen = live.pop(ids.index(choice))
             if not is_admissible(tau, chosen, cfg):
                 raise PolicyViolationError(
                     f"policy returned job {choice} at time {time}, which is not admissible"
                 )
-            live.remove(chosen)
             heat = chosen.heat
-        shown.append(tuple(j.id for j in pending))
+        shown.append(ids)
         slots.append(choice)
         tau = step_temperature(tau, heat, cfg)
         temperatures.append(tau)
@@ -136,8 +143,16 @@ def coolest_first_decide(
     Ties go to the earlier deadline, then to the smaller id. Admissibility is
     monotone in heat, so only the coolest job is tested: if it fails, all fail.
     """
-    coolest = min(pending, key=lambda j: (j.heat, j.deadline, j.id), default=None)
-    return coolest.id if coolest and is_admissible(temperature, coolest, config) else None
+    if not pending:
+        return None
+    coolest = pending[0]
+    for job in pending:
+        left, right = cross_multiplied(job.heat, coolest.heat)
+        if left < right or (
+            left == right and (job.deadline, job.id) < (coolest.deadline, coolest.id)
+        ):
+            coolest = job
+    return coolest.id if is_admissible(temperature, coolest, config) else None
 
 
 def edf_decide(
@@ -149,10 +164,22 @@ def edf_decide(
     """Pick the admissible pending job with the earliest deadline.
 
     Ties go to the cooler job, then to the smaller id. The first admissible
-    job in that order wins; the policy idles only when none is.
+    job in that order wins; the policy idles only when none is. One scan
+    keeps the best admissible job so far and tests a job for admissibility
+    only if it would come before that one.
     """
-    by_deadline = sorted(pending, key=lambda j: (j.deadline, j.heat, j.id))
-    return next((j.id for j in by_deadline if is_admissible(temperature, j, config)), None)
+    best = None
+    for job in pending:
+        if best is not None:
+            if job.deadline > best.deadline:
+                continue
+            if job.deadline == best.deadline:
+                left, right = cross_multiplied(job.heat, best.heat)
+                if left > right or left == right and job.id > best.id:
+                    continue
+        if is_admissible(temperature, job, config):
+            best = job
+    return None if best is None else best.id
 
 
 def always_idle(
@@ -175,9 +202,10 @@ POLICIES: dict[str, Policy] = {
 
 def strictly_dominates(j: Job, k: Job) -> bool:
     """True iff j is no hotter and no later-due than k, strictly in one of the two."""
-    return j.heat <= k.heat and j.deadline <= k.deadline and (
-        j.heat < k.heat or j.deadline < k.deadline
-    )
+    if j.deadline > k.deadline:
+        return False
+    left, right = cross_multiplied(j.heat, k.heat)
+    return left < right or left == right and j.deadline < k.deadline
 
 
 def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
@@ -195,7 +223,7 @@ def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
     violations: list[ReasonablenessViolation] = []
     slots = zip(run.schedule, run.pending, run.trace.temperatures)
     for time, (choice, shown, tau) in enumerate(slots):
-        pending = (jobs[job_id] for job_id in shown)
+        pending = map(jobs.__getitem__, shown)
         if choice is None:
             kind = NON_WAITING
             witness = next((j for j in pending if is_admissible(tau, j, cfg)), None)

@@ -61,8 +61,11 @@ from .reductions import (
 )
 from .solver import OptResult
 
-_FRACTION_RE = re.compile(r"[+-]?\d+/\d+\Z")
-_DECIMAL_RE = re.compile(r"[+-]?\d+(\.\d+)?\Z")
+# ASCII digits only: \d and int() would also take other scripts' digits
+# ("١/٢" as 1/2), and int() digit-group underscores ("4_4" as 44).
+_FRACTION_RE = re.compile(r"[+-]?[0-9]+/[0-9]+\Z")
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 class ParseError(ValueError):
@@ -80,10 +83,10 @@ def parse_rational(text: Any, where: str = "value") -> Fraction:
         raise ParseError(f"{where}: expected a rational string, got {text!r}")
     token = text.strip()
     if _FRACTION_RE.fullmatch(token):
-        numerator, denominator = token.split("/")
-        if int(denominator) == 0:
+        numerator, denominator = map(int, token.split("/"))
+        if denominator == 0:
             raise ParseError(f"{where}: zero denominator in {token!r}")
-        return Fraction(int(numerator), int(denominator))
+        return Fraction(numerator, denominator)
     if _DECIMAL_RE.fullmatch(token):
         return Fraction(token)
     raise ParseError(f"{where}: {token!r} is not 'p/q' or a finite decimal")
@@ -115,10 +118,20 @@ def _require_object(value: Any, where: str, fields: Sequence[str]) -> dict:
 # -- codecs ------------------------------------------------------------
 
 class _Codec(NamedTuple):
-    """Python value to JSON value and back; decode gets the field path its errors name."""
+    """Python value to JSON value and back; decode gets the field path its errors name.
+
+    An array or object decodes its items under its own path first and
+    builds the items' paths only when one of them raises ParseError: it
+    then decodes them again under their paths, so the error names the
+    failing field, and a valid document builds no path strings at all.
+    """
 
     encode: Callable[[Any], Any]
     decode: Callable[[Any, str], Any]
+
+
+def _same(value: Any) -> Any:
+    return value
 
 
 def _leaf(what: str, kind: type) -> _Codec:
@@ -129,7 +142,7 @@ def _leaf(what: str, kind: type) -> _Codec:
             raise ParseError(f"{where}: expected {what}, got {value!r}")
         return value
 
-    return _Codec(lambda value: value, decode)
+    return _Codec(_same, decode)
 
 
 _INT = _leaf("an integer", int)
@@ -150,14 +163,19 @@ def _array(item: _Codec, container: Callable = tuple, length: Optional[int] = No
 
     def encode(value: Any) -> list:
         items = sorted(value) if isinstance(value, frozenset) else value
-        return [item.encode(x) for x in items]
+        return list(items) if item.encode is _same else [item.encode(x) for x in items]
 
     def decode(value: Any, where: str) -> Any:
         if not isinstance(value, list):
             raise ParseError(f"{where}: expected an array, got {type(value).__name__}")
         if length is not None and len(value) != length:
             raise ParseError(f"{where}: expected {length} items, got {len(value)}")
-        return container(item.decode(x, f"{where}[{pos}]") for pos, x in enumerate(value))
+        try:
+            return container([item.decode(x, where) for x in value])
+        except ParseError:
+            for pos, x in enumerate(value):
+                item.decode(x, f"{where}[{pos}]")
+            raise
 
     return _Codec(encode, decode)
 
@@ -187,7 +205,12 @@ def _record(build: Callable, *rows: tuple, derived: Sequence[str] = ()) -> _Code
 
     def decode(value: Any, where: str) -> Any:
         obj = _require_object(value, where, keys)
-        kwargs = {name: codec.decode(obj[key], f"{where}.{key}") for key, codec, name in stored}
+        try:
+            kwargs = {name: codec.decode(obj[key], where) for key, codec, name in stored}
+        except ParseError:
+            for key, codec, _ in stored:
+                codec.decode(obj[key], f"{where}.{key}")
+            raise
         try:
             built = build(**kwargs)
         except ValueError as exc:
@@ -385,12 +408,9 @@ def _int_tokens(text: str, what: str) -> list[int]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0]
         for token in body.split():
-            try:
-                tokens.append(int(token))
-            except ValueError:
-                raise ParseError(
-                    f"{what} line {lineno}: {token!r} is not an integer"
-                ) from None
+            if not _INTEGER_RE.fullmatch(token):
+                raise ParseError(f"{what} line {lineno}: {token!r} is not an integer")
+            tokens.append(int(token))
     return tokens
 
 

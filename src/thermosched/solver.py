@@ -224,7 +224,7 @@ def enumerate_optimal_bruteforce(instance: Instance) -> int:
         if time == horizon:
             best = max(best, count)
             return
-        recurse(time + 1, step_temperature(tau, Fraction(0), cfg), used, count)
+        recurse(time + 1, step_temperature(tau, 0, cfg), used, count)
         for i, job in enumerate(jobs):
             if used & (1 << i) or not job.pending_at(time):
                 continue

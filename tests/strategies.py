@@ -2,7 +2,9 @@
 
 Instances stay small (the exact solver runs inside several properties)
 and heats come from the k/16 grid so thermal boundary equalities are
-actually exercised instead of almost never hit.
+actually exercised instead of almost never hit. mixed_heats() draws
+from several denominators instead, for the comparisons that
+cross-multiply two rationals.
 
 Instances use the default config (T = 1, R = 2) unless a config
 strategy such as configs() is passed: the 2-competitive properties of
@@ -28,6 +30,18 @@ def heats(max_sixteenths: int = 32) -> st.SearchStrategy[Fraction]:
     return st.integers(0, max_sixteenths).map(lambda k: Fraction(k, 16))
 
 
+MIXED_DENOMINATORS = (1, 2, 3, 10, 16)
+
+
+def mixed_heats(max_heat: int = 2) -> st.SearchStrategy[Fraction]:
+    """k/d with d drawn from MIXED_DENOMINATORS and 0 <= k/d <= max_heat, so
+    two heats compared by cross-multiplication often have unequal
+    denominators (2/3 against 7/10), which the k/16 grid never gives."""
+    return st.sampled_from(MIXED_DENOMINATORS).flatmap(
+        lambda d: st.integers(0, max_heat * d).map(lambda k: Fraction(k, d))
+    )
+
+
 def configs() -> st.SearchStrategy[ThermalConfig]:
     return st.builds(
         ThermalConfig,
@@ -37,12 +51,14 @@ def configs() -> st.SearchStrategy[ThermalConfig]:
 
 
 @st.composite
-def stepped_temperatures(draw, config: ThermalConfig, max_slots: int = 40) -> Fraction:
+def stepped_temperatures(
+    draw, config: ThermalConfig, max_slots: int = 40, heat: st.SearchStrategy = heats()
+) -> Fraction:
     """A temperature reached from 0 by up to max_slots steps of drawn heats
     (0 is an idle slot), so its denominator is a large power of R's."""
     tau = Fraction(0)
     for _ in range(draw(st.integers(0, max_slots))):
-        tau = step_temperature(tau, draw(heats()), config)
+        tau = step_temperature(tau, draw(heat), config)
     return tau
 
 
@@ -54,6 +70,7 @@ def instances(
     release_span: int = 4,
     max_window: int = 4,
     config: st.SearchStrategy[ThermalConfig] = st.just(DEFAULT_CONFIG),
+    heat: st.SearchStrategy[Fraction] = heats(),
 ) -> Instance:
     n = draw(st.integers(min_jobs, max_jobs))
     jobs = []
@@ -61,7 +78,7 @@ def instances(
         release = draw(st.integers(0, release_span))
         window = draw(st.integers(1, max_window))
         jobs.append(
-            Job(id=i, release=release, deadline=release + window, heat=draw(heats()))
+            Job(id=i, release=release, deadline=release + window, heat=draw(heat))
         )
     return Instance(jobs=tuple(jobs), config=draw(config))
 

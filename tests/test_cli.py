@@ -234,6 +234,13 @@ class TestReduce:
         assert main(["reduce", "3part", str(source)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["4_4", "٤"])
+    def test_non_ascii_digit_token_exits_two(self, tmp_path, capsys, token):
+        source = tmp_path / "source.txt"
+        source.write_text(f"{token} 4 4 4 4 6\n")
+        assert main(["reduce", "3part", str(source)]) == 2
+        assert f"line 1: {token!r} is not an integer" in capsys.readouterr().err
+
 
 class TestAdversary:
     def test_builtin_policy_transcript(self, capsys):

@@ -5,7 +5,7 @@ from enum import IntEnum
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strategies import (
@@ -32,7 +32,14 @@ from thermosched import (
     step_temperature,
     validate_instance,
 )
-from thermosched.model import OUT_OF_WINDOW, REPEATED_JOB, THERMAL, UNKNOWN_JOB, ScaledKernel
+from thermosched.model import (
+    OUT_OF_WINDOW,
+    REPEATED_JOB,
+    THERMAL,
+    UNKNOWN_JOB,
+    ScaledKernel,
+    Violation,
+)
 
 
 class TestStepTemperature:
@@ -75,6 +82,30 @@ def test_is_admissible_is_the_threshold_test_of_one_step(cfg, data):
     for heat in (h for h in candidates if h >= 0):
         expected = step_temperature(tau, heat, cfg) <= cfg.threshold
         assert is_admissible(tau, Job(1, 0, 1, heat), cfg) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs(), st.lists(st.one_of(st.none(), heats()), max_size=12), st.booleans())
+def test_simulate_thermal_test_is_the_threshold_test(cfg, prefix, above):
+    """After a prefix of drawn slots (None idles), a last job whose step lands
+    exactly on T completes, and one whose heat is one step of tau's
+    denominator more records THERMAL."""
+    tau = Fraction(0)
+    for heat in prefix:
+        tau = step_temperature(tau, heat or 0, cfg)
+    boundary = cfg.cooling_factor * cfg.threshold - tau
+    heat = boundary + Fraction(1, tau.denominator) if above else boundary
+    assume(heat >= 0)
+    m = len(prefix)
+    jobs = [Job(i + 1, i, i + 1, h) for i, h in enumerate(prefix) if h is not None]
+    last = Job(m + 1, m, m + 1, heat)
+    slots = tuple(None if h is None else i + 1 for i, h in enumerate(prefix))
+    schedule = Schedule(slots + (m + 1,))
+    trace = simulate(Instance(tuple(jobs) + (last,), cfg), schedule)
+    assert trace.temperatures[m] == tau
+    assert (trace.temperatures[m + 1] > cfg.threshold) == above
+    assert (Violation(m, THERMAL, m + 1) in trace.violations) == above
+    assert (m + 1 in trace.completed) == (not above)
 
 
 class _Ids(IntEnum):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configs, heats, instances, stepped_temperatures
+from strategies import configs, heats, instances, mixed_heats, stepped_temperatures
 from thermosched import (
     DEFAULT_CONFIG,
     Instance,
@@ -227,7 +227,7 @@ def test_run_trace_is_the_simulated_schedule(instance, script):
         assert run.trace == simulate(instance, run.schedule)
 
 
-def replay_reasonable(run):
+def replay_reasonable(run, admissible=is_admissible, dominates=strictly_dominates):
     """Reference oracle: re-derive the pending jobs from the instance and
     the schedule slot by slot, independently of run.pending."""
     instance = run.instance
@@ -240,16 +240,16 @@ def replay_reasonable(run):
         pending = [j for j in instance.jobs if j.pending_at(time) and j.id not in done]
         choice = run.schedule[time] if time < len(run.schedule) else None
         if choice is None:
-            admissible = [j for j in pending if is_admissible(tau, j, cfg)]
-            if admissible:
+            fitting = [j for j in pending if admissible(tau, j, cfg)]
+            if fitting:
                 violations.append(
-                    ReasonablenessViolation(time, NON_WAITING, None, admissible[0].id)
+                    ReasonablenessViolation(time, NON_WAITING, None, fitting[0].id)
                 )
         else:
             executed = jobs[choice]
             done.add(choice)
             for other in pending:
-                if other.id != choice and strictly_dominates(other, executed):
+                if other.id != choice and dominates(other, executed):
                     violations.append(
                         ReasonablenessViolation(time, DOMINANCE, choice, other.id)
                     )
@@ -283,15 +283,15 @@ def edf_reference(time, temperature, pending, config):
 
 
 @st.composite
-def decision_slots(draw):
+def decision_slots(draw, heat=heats()):
     """A config, a stepped temperature and up to 8 pending jobs (distinct
     ids, few deadlines, so ties are common); hot jobs and high
     temperatures make slots with no admissible job common too."""
     cfg = draw(st.one_of(st.just(DEFAULT_CONFIG), configs()))
-    tau = draw(stepped_temperatures(cfg))
+    tau = draw(stepped_temperatures(cfg, heat=heat))
     ids = draw(st.lists(st.integers(1, 20), unique=True, max_size=8))
     pending = tuple(
-        Job(i, 0, draw(st.integers(1, 3)), draw(heats())) for i in sorted(ids)
+        Job(i, 0, draw(st.integers(1, 3)), draw(heat)) for i in sorted(ids)
     )
     return cfg, tau, pending
 
@@ -305,3 +305,53 @@ def test_decide_bodies_match_filter_then_min(slot):
         (edf_decide, edf_reference),
     ):
         assert policy(0, tau, pending, cfg) == reference(0, tau, pending, cfg)
+
+
+# -- mixed denominators ----------------------------------------------------
+# The policies compare heats by cross-multiplication. On the k/16 grid
+# every pair of heats shares a power-of-two denominator; mixed_heats()
+# draws k/d with d in {1, 2, 3, 10, 16}, so the integer comparisons meet
+# unequal denominators. The references below use Fraction's operators.
+
+
+def dominates_reference(j, k):
+    return j.heat <= k.heat and j.deadline <= k.deadline and (
+        j.heat < k.heat or j.deadline < k.deadline
+    )
+
+
+def admissible_reference(tau, job, config):
+    return step_temperature(tau, job.heat, config) <= config.threshold
+
+
+@settings(max_examples=500, deadline=None)
+@given(decision_slots(heat=mixed_heats()))
+def test_decide_bodies_match_filter_then_min_on_mixed_denominators(slot):
+    cfg, tau, pending = slot
+    for policy, reference in (
+        (coolest_first_decide, coolest_first_reference),
+        (edf_decide, edf_reference),
+    ):
+        assert policy(0, tau, pending, cfg) == reference(0, tau, pending, cfg)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mixed_heats(), mixed_heats(), st.integers(1, 3), st.integers(1, 3))
+def test_strictly_dominates_matches_fraction_operators(h1, h2, d1, d2):
+    j, k = Job(1, 0, d1, h1), Job(2, 0, d2, h2)
+    assert strictly_dominates(j, k) == dominates_reference(j, k)
+    assert strictly_dominates(k, j) == dominates_reference(k, j)
+
+
+mixed_instances = instances(
+    config=st.one_of(st.just(DEFAULT_CONFIG), configs()), heat=mixed_heats()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_instances, scripts)
+def test_check_reasonable_matches_fraction_oracle_on_mixed_denominators(instance, script):
+    for policy in (coolest_first_decide, edf_decide, always_idle, scripted_policy(script)):
+        run = run_online(instance, policy)
+        expected = replay_reasonable(run, admissible_reference, dominates_reference)
+        assert check_reasonable(run) == expected

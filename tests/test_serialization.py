@@ -16,6 +16,7 @@ from thermosched import (
     ThreePartitionInstance,
     always_idle,
     coolest_first_decide,
+    edf_decide,
     format_rational,
     gen_from_3partition,
     gen_from_n3dm,
@@ -60,6 +61,7 @@ GOLDEN_DOCUMENTS = {
     "schedule": lambda *_: serialize_schedule(Schedule((1, None, 3, 2, 4, None))),
     "trace": lambda inst, *_: serialize_trace(simulate(inst, Schedule((1, 2, 3, None, 4, None)))),
     "run": lambda inst, *_: serialize_run(run_online(inst, coolest_first_decide)),
+    "run_edf": lambda inst, *_: serialize_run(run_online(inst, edf_decide)),
     "transcript": lambda *_: serialize_transcript(run_lower_bound_game(always_idle)),
     "report": lambda *_: serialize_report(
         ratio_experiment(RandomModel(n=2, seed=4), ("coolest", "idle"), 2)
@@ -106,6 +108,13 @@ class TestRationals:
     def test_parse_rejects_zero_denominator(self):
         with pytest.raises(ParseError, match="zero denominator"):
             parse_rational("1/0")
+
+    @pytest.mark.parametrize("bad", ["١/٢", "٣", "1/٢", "٣.5", "1_0/3", "1.2_5"])
+    def test_parse_accepts_ascii_digits_only(self, bad):
+        """Other scripts' digits and digit-group underscores are not rationals,
+        though int() would read them ("١/٢" as 1/2, "٣" as 3)."""
+        with pytest.raises(ParseError, match=re.escape(repr(bad))):
+            parse_rational(bad, where="heat")
 
     def test_parse_rejects_non_strings(self):
         with pytest.raises(ParseError, match="rational string"):
@@ -385,6 +394,17 @@ class TestSourceFiles:
     def test_three_partition_bad_token_line(self):
         with pytest.raises(ParseError, match="line 2: 'x'"):
             parse_three_partition_source("3 3\nx 3")
+
+    @pytest.mark.parametrize("token", ["4_4", "٤", "4٤"])
+    def test_three_partition_takes_ascii_digits_only(self, token):
+        """int() would read "4_4" as 44 and "٤" as 4."""
+        with pytest.raises(ParseError, match=re.escape(f"line 1: {token!r} is not an integer")):
+            parse_three_partition_source(f"{token} 4 4 4 4 6\n")
+
+    @pytest.mark.parametrize("token", ["1_2", "١٢"])
+    def test_n3dm_takes_ascii_digits_only(self, token):
+        with pytest.raises(ParseError, match=re.escape(f"line 2: {token!r} is not an integer")):
+            parse_n3dm_source(f"12\n0 8 8 0 4 {token}\n")
 
     def test_three_partition_empty(self):
         with pytest.raises(ParseError, match="no values"):
