@@ -186,8 +186,8 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
 
     Checked per job: integer id, release and deadline (a bool is not
     an integer), non-negative id, non-negative release, a non-empty
-    execution window (release < deadline), and non-negative heat. Job
-    ids must be unique across the instance, and the configuration needs
+    execution window (release < deadline), and non-negative heat. Integer
+    job ids must be unique across the instance, and the configuration needs
     threshold > 0 and cooling factor > 1.
     """
     issues: list[ValidationIssue] = []
@@ -207,11 +207,15 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
             issues.append(
                 ValidationIssue(job.id, field, f"job {job.id}: {field} must be an integer")
             )
-        if "id" not in non_integer and job.id < 0:
-            issues.append(ValidationIssue(job.id, "id", f"job {job.id}: id must be non-negative"))
-        if job.id in seen:
-            issues.append(ValidationIssue(job.id, "id", f"job {job.id}: duplicate id"))
-        seen.add(job.id)
+        # An id that is not an integer may be unhashable, so only integers meet `seen`.
+        if "id" not in non_integer:
+            if job.id < 0:
+                issues.append(
+                    ValidationIssue(job.id, "id", f"job {job.id}: id must be non-negative")
+                )
+            if job.id in seen:
+                issues.append(ValidationIssue(job.id, "id", f"job {job.id}: duplicate id"))
+            seen.add(job.id)
         if "release" not in non_integer and job.release < 0:
             issues.append(
                 ValidationIssue(job.id, "release", f"job {job.id}: release must be non-negative")
@@ -296,10 +300,12 @@ class ScaledKernel:
         lcm = math.lcm(cfg.threshold.denominator, *(j.heat.denominator for j in instance.jobs))
         R = cfg.cooling_factor
         scale = lcm * R.numerator**instance.horizon
-        return cls(scale, R.numerator, R.denominator, int(cfg.threshold * scale))
+        T = cfg.threshold
+        return cls(scale, R.numerator, R.denominator, T.numerator * (scale // T.denominator))
 
     def heat(self, heat: Fraction) -> int:
-        return int(heat * self.scale)
+        # The denominator divides the scale, so this is exact without a Fraction product.
+        return heat.numerator * (self.scale // heat.denominator)
 
 
 def is_admissible(

@@ -66,6 +66,11 @@ from .solver import OptResult
 _FRACTION_RE = re.compile(r"[+-]?[0-9]+/[0-9]+\Z")
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?\Z")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
+# ASCII blanks only: str.strip() and str.split() would also drop a no-break
+# space (U+00A0) or an em space, which the formats do not allow.
+_BLANKS = " \t\n\r\f\v"
+_TOKEN_RE = re.compile(f"[^{_BLANKS}]+")
+_LINE_BREAK_RE = re.compile(r"\r\n?|\n")
 
 
 class ParseError(ValueError):
@@ -81,7 +86,7 @@ def parse_rational(text: Any, where: str = "value") -> Fraction:
     """Exact rational from "p/q" or a finite decimal string."""
     if not isinstance(text, str):
         raise ParseError(f"{where}: expected a rational string, got {text!r}")
-    token = text.strip()
+    token = text.strip(_BLANKS)
     if _FRACTION_RE.fullmatch(token):
         numerator, denominator = map(int, token.split("/"))
         if denominator == 0:
@@ -405,9 +410,9 @@ def parse_reduction_meta(text: str, instance: Instance) -> ReductionMeta:
 
 def _int_tokens(text: str, what: str) -> list[int]:
     tokens: list[int] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_LINE_BREAK_RE.split(text), start=1):
         body = line.split("#", 1)[0]
-        for token in body.split():
+        for token in _TOKEN_RE.findall(body):
             if not _INTEGER_RE.fullmatch(token):
                 raise ParseError(f"{what} line {lineno}: {token!r} is not an integer")
             tokens.append(int(token))
@@ -415,7 +420,7 @@ def _int_tokens(text: str, what: str) -> list[int]:
 
 
 def parse_three_partition_source(text: str) -> ThreePartitionInstance:
-    """3-Partition source file: 3n whitespace-separated positive integers.
+    """3-Partition source file: 3n positive integers separated by ASCII blanks.
 
     '#' starts a comment. beta is derived as sum/n.
     """

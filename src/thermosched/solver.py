@@ -5,10 +5,22 @@ each slot it tries every admissible pending job and then idling, keeps
 the best complete schedule found, and prunes with
 
   * an upper bound: completions so far plus the smaller of the jobs
-    still alive and the slots left. A node computes the bound of each
-    child and pushes only the children whose bound beats the
-    incumbent; a pushed node carries its bound and is checked again
-    when it is popped, since the incumbent may have improved, and
+    still alive, in reach and not done, and the slots left. A node
+    computes the bound of each child and pushes only the children whose
+    bound beats the incumbent; a pushed node carries its bound and is
+    checked again when it is popped, since the incumbent may have
+    improved,
+  * reach: a job that even the coolest continuation cannot admit is
+    left out of that bound. Idling is the coolest continuation, since
+    heats are non-negative and the step is monotone in the temperature,
+    and a job with deadline d can run at the latest in slot d - 1. In
+    scaled integers (below), k idle slots take S to exactly S·q^k/p^k,
+    and (S + h)·q <= T·L·p iff S + h <= top = T·L·p // q, so the job is
+    out of reach from S at slot t iff S > (top - h)·p^k // q^k with
+    k = d - 1 - t. Both equivalences are exact on integers. A node
+    looks up the cuts once, for its idle child's temperature: every
+    child is at least as hot, so a job out of the idle child's reach is
+    out of every child's, and
   * state dominance: two search states at the same slot with the same
     set of completed still-alive jobs are comparable, and the one with
     at least as many completions and a temperature at most as high can
@@ -32,12 +44,13 @@ and are dropped before the search.
 The search runs on integers: model.ScaledKernel scales every
 temperature, heat and the threshold by L = D·p^H (R = p/q, D the lcm
 of the heat and threshold denominators, H the horizon), so each step
-is an exact integer division and the memo, the Pareto fronts and the
-threshold test compare integers; Fraction is used only to build the
-scaled integers. The search loop steps inline and tests admissibility
-before it divides. The search keeps its own stack instead of
-recursing, so a long horizon does not hit Python's recursion limit; it
-visits nodes in the same pre-order as the recursion would.
+is an exact integer division and the memo, the Pareto fronts, the
+reach cuts and the threshold test compare integers; no Fraction
+arithmetic runs, not even to build the scaled integers. The search
+loop steps inline and tests admissibility before it divides. The
+search keeps its own stack instead of recursing, so a long horizon
+does not hit Python's recursion limit; it visits nodes in the same
+pre-order as the recursion would.
 
 enumerate_optimal_bruteforce() is the deliberately dumb cross-check:
 plain recursion over every violation-free schedule with no memoization
@@ -47,9 +60,11 @@ is independent of the scaled kernel it checks.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 from typing import Optional
 
 from .model import Instance, ScaledKernel, Schedule, require_valid, step_temperature
@@ -95,34 +110,55 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     kernel = ScaledKernel.for_instance(instance)
     p, q = kernel.p, kernel.q
     hot = kernel.threshold * p
+    # (s + h)·q <= hot iff s + h <= top, since both sides are integers.
+    top = hot // q
     heats = [kernel.heat(job.heat) for job in jobs]
     # Branch earliest-deadline-first and, among equal deadlines, hottest
     # first: hot jobs fit only while the processor is cool, so good
     # incumbents come early and prune more. A job with h > R·T fails the
     # loop's admissibility test even from temperature 0 and is left out.
     order = sorted(
-        (i for i in range(len(jobs)) if heats[i] * q <= hot),
-        key=lambda i: (jobs[i].deadline, -jobs[i].heat, jobs[i].id),
+        (i for i in range(len(jobs)) if heats[i] <= top),
+        key=lambda i: (jobs[i].deadline, -heats[i], jobs[i].id),
     )
     # Twins (same release, deadline and heat) are interchangeable, so they
     # run only in branching order: need[i] is the bit of i's previous twin.
     need, last = {}, {}
     for i in order:
-        twin = (jobs[i].release, jobs[i].deadline, jobs[i].heat)
+        twin = (jobs[i].release, jobs[i].deadline, heats[i])
         need[i], last[twin] = last.get(twin, 0), 1 << i
     # pending[t]: (bit, need, scaled heat, id, still alive at t + 1) of each
     # job pending at slot t, in reverse branching order, because children
     # are pushed on a stack.
-    pending = [
-        [
-            (1 << i, need[i], heats[i], jobs[i].id, jobs[i].deadline > t + 1)
-            for i in reversed(order)
-            if jobs[i].pending_at(t)
-        ]
-        for t in range(horizon)
-    ]
-    alive = [sum(1 << i for i in order if jobs[i].deadline > t) for t in range(horizon + 1)]
-    cap = math.inf if budget is None else budget
+    pending: list[list[tuple[int, int, int, int, bool]]] = [[] for _ in range(horizon)]
+    # A job alive at slot t (deadline d > t) is out of reach from s at t
+    # iff s > cut = (top - h)·p^k // q^k with k = d - 1 - t (see "reach" above).
+    cuts_at: list[list[tuple[int, int]]] = [[] for _ in range(horizon + 1)]
+    p_pow, q_pow = [1], [1]
+    for _ in range(horizon):
+        p_pow.append(p_pow[-1] * p)
+        q_pow.append(q_pow[-1] * q)
+    for i in reversed(order):
+        job = jobs[i]
+        bit, final = 1 << i, job.deadline - 1
+        row = (bit, need[i], heats[i], job.id)
+        for t in range(job.release, job.deadline):
+            pending[t].append((*row, t < final))
+        room = top - heats[i]
+        for t in range(job.deadline):
+            cuts_at[t].append((room * p_pow[final - t] // q_pow[final - t], bit))
+    # reach[t] = (the ascending cuts of the jobs alive at t, masks), where
+    # masks[n] holds the bits of the jobs from position n on: masks[0] is
+    # every job alive at t, masks[bisect_left(cuts, s)] those in reach from s.
+    reach: list[tuple[list[int], list[int]]] = []
+    for entries in cuts_at:
+        entries.sort()
+        masks = [*accumulate([bit for _, bit in reversed(entries)], or_, initial=0)]
+        masks.reverse()
+        reach.append(([cut for cut, _ in entries], masks))
+    alive = [masks[0] for _, masks in reach]
+    # The search stops when explored reaches stop; explored is at least 1 there.
+    stop = 0 if budget is None else budget + 1
     best = 0
     best_slots: list[Optional[int]] = [None] * horizon
     # path[t + 1] is the entry of slot t on the way to the node being visited.
@@ -133,15 +169,15 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     proven = True
     # Depth-first in pre-order: a node is (time, scaled temperature, done-mask,
     # count, entry of slot time - 1, bound); its job children pop before its
-    # idle child. bound = count + min(jobs alive and not done at time, slots
-    # left) caps the completions of every schedule through the node.
+    # idle child. bound = count + min(jobs alive, reachable and not done at
+    # time, slots left) caps the completions of every schedule through the node.
     stack: list[tuple[int, int, int, int, Optional[int], int]] = [
-        (0, 0, 0, 0, None, min(alive[0].bit_count(), horizon))
+        (0, 0, 0, 0, None, min(len(order), horizon))
     ]
     while stack:
         time, s, done, count, entry, bound = stack.pop()
         explored += 1
-        if explored > cap:
+        if explored == stop:
             proven = False
             break
         # Every node was pushed with bound > best, but best may have risen since.
@@ -168,21 +204,27 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
                 continue
             pareto[:] = [(c, t) for c, t in pareto if not (count >= c and s <= t)]
             pareto.append((count, s))
-        # A child that cannot beat the incumbent is never pushed. At the child,
-        # rem jobs are alive and not done and left slots remain, so the idle
-        # child's bound is count + min(rem, left). A job child completes one
-        # more; if its job stays alive, one fewer is left to do:
+        # A child that cannot beat the incumbent is never pushed. Heats are
+        # non-negative, so every child is at least as hot as the idle child
+        # and reaches no job that the idle child cannot reach. At the child,
+        # rem jobs in the idle child's reach are not done and left slots
+        # remain, so the idle child's bound is count + min(rem, left). A job
+        # child completes one more; if its job stays alive, that job is among
+        # the rem (it fits from s now, and idling on from the idle child only
+        # cools below s), so one fewer is left:
         # count + 1 + min(rem - 1, left) = count + min(rem, left + 1);
         # if it expires, count + 1 + min(rem, left).
         child = time + 1
-        rem = (alive[child] & ~done).bit_count()
+        cool = s * q // p
+        cuts, masks = reach[child]
+        rem = (masks[bisect_left(cuts, cool)] & ~done).bit_count()
         left = horizon - child
-        idle_bound = count + min(rem, left)
+        idle_bound = count + (rem if rem < left else left)
         if idle_bound > best:
-            stack.append((child, s * q // p, done, count, None, idle_bound))
+            stack.append((child, cool, done, count, None, idle_bound))
         # No job child's bound exceeds idle_bound + 1, so skip the scan when that cannot win.
-        if idle_bound + 1 > best:
-            stays_bound = count + min(rem, left + 1)
+        if idle_bound >= best:
+            stays_bound = count + (rem if rem <= left else left + 1)
             for bit, prev, heat, job_id, stays in pending[time]:
                 if not done & bit and done & prev == prev:
                     bound = stays_bound if stays else idle_bound + 1

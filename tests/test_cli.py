@@ -241,6 +241,13 @@ class TestReduce:
         assert main(["reduce", "3part", str(source)]) == 2
         assert f"line 1: {token!r} is not an integer" in capsys.readouterr().err
 
+    def test_non_ascii_blank_exits_two(self, tmp_path, capsys):
+        """A no-break space does not separate tokens, so "4\u00a04" is one bad token."""
+        source = tmp_path / "source.txt"
+        source.write_text("4\u00a04 4 4 4 6\n", encoding="utf-8")
+        assert main(["reduce", "3part", str(source)]) == 2
+        assert "line 1: '4\\xa04' is not an integer" in capsys.readouterr().err
+
 
 class TestAdversary:
     def test_builtin_policy_transcript(self, capsys):

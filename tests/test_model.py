@@ -122,6 +122,12 @@ class TestValidateInstance:
         assert [i.field for i in issues] == ["deadline"]
         assert issues[0].job_id == 1
 
+    def test_non_integer_ids_are_not_checked_for_duplicates(self):
+        instance = Instance(jobs=(Job([1], 0, 1, Fraction(1)), Job([1], 0, 1, Fraction(1))))
+        assert [i.message for i in validate_instance(instance)] == [
+            "job [1]: id must be an integer"
+        ] * 2
+
     def test_duplicate_ids(self):
         instance = Instance(
             jobs=(Job(1, 0, 2, Fraction(1)), Job(1, 1, 3, Fraction(1)))
@@ -151,6 +157,7 @@ class TestValidateInstance:
             (Job(1, "0", 2, "1/2"), "release"),
             (Job(1, 0, None, "1/2"), "deadline"),
             (Job(_Ids.ONE, 0, 1, "1/2"), "id"),
+            (Job([1], 0, 1, "1/2"), "id"),
         ],
     )
     def test_non_integer_fields(self, job, field):
@@ -163,6 +170,8 @@ class TestValidateInstance:
 # Two jobs share id 1: the solver used to count both (OPT 2, witness [1, 1])
 # while run_online counted one.
 DUPLICATE_ID = Instance(jobs=(Job(1, 0, 2, Fraction(1, 2)), Job(1, 0, 2, Fraction(1, 2))))
+# An unhashable id: the duplicate-id check used to raise TypeError on it.
+LIST_ID = Instance(jobs=(Job([1], 0, 1, Fraction(1)),))
 # An int subclass is not an exact int: the solver used to fail in Schedule
 # with a TypeError and run_online to blame the policy for choosing it.
 ENUM_ID = Instance(jobs=(Job(_Ids.ONE, 0, 1, Fraction(1, 2)),))
@@ -201,6 +210,20 @@ class TestRequireValid:
     def test_entry_points_reject_an_int_subclass_id(self, entry):
         with pytest.raises(InvalidInstanceError, match="^job 1: id must be an integer$"):
             entry(ENUM_ID)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            require_valid,
+            solve_optimal,
+            enumerate_optimal_bruteforce,
+            lambda instance: run_online(instance, coolest_first_decide),
+        ],
+        ids=["require_valid", "solve_optimal", "enumerate_optimal_bruteforce", "run_online"],
+    )
+    def test_entry_points_reject_an_unhashable_id(self, entry):
+        with pytest.raises(InvalidInstanceError, match=r"^job \[1\]: id must be an integer$"):
+            entry(LIST_ID)
 
 
 class TestSchedule:

@@ -90,6 +90,7 @@ class TestRationals:
     def test_parse_fraction_forms(self):
         assert parse_rational("7/4") == Fraction(7, 4)
         assert parse_rational(" 7/4 ") == Fraction(7, 4)
+        assert parse_rational("\t7/4\r\n") == Fraction(7, 4)
         assert parse_rational("+2/6") == Fraction(1, 3)
         assert parse_rational("-3/2") == Fraction(-3, 2)
 
@@ -113,6 +114,13 @@ class TestRationals:
     def test_parse_accepts_ascii_digits_only(self, bad):
         """Other scripts' digits and digit-group underscores are not rationals,
         though int() would read them ("١/٢" as 1/2, "٣" as 3)."""
+        with pytest.raises(ParseError, match=re.escape(repr(bad))):
+            parse_rational(bad, where="heat")
+
+    @pytest.mark.parametrize("bad", ["\u00a07/4", "7/4\u2003", "\u30007/4"])
+    def test_parse_strips_ascii_blanks_only(self, bad):
+        """str.strip() would drop a no-break space, an em space or an
+        ideographic space and read 7/4."""
         with pytest.raises(ParseError, match=re.escape(repr(bad))):
             parse_rational(bad, where="heat")
 
@@ -394,6 +402,8 @@ class TestSourceFiles:
     def test_three_partition_bad_token_line(self):
         with pytest.raises(ParseError, match="line 2: 'x'"):
             parse_three_partition_source("3 3\nx 3")
+        with pytest.raises(ParseError, match="line 3: 'x'"):
+            parse_three_partition_source("3 3\r3\r\nx 3")
 
     @pytest.mark.parametrize("token", ["4_4", "٤", "4٤"])
     def test_three_partition_takes_ascii_digits_only(self, token):
@@ -405,6 +415,12 @@ class TestSourceFiles:
     def test_n3dm_takes_ascii_digits_only(self, token):
         with pytest.raises(ParseError, match=re.escape(f"line 2: {token!r} is not an integer")):
             parse_n3dm_source(f"12\n0 8 8 0 4 {token}\n")
+
+    @pytest.mark.parametrize("text, token", [("1\u00a02 3", "1\u00a02"), ("4 4\u2003", "4\u2003")])
+    def test_tokens_split_on_ascii_blanks_only(self, text, token):
+        """str.split() would read "1\u00a02 3" as the three tokens 1, 2, 3."""
+        with pytest.raises(ParseError, match=re.escape(f"line 1: {token!r} is not an integer")):
+            parse_three_partition_source(text)
 
     def test_three_partition_empty(self):
         with pytest.raises(ParseError, match="no values"):
@@ -421,6 +437,9 @@ class TestSourceFiles:
 
     def test_n3dm_ignores_line_breaks(self):
         assert parse_n3dm_source("12 0 8 8 0 4 4") == parse_n3dm_source(
+            "12\n0 8\n8 0\n4 4\n"
+        )
+        assert parse_n3dm_source("12\t0 8\r\n8\v0\f4 4\n") == parse_n3dm_source(
             "12\n0 8\n8 0\n4 4\n"
         )
 

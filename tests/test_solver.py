@@ -1,6 +1,7 @@
 """Exact optimizer vs the independent brute-force enumerator."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from thermosched import (
     enumerate_optimal_bruteforce,
     gen_from_3partition,
     gen_from_n3dm,
+    parse_instance,
     random_instance,
     simulate,
     solve_optimal,
@@ -107,13 +109,13 @@ class TestNodeCounts:
             ThreePartitionInstance.from_values((4, 4, 4, 4, 4, 6))
         )
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (7, 236)
+        assert (result.best_throughput, result.explored) == (7, 234)
         assert result.proven_optimal
 
     def test_n3dm_no_instance(self):
         instance, _ = gen_from_n3dm(N3DMInstance(a=(2, 0), b=(2, 0), c=(2, 0), beta=3))
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (8, 916)
+        assert (result.best_throughput, result.explored) == (8, 332)
         assert result.proven_optimal
 
     def test_n3dm_n4_no_instance(self):
@@ -121,14 +123,36 @@ class TestNodeCounts:
             N3DMInstance(a=(2, 0, 2, 0), b=(2, 0, 2, 0), c=(2, 0, 2, 0), beta=3)
         )
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (16, 32367)
+        assert (result.best_throughput, result.explored) == (16, 14775)
         assert result.proven_optimal
 
     def test_random_instance(self):
         model = RandomModel(n=16, release_span=16, max_window=10, seed=18)
         result = solve_optimal(random_instance(model))
-        assert (result.best_throughput, result.explored) == (14, 1897)
+        assert (result.best_throughput, result.explored) == (14, 89)
         assert result.proven_optimal
+
+
+TIGHT_CUT = Path(__file__).parent / "data" / "tight_cut.json"
+
+
+class TestReachCut:
+    """T = 5/3, R = 3/2. Job 1 (heat 9/4) runs at slot 0 and leaves 3/2.
+    Job 2 (heat 11/6, window [1, 4)) fits only at slot 3, after exactly two
+    idle slots cool 3/2 to 2/3: (2/3 + 11/6)/(3/2) = 5/3 = T. So the idle
+    temperatures 1 at slot 2 and 2/3 at slot 3 sit exactly on job 2's cuts
+    (k = 1 and k = 0), and the job must stay in the bound there."""
+
+    def test_job_on_its_cut_stays_in_reach(self):
+        instance = parse_instance(TIGHT_CUT.read_text())
+        result = solve_optimal(instance)
+        assert result.best_throughput == enumerate_optimal_bruteforce(instance) == 3
+        assert result.witness.slots == (1, None, None, 2, 3)
+        trace = simulate(instance, result.witness)
+        assert trace.temperatures[4] == instance.config.threshold
+        # A looser cut (one idle slot too many, or the threshold not divided
+        # by q) keeps the node that this one prunes: 11 nodes, as count alone.
+        assert (result.explored, result.proven_optimal) == (10, True)
 
 
 class TestBruteForce:
