@@ -15,7 +15,6 @@ from .adversary import (
     random_instance,
     ratio_experiment,
     run_lower_bound_game,
-    scripted_policy,
 )
 from .gantt import render_gantt
 from .model import (
@@ -48,6 +47,7 @@ from .policies import (
     strictly_dominates,
 )
 from .reductions import (
+    InstanceTooLargeError,
     InvalidCertificateError,
     InvalidSourceError,
     MatchingCertificate,
@@ -78,11 +78,6 @@ from .serialization import (
     serialize_schedule,
     serialize_trace,
 )
-from .solver import (
-    InstanceTooLargeError,
-    OptResult,
-    enumerate_optimal_bruteforce,
-    solve_optimal,
-)
+from .solver import OptResult, solve_optimal
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from .model import (
     Job,
     Schedule,
     SimulationTrace,
-    is_admissible,
     simulate,
 )
 from .policies import POLICIES, OnlineRun, Policy, run_online
@@ -96,27 +95,6 @@ def run_lower_bound_game(policy: Policy) -> AdversaryTranscript:
         instance = Instance(jobs=(_JOB_1, _JOB_3))
         adversary_schedule = Schedule((_JOB_1.id, None, _JOB_3.id))
     return AdversaryTranscript(branch, instance, run_online(instance, policy), adversary_schedule)
-
-
-def scripted_policy(intents: Sequence[Optional[int]]) -> Policy:
-    """Policy that tries a fixed job id per slot, idling when it cannot.
-
-    intents[t] is attempted at slot t; attempts at jobs that are not
-    pending or not admissible fall back to idle, as do slots past the
-    end of the script. Enumerating scripts enumerates every decision
-    behavior reachable on a short horizon.
-    """
-    script = tuple(intents)
-
-    def decide(time, temperature, pending, config):
-        if time >= len(script) or script[time] is None:
-            return None
-        for job in pending:
-            if job.id == script[time] and is_admissible(temperature, job, config):
-                return job.id
-        return None
-
-    return decide
 
 
 def _require_int(name: str, value: object) -> None:

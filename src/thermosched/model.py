@@ -272,40 +272,38 @@ def step_temperature(
 
 @dataclass(frozen=True)
 class ScaledKernel:
-    """step_temperature on integers, exact for the slots of one instance.
+    """step_temperature on integers that an idle slot leaves unchanged.
 
     Write R = p/q in lowest terms, let D be the lcm of the denominators
-    of T and of every heat, and let H be the horizon. With the scale
-    L = D·p^H a temperature tau is held as the integer S = tau·L, and a
-    heat h and the threshold T as h·L and T·L, which are integers
-    because D clears their denominators.
+    of T and of every heat, let H be the horizon and w[t] = p^t·q^(H-t).
+    At slot boundary t a temperature tau is held as the integer
+    V = tau·D·w[t]; a heat h and the threshold T are held as h·D and
+    T·D, integers because D clears their denominators.
 
-    One slot maps S to (S + h·L)·q // p, and the division leaves no
-    remainder while the slot ends at t <= H. From 0, the temperature
-    after t slots is the sum of h_i·(q/p)^(t-i) over the slots i < t,
-    so S_t is the sum of (h_i·D)·q^(t-i)·p^(H-t+i): an integer.
-    The scale is positive, so S <= T·L iff tau <= T, and a job is
-    admissible iff its scaled step is at most the scaled threshold,
-    i.e. (S + h·L)·q <= T·L·p.
+    An idle slot takes tau to tau·q/p and w[t] to w[t+1] = w[t]·p/q, so
+    V stays as it is. A job of heat h at slot t takes V to V + h·D·w[t],
+    so from 0 every V is a sum of integers and no step divides. w[t+1]
+    is positive, so the job is admissible iff V + h·D·w[t] <= T·D·w[t+1].
+    At one slot V is a positive multiple of tau, so comparing V's there
+    compares temperatures.
     """
 
-    scale: int
-    p: int
-    q: int
+    lcm: int
     threshold: int
+    weights: tuple[int, ...]
 
     @classmethod
     def for_instance(cls, instance: Instance) -> ScaledKernel:
         cfg = instance.config
-        lcm = math.lcm(cfg.threshold.denominator, *(j.heat.denominator for j in instance.jobs))
-        R = cfg.cooling_factor
-        scale = lcm * R.numerator**instance.horizon
-        T = cfg.threshold
-        return cls(scale, R.numerator, R.denominator, T.numerator * (scale // T.denominator))
+        T, R, horizon = cfg.threshold, cfg.cooling_factor, instance.horizon
+        lcm = math.lcm(T.denominator, *(j.heat.denominator for j in instance.jobs))
+        p, q = R.numerator, R.denominator
+        weights = tuple(p**t * q ** (horizon - t) for t in range(horizon + 1))
+        return cls(lcm, T.numerator * (lcm // T.denominator), weights)
 
     def heat(self, heat: Fraction) -> int:
-        # The denominator divides the scale, so this is exact without a Fraction product.
-        return heat.numerator * (self.scale // heat.denominator)
+        # The denominator divides D, so this is exact without a Fraction product.
+        return heat.numerator * (self.lcm // heat.denominator)
 
 
 def is_admissible(

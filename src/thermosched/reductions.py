@@ -42,7 +42,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import Instance, Job, Schedule, simulate
-from .solver import InstanceTooLargeError
 
 BRUTE_3PARTITION_MAX_VALUES = 12
 BRUTE_N3DM_MAX_N = 6
@@ -55,6 +54,10 @@ ROLE_A = "a"
 ROLE_B = "b"
 ROLE_C = "c"
 ROLE_GADGET = "gadget"
+
+
+class InstanceTooLargeError(ValueError):
+    """Input exceeds a brute-force guard."""
 
 
 class InvalidSourceError(ValueError):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Optional, Sequence
@@ -77,23 +78,40 @@ class ParseError(ValueError):
     """Input text does not conform to a canonical format."""
 
 
+# Python refuses int <-> str conversions past sys.get_int_max_str_digits()
+# (4,300 digits by default) with ValueError. A rational gets that long (a
+# temperature after thousands of slots), so format_rational and
+# parse_rational fall back on that error to Decimal, which converts exactly
+# with no such limit; the common path stays a plain str() or int(). An
+# integer that long (a JSON number, a source token) is refused with ParseError.
+
+
 def format_rational(value: Fraction) -> str:
-    """Lowest-terms "p/q" form, denominator always spelled out."""
-    return f"{value.numerator}/{value.denominator}"
+    """Lowest-terms "p/q" form, denominator always spelled out, at any length."""
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def parse_rational(text: Any, where: str = "value") -> Fraction:
-    """Exact rational from "p/q" or a finite decimal string."""
+    """Exact rational from "p/q" or a finite decimal string, at any length."""
     if not isinstance(text, str):
         raise ParseError(f"{where}: expected a rational string, got {text!r}")
     token = text.strip(_BLANKS)
     if _FRACTION_RE.fullmatch(token):
-        numerator, denominator = map(int, token.split("/"))
+        try:
+            numerator, denominator = map(int, token.split("/"))
+        except ValueError:
+            numerator, denominator = (int(Decimal(part)) for part in token.split("/"))
         if denominator == 0:
             raise ParseError(f"{where}: zero denominator in {token!r}")
         return Fraction(numerator, denominator)
     if _DECIMAL_RE.fullmatch(token):
-        return Fraction(token)
+        try:
+            return Fraction(token)
+        except ValueError:
+            return Fraction(Decimal(token))
     raise ParseError(f"{where}: {token!r} is not 'p/q' or a finite decimal")
 
 
@@ -102,6 +120,11 @@ def _loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("arrays or objects are nested too deep") from None
+    except ValueError:
+        # The one other ValueError: an integer past the digit limit above.
+        raise ParseError("an integer has too many digits") from None
 
 
 def _dumps(document: Any) -> str:
@@ -415,7 +438,10 @@ def _int_tokens(text: str, what: str) -> list[int]:
         for token in _TOKEN_RE.findall(body):
             if not _INTEGER_RE.fullmatch(token):
                 raise ParseError(f"{what} line {lineno}: {token!r} is not an integer")
-            tokens.append(int(token))
+            try:
+                tokens.append(int(token))
+            except ValueError:
+                raise ParseError(f"{what} line {lineno}: an integer has too many digits") from None
     return tokens
 
 

@@ -1,4 +1,4 @@
-"""Exact maximum-throughput solvers.
+"""Exact maximum-throughput solver.
 
 solve_optimal() is a depth-first branch-and-bound over the slots: at
 each slot it tries every admissible pending job and then idling, keeps
@@ -13,14 +13,13 @@ the best complete schedule found, and prunes with
   * reach: a job that even the coolest continuation cannot admit is
     left out of that bound. Idling is the coolest continuation, since
     heats are non-negative and the step is monotone in the temperature,
-    and a job with deadline d can run at the latest in slot d - 1. In
-    scaled integers (below), k idle slots take S to exactly S·q^k/p^k,
-    and (S + h)·q <= T·L·p iff S + h <= top = T·L·p // q, so the job is
-    out of reach from S at slot t iff S > (top - h)·p^k // q^k with
-    k = d - 1 - t. Both equivalences are exact on integers. A node
-    looks up the cuts once, for its idle child's temperature: every
-    child is at least as hot, so a job out of the idle child's reach is
-    out of every child's, and
+    and a job with deadline d can run at the latest in slot f = d - 1.
+    In the scaled integers of model.ScaledKernel (below) idling leaves
+    V unchanged, so the job is in reach from V at any slot up to f iff
+    V + h·D·w[f] <= T·D·w[f+1], i.e. V <= c_j = T·D·w[f+1] - h·D·w[f]:
+    one exact integer per job. A node looks up the cuts once, for its
+    idle child's temperature: every child is at least as hot, so a job
+    out of the idle child's reach is out of every child's, and
   * state dominance: two search states at the same slot with the same
     set of completed still-alive jobs are comparable, and the one with
     at least as many completions and a temperature at most as high can
@@ -41,36 +40,27 @@ stays sound because states with the same done-mask face the same twin
 order and twins expire together. Jobs hotter than R·T can never run
 and are dropped before the search.
 
-The search runs on integers: model.ScaledKernel scales every
-temperature, heat and the threshold by L = D·p^H (R = p/q, D the lcm
-of the heat and threshold denominators, H the horizon), so each step
-is an exact integer division and the memo, the Pareto fronts, the
-reach cuts and the threshold test compare integers; no Fraction
-arithmetic runs, not even to build the scaled integers. The search
-loop steps inline and tests admissibility before it divides. The
-search keeps its own stack instead of recursing, so a long horizon
-does not hit Python's recursion limit; it visits nodes in the same
-pre-order as the recursion would.
-
-enumerate_optimal_bruteforce() is the deliberately dumb cross-check:
-plain recursion over every violation-free schedule with no memoization
-and no bounds. It stays on Fraction and model.step_temperature, so it
-is independent of the scaled kernel it checks.
+The search runs on integers: model.ScaledKernel holds the temperature
+at slot boundary t as V = tau·D·w[t] (R = p/q, D the lcm of the heat
+and threshold denominators, w[t] = p^t·q^(H-t), H the horizon). An
+idle slot leaves V unchanged and a job adds h·D·w[t], so no step
+divides, and the memo, the Pareto fronts, the reach cuts and the
+threshold test compare integers; no Fraction arithmetic runs, not even
+to build the scaled integers. The search loop steps inline and tests
+admissibility on the sum. The search keeps its own stack instead of
+recursing, so a long horizon does not hit Python's recursion limit; it
+visits nodes in the same pre-order as the recursion would.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from operator import or_
 from typing import Optional
 
-from .model import Instance, ScaledKernel, Schedule, require_valid, step_temperature
-
-BRUTE_FORCE_MAX_JOBS = 10
-BRUTE_FORCE_MAX_HORIZON = 16
+from .model import Instance, ScaledKernel, Schedule, require_valid
 
 
 @dataclass(frozen=True)
@@ -90,10 +80,6 @@ class OptResult:
     proven_optimal: bool
 
 
-class InstanceTooLargeError(ValueError):
-    """Input exceeds a brute-force guard."""
-
-
 def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult:
     """Exact maximum throughput and a witness schedule.
 
@@ -108,17 +94,19 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     jobs = instance.jobs
     horizon = instance.horizon
     kernel = ScaledKernel.for_instance(instance)
-    p, q = kernel.p, kernel.q
-    hot = kernel.threshold * p
-    # (s + h)·q <= hot iff s + h <= top, since both sides are integers.
-    top = hot // q
+    weights = kernel.weights
+    # limit[t] = T·D·w[t]: a temperature at slot boundary t fits iff V <= limit[t].
+    limit = [kernel.threshold * w for w in weights]
     heats = [kernel.heat(job.heat) for job in jobs]
+    # cut[i] = c_j = T·D·w[f+1] - h·D·w[f] with f = d - 1 (see "reach" above).
+    # Every V is at least 0, so a job with c_j < 0, i.e. h > R·T, never
+    # runs and is left out.
+    cut = [limit[j.deadline] - h * weights[j.deadline - 1] for j, h in zip(jobs, heats)]
     # Branch earliest-deadline-first and, among equal deadlines, hottest
     # first: hot jobs fit only while the processor is cool, so good
-    # incumbents come early and prune more. A job with h > R·T fails the
-    # loop's admissibility test even from temperature 0 and is left out.
+    # incumbents come early and prune more.
     order = sorted(
-        (i for i in range(len(jobs)) if heats[i] <= top),
+        (i for i in range(len(jobs)) if cut[i] >= 0),
         key=lambda i: (jobs[i].deadline, -heats[i], jobs[i].id),
     )
     # Twins (same release, deadline and heat) are interchangeable, so they
@@ -127,47 +115,38 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     for i in order:
         twin = (jobs[i].release, jobs[i].deadline, heats[i])
         need[i], last[twin] = last.get(twin, 0), 1 << i
-    # pending[t]: (bit, need, scaled heat, id, still alive at t + 1) of each
-    # job pending at slot t, in reverse branching order, because children
-    # are pushed on a stack.
+    # pending[t]: (bit, need, h·D, id, still alive at t + 1) of each job
+    # pending at slot t, in reverse branching order, because children are
+    # pushed on a stack. ending[f]: the bits of the jobs whose last slot is f.
     pending: list[list[tuple[int, int, int, int, bool]]] = [[] for _ in range(horizon)]
-    # A job alive at slot t (deadline d > t) is out of reach from s at t
-    # iff s > cut = (top - h)·p^k // q^k with k = d - 1 - t (see "reach" above).
-    cuts_at: list[list[tuple[int, int]]] = [[] for _ in range(horizon + 1)]
-    p_pow, q_pow = [1], [1]
-    for _ in range(horizon):
-        p_pow.append(p_pow[-1] * p)
-        q_pow.append(q_pow[-1] * q)
+    ending = [0] * (horizon + 1)
     for i in reversed(order):
         job = jobs[i]
         bit, final = 1 << i, job.deadline - 1
         row = (bit, need[i], heats[i], job.id)
         for t in range(job.release, job.deadline):
             pending[t].append((*row, t < final))
-        room = top - heats[i]
-        for t in range(job.deadline):
-            cuts_at[t].append((room * p_pow[final - t] // q_pow[final - t], bit))
-    # reach[t] = (the ascending cuts of the jobs alive at t, masks), where
-    # masks[n] holds the bits of the jobs from position n on: masks[0] is
-    # every job alive at t, masks[bisect_left(cuts, s)] those in reach from s.
-    reach: list[tuple[list[int], list[int]]] = []
-    for entries in cuts_at:
-        entries.sort()
-        masks = [*accumulate([bit for _, bit in reversed(entries)], or_, initial=0)]
-        masks.reverse()
-        reach.append(([cut for cut, _ in entries], masks))
-    alive = [masks[0] for _, masks in reach]
+        ending[final] |= bit
+    # alive[t]: the jobs with a slot at t or later.
+    alive = [*accumulate(reversed(ending), or_)]
+    alive.reverse()
+    # cuts ascending and reach[n]: the bits of the jobs from position n on,
+    # so reach[bisect_left(cuts, v)] holds every job in reach from v.
+    ranked = sorted((cut[i], 1 << i) for i in order)
+    cuts = [c for c, _ in ranked]
+    reach = [*accumulate([bit for _, bit in reversed(ranked)], or_, initial=0)]
+    reach.reverse()
     # The search stops when explored reaches stop; explored is at least 1 there.
     stop = 0 if budget is None else budget + 1
     best = 0
     best_slots: list[Optional[int]] = [None] * horizon
     # path[t + 1] is the entry of slot t on the way to the node being visited.
     path: list[Optional[int]] = [None] * (horizon + 1)
-    # memo[time][unexpired done-mask] -> Pareto set of (count, scaled temperature)
+    # memo[time][unexpired done-mask] -> Pareto set of (count, V)
     memo: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(horizon)]
     explored = 0
     proven = True
-    # Depth-first in pre-order: a node is (time, scaled temperature, done-mask,
+    # Depth-first in pre-order: a node is (time, V, done-mask,
     # count, entry of slot time - 1, bound); its job children pop before its
     # idle child. bound = count + min(jobs alive, reachable and not done at
     # time, slots left) caps the completions of every schedule through the node.
@@ -210,29 +189,28 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
         # rem jobs in the idle child's reach are not done and left slots
         # remain, so the idle child's bound is count + min(rem, left). A job
         # child completes one more; if its job stays alive, that job is among
-        # the rem (it fits from s now, and idling on from the idle child only
-        # cools below s), so one fewer is left:
+        # the rem (it fits from s now, and idling only cools), so one fewer
+        # is left:
         # count + 1 + min(rem - 1, left) = count + min(rem, left + 1);
         # if it expires, count + 1 + min(rem, left).
         child = time + 1
-        cool = s * q // p
-        cuts, masks = reach[child]
-        rem = (masks[bisect_left(cuts, cool)] & ~done).bit_count()
+        rem = (reach[bisect_left(cuts, s)] & alive[child] & ~done).bit_count()
         left = horizon - child
         idle_bound = count + (rem if rem < left else left)
         if idle_bound > best:
-            stack.append((child, cool, done, count, None, idle_bound))
+            stack.append((child, s, done, count, None, idle_bound))
         # No job child's bound exceeds idle_bound + 1, so skip the scan when that cannot win.
         if idle_bound >= best:
             stays_bound = count + (rem if rem <= left else left + 1)
+            weight, cap = weights[time], limit[child]
             for bit, prev, heat, job_id, stays in pending[time]:
                 if not done & bit and done & prev == prev:
                     bound = stays_bound if stays else idle_bound + 1
                     if bound > best:
-                        # The ScaledKernel step; admissible iff (s + h)·q <= T·L·p = hot.
-                        after = (s + heat) * q
-                        if after <= hot:
-                            stack.append((child, after // p, done | bit, count + 1, job_id, bound))
+                        # The ScaledKernel step, admissible iff it stays at most T·D·w[t+1].
+                        after = s + heat * weight
+                        if after <= cap:
+                            stack.append((child, after, done | bit, count + 1, job_id, bound))
     return OptResult(
         best_throughput=best,
         witness=Schedule(tuple(best_slots)),
@@ -240,39 +218,3 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
         proven_optimal=proven,
     )
 
-
-def enumerate_optimal_bruteforce(instance: Instance) -> int:
-    """Maximum throughput by exhausting every violation-free schedule.
-
-    Recurses slot by slot over idle plus each unused, in-window,
-    admissible job; no memoization, no bounds, no dominance. Guarded to
-    at most 10 jobs and horizon 16 because the search space is raw
-    exponential.
-    """
-    require_valid(instance)
-    n = len(instance.jobs)
-    horizon = instance.horizon
-    if n > BRUTE_FORCE_MAX_JOBS or horizon > BRUTE_FORCE_MAX_HORIZON:
-        raise InstanceTooLargeError(
-            f"brute force limited to {BRUTE_FORCE_MAX_JOBS} jobs and "
-            f"horizon {BRUTE_FORCE_MAX_HORIZON} (got {n} jobs, horizon {horizon})"
-        )
-    cfg = instance.config
-    jobs = instance.jobs
-    best = 0
-
-    def recurse(time: int, tau: Fraction, used: int, count: int) -> None:
-        nonlocal best
-        if time == horizon:
-            best = max(best, count)
-            return
-        recurse(time + 1, step_temperature(tau, 0, cfg), used, count)
-        for i, job in enumerate(jobs):
-            if used & (1 << i) or not job.pending_at(time):
-                continue
-            after = step_temperature(tau, job.heat, cfg)
-            if after <= cfg.threshold:
-                recurse(time + 1, after, used | (1 << i), count + 1)
-
-    recurse(0, Fraction(0), 0, 0)
-    return best

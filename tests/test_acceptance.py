@@ -13,6 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import enumerate_optimal_bruteforce, scripted_policy
 from strategies import (
     configs,
     instance_with_arbitrary_schedule,
@@ -36,7 +37,6 @@ from thermosched import (
     check_reasonable,
     coolest_first_decide,
     edf_decide,
-    enumerate_optimal_bruteforce,
     extract_3partition,
     extract_n3dm_matching,
     gen_from_3partition,
@@ -50,7 +50,6 @@ from thermosched import (
     ratio_experiment,
     run_lower_bound_game,
     run_online,
-    scripted_policy,
     serialize_instance,
     serialize_report,
     serialize_schedule,

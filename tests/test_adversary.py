@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import scripted_policy
 from thermosched import (
     Job,
     RandomModel,
@@ -18,7 +19,6 @@ from thermosched import (
     ratio_experiment,
     run_lower_bound_game,
     run_online,
-    scripted_policy,
     solve_optimal,
 )
 from thermosched.adversary import BRANCH_EXECUTE, BRANCH_IDLE, RatioRecord, RatioReport

@@ -69,6 +69,28 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"threshold": "1/1", "jobs": []} \xe9'.encode("latin-1"))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_integer_of_5000_digits(self, tmp_path, capsys):
+        path = tmp_path / "long_int.json"
+        release = "1" * 5000
+        path.write_text(
+            '{"threshold": "1/1", "cooling_factor": "2/1", "jobs": '
+            f'[{{"id": 1, "release": {release}, "deadline": 1, "heat": "1/2"}}]}}'
+        )
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import enumerate_optimal_bruteforce
 from strategies import (
     configs,
     heats,
@@ -23,7 +24,6 @@ from thermosched import (
     Schedule,
     ThermalConfig,
     coolest_first_decide,
-    enumerate_optimal_bruteforce,
     is_admissible,
     require_valid,
     run_online,
@@ -339,20 +339,21 @@ def test_closed_form_temperature(pair):
 
 
 def _scaled_steps_match(instance, schedule):
-    """Every slot's integer step, scaled back by L, is step_temperature,
+    """Every slot's integer step, scaled back by D·w[t+1], is step_temperature,
     and its threshold test agrees with the exact one."""
     cfg = instance.config
     kernel = ScaledKernel.for_instance(instance)
+    w = kernel.weights
     jobs = instance.job_map()
     temps = simulate(instance, schedule).temperatures
     for t in range(instance.horizon):
         heat = jobs[schedule[t]].heat if schedule[t] in jobs else Fraction(0)
-        scaled = temps[t] * kernel.scale
+        scaled = temps[t] * kernel.lcm * w[t]
         assert scaled.denominator == 1
-        after = (int(scaled) + kernel.heat(heat)) * kernel.q // kernel.p
+        after = int(scaled) + kernel.heat(heat) * w[t]
         exact = step_temperature(temps[t], heat, cfg)
-        assert Fraction(after, kernel.scale) == exact
-        assert (after <= kernel.threshold) == (exact <= cfg.threshold)
+        assert Fraction(after, kernel.lcm * w[t + 1]) == exact
+        assert (after <= kernel.threshold * w[t + 1]) == (exact <= cfg.threshold)
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,7 +368,8 @@ def test_scaled_kernel_clears_every_denominator():
         jobs=(Job(1, 0, 2, Fraction(1, 3)), Job(2, 1, 4, Fraction(5, 6))), config=config
     )
     kernel = ScaledKernel.for_instance(instance)
-    assert (kernel.scale, kernel.p, kernel.q, kernel.threshold) == (6 * 7**4, 7, 3, 24010)
+    assert (kernel.lcm, kernel.threshold) == (6, 10)
+    assert kernel.weights == (3**4, 7 * 3**3, 7**2 * 3**2, 7**3 * 3, 7**4)
     _scaled_steps_match(instance, Schedule((1, 2, None, None)))
     _scaled_steps_match(instance, Schedule((None, 1, 2, None)))
 

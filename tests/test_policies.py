@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import scripted_policy
 from strategies import configs, heats, instances, mixed_heats, stepped_temperatures
 from thermosched import (
     DEFAULT_CONFIG,
@@ -19,7 +20,6 @@ from thermosched import (
     edf_decide,
     is_admissible,
     run_online,
-    scripted_policy,
     simulate,
     step_temperature,
     strictly_dominates,

@@ -128,6 +128,15 @@ class TestRationals:
         with pytest.raises(ParseError, match="rational string"):
             parse_rational(1.75, where="heat")
 
+    def test_round_trip_past_the_int_digit_limit(self):
+        """Python's int <-> str conversions stop at 4,300 digits by default;
+        a rational of any length still round-trips exactly."""
+        value = Fraction(1, (10**5000 - 1) // 9 * 7)
+        text = "1/" + "7" * 5000
+        assert parse_rational(text) == value
+        assert format_rational(value) == text
+        assert parse_rational("0." + "0" * 4999 + "1") == Fraction(1, 10**5000)
+
 
 class TestInstanceFormat:
     def test_round_trip(self, four_job_example):
@@ -243,6 +252,14 @@ class TestTraceFormat:
         text = serialize_trace(trace)
         assert parse_trace(text) == trace
         assert serialize_trace(parse_trace(text)) == text
+
+    def test_round_trip_at_horizon_15001(self):
+        """Past slot 14,284 the denominators 2^t have more than 4,300 digits."""
+        instance = parse_instance((Path(__file__).parent / "data" / "long_gap.json").read_text())
+        assert instance.horizon == 15_001
+        trace = simulate(instance, Schedule((1,)))
+        assert trace.throughput == 1
+        assert parse_trace(serialize_trace(trace)) == trace
 
     def test_round_trip_with_violations(self, four_job_example):
         trace = simulate(four_job_example, Schedule((1, 2, 3, None, 4, None)))
@@ -421,6 +438,10 @@ class TestSourceFiles:
         """str.split() would read "1\u00a02 3" as the three tokens 1, 2, 3."""
         with pytest.raises(ParseError, match=re.escape(f"line 1: {token!r} is not an integer")):
             parse_three_partition_source(text)
+
+    def test_integer_past_the_digit_limit(self):
+        with pytest.raises(ParseError, match="line 2: an integer has too many digits"):
+            parse_three_partition_source("4 4\n" + "1" * 5000 + " 4\n")
 
     def test_three_partition_empty(self):
         with pytest.raises(ParseError, match="no values"):

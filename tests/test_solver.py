@@ -1,5 +1,6 @@
 """Exact optimizer vs the independent brute-force enumerator."""
 
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import enumerate_optimal_bruteforce
 from strategies import configs, instances, twin_instances
 from thermosched import (
     Instance,
@@ -16,7 +18,6 @@ from thermosched import (
     RandomModel,
     ThermalConfig,
     ThreePartitionInstance,
-    enumerate_optimal_bruteforce,
     gen_from_3partition,
     gen_from_n3dm,
     parse_instance,
@@ -97,6 +98,25 @@ class TestSolveOptimal:
         assert result.proven_optimal
 
 
+    def test_long_horizon_set_up_stays_small(self):
+        """One job per slot over 1,000 slots at R = 7/3: set-up holds one
+        reach cut per job, O((n + H)²) bits in all, and a one-node search
+        peaks near 2.5 MB. A cut per job and slot would take hundreds."""
+        n = 1000
+        instance = Instance(
+            jobs=tuple(Job(i, i, min(i + 5, n), Fraction(i % 16 + 1, 16)) for i in range(n)),
+            config=ThermalConfig(cooling_factor=Fraction(7, 3)),
+        )
+        tracemalloc.start()
+        try:
+            result = solve_optimal(instance, budget=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.proven_optimal
+        assert peak < 16 * 2**20
+
+
 class TestNodeCounts:
     """explored is machine-independent; these pin the search order
     (hottest first among equal deadlines, twins in one fixed order) and
@@ -139,9 +159,10 @@ TIGHT_CUT = Path(__file__).parent / "data" / "tight_cut.json"
 class TestReachCut:
     """T = 5/3, R = 3/2. Job 1 (heat 9/4) runs at slot 0 and leaves 3/2.
     Job 2 (heat 11/6, window [1, 4)) fits only at slot 3, after exactly two
-    idle slots cool 3/2 to 2/3: (2/3 + 11/6)/(3/2) = 5/3 = T. So the idle
-    temperatures 1 at slot 2 and 2/3 at slot 3 sit exactly on job 2's cuts
-    (k = 1 and k = 0), and the job must stay in the bound there."""
+    idle slots cool 3/2 to 2/3: (2/3 + 11/6)/(3/2) = 5/3 = T. Idling
+    leaves the scaled temperature V unchanged, so the idle nodes at slots
+    2 and 3 hold V equal to job 2's cut c_2 exactly, and the job must stay
+    in the bound there."""
 
     def test_job_on_its_cut_stays_in_reach(self):
         instance = parse_instance(TIGHT_CUT.read_text())
@@ -150,8 +171,8 @@ class TestReachCut:
         assert result.witness.slots == (1, None, None, 2, 3)
         trace = simulate(instance, result.witness)
         assert trace.temperatures[4] == instance.config.threshold
-        # A looser cut (one idle slot too many, or the threshold not divided
-        # by q) keeps the node that this one prunes: 11 nodes, as count alone.
+        # A looser cut (one idle slot too many, c_2·p/q) keeps the node
+        # that this one prunes: 11 nodes, as count alone.
         assert (result.explored, result.proven_optimal) == (10, True)
 
 
