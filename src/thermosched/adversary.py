@@ -51,8 +51,9 @@ _JOB_3 = Job(id=3, release=2, deadline=3, heat=Fraction(8, 5))
 class AdversaryTranscript:
     """Full record of one lower-bound game.
 
-    instance is the final revealed instance of the chosen branch; the
-    reveal order is visible in run.pending, the ids shown at each slot.
+    instance is run.instance, the final revealed instance of the chosen
+    branch; the reveal order is visible in run.pending, the ids shown at
+    each slot.
     branch is BRANCH_EXECUTE when the policy ran job 1 at slot 0 and
     BRANCH_IDLE otherwise. adversary_trace simulates adversary_schedule
     on the instance; alg_throughput and adv_throughput are the two
@@ -60,9 +61,12 @@ class AdversaryTranscript:
     """
 
     branch: str
-    instance: Instance
     run: OnlineRun
     adversary_schedule: Schedule
+
+    @property
+    def instance(self) -> Instance:
+        return self.run.instance
 
     @property
     def adversary_trace(self) -> SimulationTrace:
@@ -94,7 +98,7 @@ def run_lower_bound_game(policy: Policy) -> AdversaryTranscript:
         branch = BRANCH_IDLE
         instance = Instance(jobs=(_JOB_1, _JOB_3))
         adversary_schedule = Schedule((_JOB_1.id, None, _JOB_3.id))
-    return AdversaryTranscript(branch, instance, run_online(instance, policy), adversary_schedule)
+    return AdversaryTranscript(branch, run_online(instance, policy), adversary_schedule)
 
 
 def _require_int(name: str, value: object) -> None:

@@ -23,6 +23,7 @@ from .serialization import (
     ParseError,
     format_rational,
     parse_instance,
+    parse_integer,
     parse_n3dm_source,
     parse_schedule,
     parse_three_partition_source,
@@ -40,14 +41,19 @@ from .solver import solve_optimal
 _DOMAIN_ERRORS = (InvalidInstanceError, PolicyViolationError, InvalidSourceError)
 
 
+def _integer(text: str) -> int:
+    """An argparse type: an integer as the source files spell it, else a usage error."""
+    try:
+        return parse_integer(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _at_least(minimum: int) -> Callable[[str], int]:
     """An argparse type: an integer >= minimum, else a usage error."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        value = _integer(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
         return value
@@ -216,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="online-vs-optimal ratio experiment")
     p.add_argument("--n", type=_at_least(0), required=True, help="jobs per instance")
     p.add_argument("--count", type=_at_least(0), required=True, help="number of instances")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--seed", type=_integer, default=0, help="base seed")
     p.add_argument(
         "--policy",
         action="append",

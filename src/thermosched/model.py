@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-RationalLike = Union[Fraction, int, str]
-
 # Violation kinds recorded by simulate().
 THERMAL = "thermal"
 OUT_OF_WINDOW = "window"
@@ -39,21 +37,24 @@ UNKNOWN_JOB = "unknown-job"
 REPEATED_JOB = "repeated-job"
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_fraction(field: str, value: object) -> Fraction:
+    # Fraction(0.1) would keep the float's binary expansion, Fraction(True)
+    # would be 1 and Fraction("١/٢") would read text by a rule of its own.
+    if type(value) is Fraction:
         return value
-    # Fraction(0.1) would silently keep the binary expansion of the float,
-    # and Fraction(True) would silently be 1.
-    if isinstance(value, (float, bool)):
-        raise TypeError(
-            f"{value!r} is a {type(value).__name__}; pass a Fraction, int or decimal string"
-        )
-    return Fraction(value)
+    if type(value) is int:
+        return Fraction(value)
+    raise TypeError(f"{field}: {value!r} is a {type(value).__name__}; pass a Fraction or an int")
 
 
 @dataclass(frozen=True)
 class Job:
-    """Unit-length job: executable in any slot t with release <= t < deadline."""
+    """Unit-length job: executable in any slot t with release <= t < deadline.
+
+    id, release and deadline are exact ints and heat is a Fraction or an
+    int; any other type (a bool, a float, a str) raises TypeError naming
+    the field. Text becomes a rational through serialization.parse_rational.
+    """
 
     id: int
     release: int
@@ -61,7 +62,11 @@ class Job:
     heat: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "heat", _as_fraction(self.heat))
+        for field in ("id", "release", "deadline"):
+            value = getattr(self, field)
+            if type(value) is not int:
+                raise TypeError(f"{field}: {value!r} is a {type(value).__name__}; pass an int")
+        object.__setattr__(self, "heat", _as_fraction("heat", self.heat))
 
     def pending_at(self, time: int) -> bool:
         return self.release <= time < self.deadline
@@ -69,14 +74,14 @@ class Job:
 
 @dataclass(frozen=True)
 class ThermalConfig:
-    """Thermal threshold T and cooling factor R of the recurrence (tau + h) / R."""
+    """Threshold T and cooling factor R of (tau + h) / R, each a Fraction or an int."""
 
     threshold: Fraction = Fraction(1)
     cooling_factor: Fraction = Fraction(2)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "threshold", _as_fraction(self.threshold))
-        object.__setattr__(self, "cooling_factor", _as_fraction(self.cooling_factor))
+        for field in ("threshold", "cooling_factor"):
+            object.__setattr__(self, field, _as_fraction(field, getattr(self, field)))
 
 
 DEFAULT_CONFIG = ThermalConfig()
@@ -182,13 +187,13 @@ class ValidationIssue:
 
 
 def validate_instance(instance: Instance) -> list[ValidationIssue]:
-    """Check all structural invariants; an empty list means the instance is valid.
+    """Check the instance's values; an empty list means the instance is valid.
 
-    Checked per job: integer id, release and deadline (a bool is not
-    an integer), non-negative id, non-negative release, a non-empty
-    execution window (release < deadline), and non-negative heat. Integer
-    job ids must be unique across the instance, and the configuration needs
-    threshold > 0 and cooling factor > 1.
+    Checked per job: non-negative id, non-negative release, a non-empty
+    execution window (release < deadline) and non-negative heat. Job ids
+    must be unique across the instance, and the configuration needs
+    threshold > 0 and cooling factor > 1. Types need no check here: Job
+    and ThermalConfig refuse a value of the wrong type when built.
     """
     issues: list[ValidationIssue] = []
     cfg = instance.config
@@ -201,27 +206,16 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
         )
     seen: set[int] = set()
     for job in instance.jobs:
-        values = (("id", job.id), ("release", job.release), ("deadline", job.deadline))
-        non_integer = [field for field, value in values if type(value) is not int]
-        for field in non_integer:
-            issues.append(
-                ValidationIssue(job.id, field, f"job {job.id}: {field} must be an integer")
-            )
-        # An id that is not an integer may be unhashable, so only integers meet `seen`.
-        if "id" not in non_integer:
-            if job.id < 0:
-                issues.append(
-                    ValidationIssue(job.id, "id", f"job {job.id}: id must be non-negative")
-                )
-            if job.id in seen:
-                issues.append(ValidationIssue(job.id, "id", f"job {job.id}: duplicate id"))
-            seen.add(job.id)
-        if "release" not in non_integer and job.release < 0:
+        if job.id < 0:
+            issues.append(ValidationIssue(job.id, "id", f"job {job.id}: id must be non-negative"))
+        if job.id in seen:
+            issues.append(ValidationIssue(job.id, "id", f"job {job.id}: duplicate id"))
+        seen.add(job.id)
+        if job.release < 0:
             issues.append(
                 ValidationIssue(job.id, "release", f"job {job.id}: release must be non-negative")
             )
-        window_known = "release" not in non_integer and "deadline" not in non_integer
-        if window_known and job.release >= job.deadline:
+        if job.release >= job.deadline:
             issues.append(
                 ValidationIssue(
                     job.id,

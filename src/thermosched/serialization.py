@@ -13,8 +13,8 @@ writer and its parser read, so the two directions cannot drift apart.
 Some keys are derived: the writer emits them, the parser builds the
 object without them and raises ParseError at the key's path when one
 disagrees with what the object computes. They are a trace's
-throughput; a transcript's adversary_trace, alg_throughput and
-adv_throughput; a report record's ratios; and a report's count,
+throughput; a transcript's instance, adversary_trace, alg_throughput
+and adv_throughput; a report record's ratios; and a report's count,
 skipped_zero_opt, max_ratios, mean_ratios and counterexamples; and a
 reduction sidecar's n and intervals. A violation's job is always an
 integer, never null. A sidecar must be the one the generator writes
@@ -113,6 +113,20 @@ def parse_rational(text: Any, where: str = "value") -> Fraction:
         except ValueError:
             return Fraction(Decimal(token))
     raise ParseError(f"{where}: {token!r} is not 'p/q' or a finite decimal")
+
+
+def parse_integer(token: str, where: str = "value") -> int:
+    """Exact int from ASCII digits with an optional sign, under the digit limit.
+
+    A blank, an underscore or another script's digit is refused, though
+    int() would take it.
+    """
+    if not _INTEGER_RE.fullmatch(token):
+        raise ParseError(f"{where}: {token!r} is not an integer")
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"{where}: an integer has too many digits") from None
 
 
 def _loads(text: str) -> Any:
@@ -299,7 +313,7 @@ _TRANSCRIPT = _record(
     ("adversary_trace", _TRACE),
     ("alg_throughput", _INT),
     ("adv_throughput", _INT),
-    derived=("adversary_trace", "alg_throughput", "adv_throughput"),
+    derived=("instance", "adversary_trace", "alg_throughput", "adv_throughput"),
 )
 _OPT_RESULT = _record(
     OptResult,
@@ -434,14 +448,8 @@ def parse_reduction_meta(text: str, instance: Instance) -> ReductionMeta:
 def _int_tokens(text: str, what: str) -> list[int]:
     tokens: list[int] = []
     for lineno, line in enumerate(_LINE_BREAK_RE.split(text), start=1):
-        body = line.split("#", 1)[0]
-        for token in _TOKEN_RE.findall(body):
-            if not _INTEGER_RE.fullmatch(token):
-                raise ParseError(f"{what} line {lineno}: {token!r} is not an integer")
-            try:
-                tokens.append(int(token))
-            except ValueError:
-                raise ParseError(f"{what} line {lineno}: an integer has too many digits") from None
+        body, where = line.split("#", 1)[0], f"{what} line {lineno}"
+        tokens += (parse_integer(token, where) for token in _TOKEN_RE.findall(body))
     return tokens
 
 

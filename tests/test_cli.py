@@ -185,7 +185,7 @@ class TestOpt:
         document = json.loads(capsys.readouterr().out)
         assert document["proven_optimal"] is False
 
-    @pytest.mark.parametrize("budget", ["-5", "many"])
+    @pytest.mark.parametrize("budget", ["-5", "many", "١٠٠"])
     def test_bad_budget_is_a_usage_error(self, instance_file, budget, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["opt", instance_file, "--budget", budget])
@@ -338,6 +338,25 @@ class TestExperiment:
             main([*argv, option, value])
         assert excinfo.value.code == 2
         assert option in capsys.readouterr().err
+
+    # int() would read each of these as an integer; the source files' rule does not.
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--n", "٢"),
+            ("--count", "1_0"),
+            ("--seed", " 3"),
+            ("--release-span", "4\u00a0"),
+            ("--max-window", "٤"),
+            ("--budget", "1_000"),
+        ],
+    )
+    def test_integer_option_takes_ascii_digits_only(self, option, value, capsys):
+        argv = ["experiment", "--n", "3", "--count", "2", "--policy", "coolest"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, option, value])
+        assert excinfo.value.code == 2
+        assert f"argument {option}: value: {value!r} is not an integer" in capsys.readouterr().err
 
     def test_smallest_options_run(self, capsys):
         code = main(

@@ -96,6 +96,10 @@ class TestSourceValidation:
         with pytest.raises(InvalidSourceError, match=match):
             ThreePartitionInstance(values, beta)
 
+    def test_matching_needs_a_triple(self):
+        with pytest.raises(InvalidSourceError, match="^need at least one triple$"):
+            N3DMInstance((), (), (), 1)
+
     def test_matching_rows_must_align(self):
         with pytest.raises(InvalidSourceError, match="equal length"):
             N3DMInstance(a=(1,), b=(1, 2), c=(1,), beta=3)
@@ -371,6 +375,12 @@ LYING_SIDECARS = {
     ),
     "unknown-kind": (
         MATCHABLE_N2, set_key("kind", "bogus"), r"^meta: unknown reduction kind 'bogus'$"
+    ),
+    # An interval is a [start, end) pair; a third number is not a looser interval.
+    "interval-of-three": (
+        PARTITION_15,
+        set_key("intervals", [[1, 16, 17], [17, 32]]),
+        r"^meta\.intervals\[0\]: expected 2 items, got 3$",
     ),
     # The construction caps element values at 64, so no generator writes this sidecar.
     "over-the-cap": (

@@ -447,6 +447,10 @@ class TestSourceFiles:
         with pytest.raises(ParseError, match="no values"):
             parse_three_partition_source("# nothing\n")
 
+    def test_n3dm_empty(self):
+        with pytest.raises(ParseError, match="^matching source: no values found$"):
+            parse_n3dm_source("# nothing\n")
+
     def test_three_partition_semantic_errors_are_source_errors(self):
         with pytest.raises(InvalidSourceError, match="3n values"):
             parse_three_partition_source("3 3 3 3")
