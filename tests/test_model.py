@@ -199,6 +199,32 @@ class TestRequireValid:
         with pytest.raises(InvalidInstanceError, match="job 1: duplicate id"):
             entry(DUPLICATE_ID)
 
+    # An int subclass or an unhashable id once got past Job and had to be
+    # refused by each entry point; now building the Job refuses it, so the
+    # call never reaches the entry point.
+    @pytest.mark.parametrize(
+        "entry",
+        [solve_optimal, lambda instance: run_online(instance, coolest_first_decide)],
+        ids=["solve_optimal", "run_online"],
+    )
+    def test_entry_points_reject_an_int_subclass_id(self, entry):
+        with pytest.raises(TypeError, match=rf"^id: {re.escape(repr(_Ids.ONE))} is a _Ids; "):
+            entry(Instance(jobs=(Job(_Ids.ONE, 0, 1, Fraction(1, 2)),)))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            require_valid,
+            solve_optimal,
+            enumerate_optimal_bruteforce,
+            lambda instance: run_online(instance, coolest_first_decide),
+        ],
+        ids=["require_valid", "solve_optimal", "enumerate_optimal_bruteforce", "run_online"],
+    )
+    def test_entry_points_reject_an_unhashable_id(self, entry):
+        with pytest.raises(TypeError, match=r"^id: \[1\] is a list; "):
+            entry(Instance(jobs=(Job([1], 0, 1, Fraction(1)),)))
+
 
 # Past Job, a str or None id would fail in Instance's sort by id, a list in
 # the duplicate-id check, and an int subclass in the solver's Schedule (and
