@@ -109,7 +109,7 @@ def _cmd_opt(args: argparse.Namespace) -> int:
 def _cmd_online(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
     run = run_online(instance, POLICIES[args.policy])
-    _write(args.out, serialize_run(run))
+    _write(args.out, serialize_run(run, trace=args.trace))
     return 0
 
 
@@ -196,9 +196,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-out", default=None, help="write the witness schedule here")
     p.set_defaults(handler=_cmd_opt)
 
-    p = sub.add_parser("online", help="run an online policy")
+    p = sub.add_parser(
+        "online", help="run an online policy, print its schedule and pending ids"
+    )
     p.add_argument("instance")
     p.add_argument("--policy", choices=sorted(POLICIES), required=True)
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="also write the run's exact trace (what simulate gives for its schedule)",
+    )
     p.add_argument("-o", "--out", default=None, help="run output path")
     p.set_defaults(handler=_cmd_online)
 

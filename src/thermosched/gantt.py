@@ -10,7 +10,7 @@ documents.
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 
 from .model import Instance, Schedule, simulate
@@ -23,10 +23,13 @@ TEXT_FORMAT = "text"
 SVG_FORMAT = "svg"
 
 
+# Four significant digits at any exponent, rounded half to even.
+_FOUR_DIGITS = Context(prec=4, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
 def approx_decimal(value: Fraction) -> str:
     """4-significant-digit '#.4g' form, rounded from the exact value (no float overflow)."""
-    with localcontext(Context(prec=4, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        rounded = Decimal(value.numerator) / value.denominator
+    rounded = _FOUR_DIGITS.divide(Decimal(value.numerator), value.denominator)
     exponent = rounded.adjusted()
     if -4 <= exponent < 4:
         return f"{rounded:.{3 - exponent}f}" + ("." if exponent == 3 else "")

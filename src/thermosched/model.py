@@ -62,11 +62,13 @@ class Job:
     heat: Fraction
 
     def __post_init__(self) -> None:
-        for field in ("id", "release", "deadline"):
-            value = getattr(self, field)
-            if type(value) is not int:
-                raise TypeError(f"{field}: {value!r} is a {type(value).__name__}; pass an int")
-        object.__setattr__(self, "heat", _as_fraction("heat", self.heat))
+        if not type(self.id) is type(self.release) is type(self.deadline) is int:
+            for field in ("id", "release", "deadline"):
+                value = getattr(self, field)
+                if type(value) is not int:
+                    raise TypeError(f"{field}: {value!r} is a {type(value).__name__}; pass an int")
+        if type(self.heat) is not Fraction:
+            object.__setattr__(self, "heat", _as_fraction("heat", self.heat))
 
     def pending_at(self, time: int) -> bool:
         return self.release <= time < self.deadline
@@ -93,15 +95,25 @@ class Instance:
 
     Jobs are normalized to a tuple sorted by id, which makes equality,
     iteration order and serialization canonical. The scheduling horizon
-    is the largest deadline; no job can run at or after it.
+    is the largest deadline; no job can run at or after it. An item of
+    jobs that is not a Job, or a config that is not a ThermalConfig,
+    raises TypeError naming it (jobs[i] counts the jobs as given).
     """
 
     jobs: tuple[Job, ...]
     config: ThermalConfig = DEFAULT_CONFIG
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.jobs, key=lambda j: j.id))
-        object.__setattr__(self, "jobs", ordered)
+        jobs = tuple(self.jobs)
+        for index, job in enumerate(jobs):
+            if not isinstance(job, Job):
+                raise TypeError(f"jobs[{index}]: {job!r} is a {type(job).__name__}; pass a Job")
+        if not isinstance(self.config, ThermalConfig):
+            raise TypeError(
+                f"config: {self.config!r} is a {type(self.config).__name__}; "
+                "pass a ThermalConfig"
+            )
+        object.__setattr__(self, "jobs", tuple(sorted(jobs, key=lambda j: j.id)))
 
     @property
     def horizon(self) -> int:

@@ -8,17 +8,23 @@ finite decimal, and every diagnostic names the offending field path.
 The point of one canonical byte form is that round-trip and determinism
 tests can compare serialized documents directly.
 
-Each JSON document is one table of (key, codec) rows that both its
-writer and its parser read, so the two directions cannot drift apart.
-Some keys are derived: the writer emits them, the parser builds the
-object without them and raises ParseError at the key's path when one
-disagrees with what the object computes. They are a trace's
-throughput; a transcript's instance, adversary_trace, alg_throughput
-and adv_throughput; a report record's ratios; and a report's count,
+Each parsed JSON document is one table of (key, codec) rows that both
+its writer and its parser read, so the two directions cannot drift
+apart. Some keys are derived: the writer emits them, the parser builds
+the object without them and raises ParseError at the key's path when
+one disagrees with what the object computes. They are a trace's
+throughput; a report record's ratios; a report's count,
 skipped_zero_opt, max_ratios, mean_ratios and counterexamples; and a
 reduction sidecar's n and intervals. A violation's job is always an
 integer, never null. A sidecar must be the one the generator writes
 for the given instance, though its origins may come in any order.
+
+Online runs and adversary transcripts are written, never parsed. A run
+document holds the schedule and the pending ids of each slot; its
+trace, which simulate(instance, schedule) gives exactly and whose
+exact temperatures would make the document grow with the square of
+the horizon, is written only by serialize_run(run, trace=True). A
+transcript's algorithm block is such a traced run.
 
 Reduction source files are plain integer tokens with '#' comments;
 see parse_three_partition_source and parse_n3dm_source.
@@ -94,11 +100,29 @@ def format_rational(value: Fraction) -> str:
         return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
+# A document repeats a few dozen distinct heats hundreds of times, so
+# parse_rational keeps the value of each short text that parsed. It is
+# emptied when full, so it never holds more than _MEMO_SIZE entries.
+_MEMO_SIZE = 1024
+_MEMO_KEY_LENGTH = 64
+_memo: dict[str, Fraction] = {}
+
+
 def parse_rational(text: Any, where: str = "value") -> Fraction:
     """Exact rational from "p/q" or a finite decimal string, at any length."""
     if not isinstance(text, str):
         raise ParseError(f"{where}: expected a rational string, got {text!r}")
-    token = text.strip(_BLANKS)
+    value = _memo.get(text)
+    if value is None:
+        value = _parse_rational(text.strip(_BLANKS), where)
+        if len(text) <= _MEMO_KEY_LENGTH:
+            if len(_memo) >= _MEMO_SIZE:
+                _memo.clear()
+            _memo[text] = value
+    return value
+
+
+def _parse_rational(token: str, where: str) -> Fraction:
     if _FRACTION_RE.fullmatch(token):
         try:
             numerator, denominator = map(int, token.split("/"))
@@ -222,50 +246,60 @@ def _array(item: _Codec, container: Callable = tuple, length: Optional[int] = No
     return _Codec(encode, decode)
 
 
+def _writer(*rows: tuple) -> Callable[[Any], dict]:
+    """Encoder of a JSON object from (key, encode[, attribute path]) rows, in row order.
+
+    Each value is encode applied to the attribute path (the key by
+    default), read with getattr.
+    """
+    table = [(key, encode, attrgetter(path[0] if path else key)) for key, encode, *path in rows]
+    return lambda value: {key: encode(get(value)) for key, encode, get in table}
+
+
 def _record(build: Callable, *rows: tuple, derived: Sequence[str] = ()) -> _Codec:
     """JSON object from (key, codec[, attribute path]) rows, in row order.
 
-    Encoding reads each attribute path (the key by default) with
-    getattr; decoding checks the exact key set and calls build with
-    one keyword per row not in derived, named by the last component of
-    its path. A ValueError from build, such as an out-of-range
-    RandomModel field, becomes a ParseError at this object's path. A
-    derived key is written like any other, but on parse it must equal
-    what the built object computes, else a ParseError names its path.
+    Encoding is _writer's. Decoding checks the exact key set and calls
+    build with one keyword per row not in derived, named by the last
+    component of its path. A ValueError from build, such as an
+    out-of-range RandomModel field, becomes a ParseError at this
+    object's path. A derived key is written like any other, but on parse
+    it must equal what the built object computes, else a ParseError
+    names its path.
     """
     keys = tuple(row[0] for row in rows)
+    key_set = frozenset(keys)
     table = []
     for key, codec, *path in rows:
         attribute = path[0] if path else key
         table.append((key, codec, attrgetter(attribute), attribute.rpartition(".")[2]))
-
-    def encode(value: Any) -> dict:
-        return {key: codec.encode(get(value)) for key, codec, get, _ in table}
-
     stored = [(key, codec, name) for key, codec, _, name in table if key not in derived]
     checked = [(key, codec, get) for key, codec, get, _ in table if key in derived]
 
     def decode(value: Any, where: str) -> Any:
-        obj = _require_object(value, where, keys)
+        # A dict with exactly the row keys needs no check; _require_object
+        # names what is wrong with anything else.
+        if type(value) is not dict or value.keys() != key_set:
+            _require_object(value, where, keys)
         try:
-            kwargs = {name: codec.decode(obj[key], where) for key, codec, name in stored}
+            kwargs = {name: codec.decode(value[key], where) for key, codec, name in stored}
         except ParseError:
             for key, codec, _ in stored:
-                codec.decode(obj[key], f"{where}.{key}")
+                codec.decode(value[key], f"{where}.{key}")
             raise
         try:
             built = build(**kwargs)
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from None
         for key, codec, get in checked:
-            if codec.decode(obj[key], f"{where}.{key}") != get(built):
+            if codec.decode(value[key], f"{where}.{key}") != get(built):
                 raise ParseError(
-                    f"{where}.{key}: {obj[key]!r} disagrees with the derived "
+                    f"{where}.{key}: {value[key]!r} disagrees with the derived "
                     f"{codec.encode(get(built))!r}"
                 )
         return built
 
-    return _Codec(encode, decode)
+    return _Codec(_writer(*((key, codec.encode, *path) for key, codec, *path in rows)), decode)
 
 
 def _named(names: Sequence[str], codec: _Codec) -> _Codec:
@@ -297,23 +331,23 @@ _TRACE = _record(
     ("violations", _array(_record(Violation, ("time", _INT), ("kind", _STR), ("job", _INT)))),
     derived=("throughput",),
 )
-# The run document leaves out the instance, so only its encoder is used.
-_RUN = _record(
-    OnlineRun,
-    ("schedule", _SCHEDULE),
-    ("trace", _TRACE),
-    ("pending", _array(_array(_INT))),
+# Runs and transcripts are written, never parsed: an OnlineRun needs its
+# instance, which the run document leaves out. A run's trace is
+# simulate(run.instance, run.schedule), so only the traced form writes it;
+# the transcript's algorithm block is a traced run.
+_PENDING = _array(_array(_INT))
+_RUN = _writer(("schedule", _SCHEDULE.encode), ("pending", _PENDING.encode))
+_TRACED_RUN = _writer(
+    ("schedule", _SCHEDULE.encode), ("trace", _TRACE.encode), ("pending", _PENDING.encode)
 )
-_TRANSCRIPT = _record(
-    AdversaryTranscript,
-    ("branch", _STR),
-    ("instance", _INSTANCE),
-    ("algorithm", _RUN, "run"),
-    ("adversary_schedule", _SCHEDULE),
-    ("adversary_trace", _TRACE),
-    ("alg_throughput", _INT),
-    ("adv_throughput", _INT),
-    derived=("instance", "adversary_trace", "alg_throughput", "adv_throughput"),
+_TRANSCRIPT = _writer(
+    ("branch", _STR.encode),
+    ("instance", _INSTANCE.encode),
+    ("algorithm", _TRACED_RUN, "run"),
+    ("adversary_schedule", _SCHEDULE.encode),
+    ("adversary_trace", _TRACE.encode),
+    ("alg_throughput", _INT.encode),
+    ("adv_throughput", _INT.encode),
 )
 _OPT_RESULT = _record(
     OptResult,
@@ -407,12 +441,14 @@ def parse_trace(text: str) -> SimulationTrace:
     return _TRACE.decode(_loads(text), "trace")
 
 
-def serialize_run(run: OnlineRun) -> str:
-    return _dumps(_RUN.encode(run))
+def serialize_run(run: OnlineRun, trace: bool = False) -> str:
+    """Schedule and pending ids; trace=True also writes the run's trace,
+    which simulate(run.instance, run.schedule) gives exactly."""
+    return _dumps((_TRACED_RUN if trace else _RUN)(run))
 
 
 def serialize_transcript(transcript: AdversaryTranscript) -> str:
-    return _dumps(_TRANSCRIPT.encode(transcript))
+    return _dumps(_TRANSCRIPT(transcript))
 
 
 def serialize_opt_result(result: OptResult) -> str:

@@ -199,6 +199,11 @@ class TestOnline:
         expected = serialize_run(run_online(four_job_example, coolest_first_decide))
         assert capsys.readouterr().out == expected
 
+    def test_trace_flag_adds_the_trace(self, instance_file, four_job_example, capsys):
+        assert main(["online", instance_file, "--policy", "coolest", "--trace"]) == 0
+        run = run_online(four_job_example, coolest_first_decide)
+        assert capsys.readouterr().out == serialize_run(run, trace=True)
+
     def test_policy_flag_is_required(self, instance_file):
         with pytest.raises(SystemExit) as excinfo:
             main(["online", instance_file])

@@ -53,6 +53,28 @@ class TestApproxDecimal:
     def test_any_magnitude(self, value, text):
         assert approx_decimal(value) == text
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (Fraction(12345, 10**9), "1.234e-05"),
+            (Fraction(49997, 5 * 10**8), "9.999e-05"),
+            (Fraction(1, 10**4), "0.0001000"),
+            (Fraction(99995, 10**9), "0.0001000"),
+            (Fraction(1234), "1234."),
+            (Fraction(9999), "9999."),
+            (Fraction(19999, 2), "1.000e+04"),
+            (Fraction(10**4), "1.000e+04"),
+            (Fraction(99995, 10000), "10.00"),
+            (Fraction(99985, 10000), "9.998"),
+            (Fraction(-99995, 10000), "-10.00"),
+            (Fraction(-19999, 2), "-1.000e+04"),
+        ],
+    )
+    def test_exponent_edges_and_rounding_carry(self, value, text):
+        """Exponents -5, -4, 3 and 4 on each side of the fixed-point range,
+        and halves rounded to even that carry into the next exponent."""
+        assert approx_decimal(value) == text
+
 
 def _rows(instance, schedule):
     """The job, tau and ~ rows of the text chart, without their row names."""

@@ -444,3 +444,20 @@ def test_horizon_of_empty_instance():
 def test_default_config():
     assert DEFAULT_CONFIG.threshold == 1
     assert DEFAULT_CONFIG.cooling_factor == 2
+
+
+class TestInstanceTypes:
+    """Instance refuses an item that is not a Job and a config that is not a
+    ThermalConfig, naming it, as Job names a field of the wrong type."""
+
+    def test_none_config_is_refused_before_the_solver(self):
+        with pytest.raises(TypeError, match=r"^config: None is a NoneType; pass a ThermalConfig$"):
+            solve_optimal(Instance((), config=None))
+
+    def test_str_config_is_refused_before_run_online(self):
+        with pytest.raises(TypeError, match=r"^config: 'x' is a str; pass a ThermalConfig$"):
+            run_online(Instance((Job(1, 0, 1, Fraction(1)),), config="x"), coolest_first_decide)
+
+    def test_tuple_job_is_refused_at_its_position(self):
+        with pytest.raises(TypeError, match=r"^jobs\[1\]: \(1, 0, 1, Fraction\(1, 1\)\) is a tuple; "):
+            Instance((Job(2, 0, 1, Fraction(1)), (1, 0, 1, Fraction(1))))

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import instance_with_feasible_schedule, instances
+from strategies import configs, instance_with_feasible_schedule, instances, mixed_heats
 from thermosched import (
     Instance,
+    Job,
     RandomModel,
     Schedule,
     ThreePartitionInstance,
@@ -34,6 +36,7 @@ from thermosched import (
     serialize_trace,
     simulate,
 )
+from thermosched import serialization
 from thermosched.serialization import (
     ParseError,
     parse_n3dm_source,
@@ -60,8 +63,9 @@ GOLDEN_DOCUMENTS = {
     "instance": lambda inst, *_: serialize_instance(inst),
     "schedule": lambda *_: serialize_schedule(Schedule((1, None, 3, 2, 4, None))),
     "trace": lambda inst, *_: serialize_trace(simulate(inst, Schedule((1, 2, 3, None, 4, None)))),
-    "run": lambda inst, *_: serialize_run(run_online(inst, coolest_first_decide)),
-    "run_edf": lambda inst, *_: serialize_run(run_online(inst, edf_decide)),
+    "run": lambda inst, *_: serialize_run(run_online(inst, coolest_first_decide), trace=True),
+    "run_edf": lambda inst, *_: serialize_run(run_online(inst, edf_decide), trace=True),
+    "run_notrace": lambda inst, *_: serialize_run(run_online(inst, coolest_first_decide)),
     "transcript": lambda *_: serialize_transcript(run_lower_bound_game(always_idle)),
     "report": lambda *_: serialize_report(
         ratio_experiment(RandomModel(n=2, seed=4), ("coolest", "idle"), 2)
@@ -128,6 +132,21 @@ class TestRationals:
         with pytest.raises(ParseError, match="rational string"):
             parse_rational(1.75, where="heat")
 
+    def test_memoized_text_still_fails_at_each_path(self):
+        assert parse_rational("3/4", where="a") == Fraction(3, 4)
+        for where in ("a", "b"):
+            with pytest.raises(ParseError, match=rf"^{where}: zero denominator in '3/0'$"):
+                parse_rational("3/0", where=where)
+        assert parse_rational("3/4", where="b") == Fraction(3, 4)
+
+    def test_memo_stays_within_its_bound(self):
+        for k in range(2 * serialization._MEMO_SIZE + 3):
+            assert parse_rational(f"{k}/7") == Fraction(k, 7)
+            assert len(serialization._memo) <= serialization._MEMO_SIZE
+        long_text = "1/" + "3" * serialization._MEMO_KEY_LENGTH
+        assert parse_rational(long_text) == Fraction(1, int(long_text[2:]))
+        assert long_text not in serialization._memo
+
     def test_round_trip_past_the_int_digit_limit(self):
         """Python's int <-> str conversions stop at 4,300 digits by default;
         a rational of any length still round-trips exactly."""
@@ -136,6 +155,13 @@ class TestRationals:
         assert parse_rational(text) == value
         assert format_rational(value) == text
         assert parse_rational("0." + "0" * 4999 + "1") == Fraction(1, 10**5000)
+
+
+_JOB = {"id": 1, "release": 0, "deadline": 2, "heat": "1/2"}
+
+
+def _instance_document(*jobs):
+    return json.dumps({"threshold": "1/1", "cooling_factor": "2/1", "jobs": list(jobs)})
 
 
 class TestInstanceFormat:
@@ -221,6 +247,31 @@ class TestInstanceFormat:
     def test_malformed_json_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_instance('{\n  "threshold": ,\n}')
+
+    @pytest.mark.parametrize(
+        "job, message",
+        [
+            ({"id": 2, "release": 0, "deadline": 2}, "missing field(s) heat"),
+            ({**_JOB, "note": 1}, "unknown field(s) note"),
+            ({"id": 2, "release": 0, "deadline": 2, "hot": "1/2"}, "missing field(s) heat"),
+            ([2, 0, 2, "1/2"], "expected an object, got list"),
+            (None, "expected an object, got NoneType"),
+        ],
+        ids=["missing", "unknown", "renamed", "list", "null"],
+    )
+    def test_job_object_errors(self, job, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_instance(_instance_document(_JOB, job))
+        assert str(excinfo.value) == f"instance.jobs[1]: {message}"
+
+    def test_bad_heat_fails_at_its_path_every_time(self):
+        bad = {**_JOB, "id": 2, "heat": "1/0"}
+        for _ in range(2):
+            assert parse_instance(_instance_document(_JOB)).jobs[0].heat == Fraction(1, 2)
+            for pos, jobs in enumerate([(bad, _JOB), (_JOB, bad)]):
+                where = re.escape(f"instance.jobs[{pos}].heat")
+                with pytest.raises(ParseError, match=rf"^{where}: zero denominator in '1/0'$"):
+                    parse_instance(_instance_document(*jobs))
 
     def test_non_object_top_level(self):
         with pytest.raises(ParseError, match="expected an object"):
@@ -320,13 +371,31 @@ def test_derived_key_must_agree(kind, keys, value, where):
         parse(json.dumps(document))
 
 
+def _stream(jobs):
+    """Job i released at i // 2 with window 5 and heat 1/4."""
+    return Instance(tuple(Job(i, i // 2, i // 2 + 5, Fraction(1, 4)) for i in range(jobs)))
+
+
 class TestRunAndTranscriptDocuments:
     def test_run_document_shape(self, four_job_example):
         run = run_online(four_job_example, coolest_first_decide)
         document = json.loads(serialize_run(run))
-        assert set(document) == {"schedule", "trace", "pending"}
+        assert set(document) == {"schedule", "pending"}
         assert document["schedule"] == [1, 2, None, None, 4, None]
         assert document["pending"] == [[1, 2], [2], [3], [], [4], []]
+        traced = json.loads(serialize_run(run, trace=True))
+        assert set(traced) == {"schedule", "trace", "pending"}
+        assert {k: traced[k] for k in document} == document
+        trace = simulate(four_job_example, run.schedule)
+        assert traced["trace"] == json.loads(serialize_trace(trace))
+
+    def test_run_document_grows_linearly(self):
+        """Without the exact temperatures, whose digits grow with the slot,
+        twice the jobs on a stream write at most 2.1 times the bytes."""
+        small, large = (
+            len(serialize_run(run_online(_stream(n), coolest_first_decide))) for n in (2000, 4000)
+        )
+        assert large <= 2.1 * small
 
     def test_transcript_document_shape(self):
         transcript = run_lower_bound_game(always_idle)
@@ -474,7 +543,7 @@ class TestSourceFiles:
 
 
 @settings(max_examples=150, deadline=None)
-@given(instances())
+@given(st.one_of(instances(), instances(config=configs(), heat=mixed_heats())))
 def test_instance_round_trip_property(instance):
     text = serialize_instance(instance)
     assert parse_instance(text) == instance
