@@ -14,10 +14,13 @@ several constructions in :mod:`thermosched.reductions` hinges on the
 temperature landing on the threshold *exactly*, so comparisons against
 T are exact as well (<= T passes, > T violates).
 
-The per-slot comparisons (tau against T in simulate and is_admissible,
-heat signs in validate_instance, heats in the policies) compare
-integers, never Fractions: a/b < c/d iff a·d < c·b, exact because a
-Fraction's denominator is positive (see cross_multiplied).
+A job of heat h is admissible at temperature tau iff (tau + h)/R <= T,
+that is tau + h <= R·T; the config holds R·T once, as a lowest-terms
+integer pair. The per-slot comparisons (tau against T in simulate,
+tau + h against R·T in is_admissible, heat signs in validate_instance,
+heats in the policies) compare integers, never Fractions: a/b < c/d iff
+a·d < c·b, exact because a Fraction's denominator is positive (see
+cross_multiplied).
 
 All types are immutable after construction and every function is a
 pure function of its inputs.
@@ -26,7 +29,7 @@ pure function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -76,14 +79,22 @@ class Job:
 
 @dataclass(frozen=True)
 class ThermalConfig:
-    """Threshold T and cooling factor R of (tau + h) / R, each a Fraction or an int."""
+    """Threshold T and cooling factor R of (tau + h) / R, each a Fraction or an int.
+
+    admission_limit is R·T as (numerator, denominator) in lowest terms,
+    derived from the two fields: it is no argument and takes no part in
+    equality, hashing or repr.
+    """
 
     threshold: Fraction = Fraction(1)
     cooling_factor: Fraction = Fraction(2)
+    admission_limit: tuple[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for field in ("threshold", "cooling_factor"):
-            object.__setattr__(self, field, _as_fraction(field, getattr(self, field)))
+        for name in ("threshold", "cooling_factor"):
+            object.__setattr__(self, name, _as_fraction(name, getattr(self, name)))
+        limit = self.cooling_factor * self.threshold
+        object.__setattr__(self, "admission_limit", (limit.numerator, limit.denominator))
 
 
 DEFAULT_CONFIG = ThermalConfig()
@@ -317,13 +328,15 @@ def is_admissible(
 ) -> bool:
     """True iff executing the job now keeps the post-step temperature <= T.
 
-    (tau + h) / R <= T, cross-multiplied: one integer comparison, no Fraction
-    built and no gcd taken. It is exact because Fraction denominators are positive.
+    (tau + h) / R <= T is tau + h <= R·T. With tau = a/b, h = c/d and the
+    config's R·T = u/v, that is (a·d + c·b)·v <= u·b·d: one integer
+    comparison, no Fraction built and no gcd taken, exact because the
+    denominators are positive.
     """
-    h, R, T = job.heat, config.cooling_factor, config.threshold
-    b, d = tau.denominator, h.denominator
-    left = (tau.numerator * d + h.numerator * b) * R.denominator
-    return left * T.denominator <= R.numerator * T.numerator * d * b
+    u, v = config.admission_limit
+    a, b = tau.numerator, tau.denominator
+    c, d = job.heat.numerator, job.heat.denominator
+    return (a * d + c * b) * v <= u * b * d
 
 
 def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
@@ -337,6 +350,7 @@ def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
     only if its own execution slot is violation-free.
     """
     cfg = instance.config
+    t_num, t_den = cfg.threshold.numerator, cfg.threshold.denominator
     jobs = instance.job_map()
     padding = (None,) * (instance.horizon - len(schedule.slots))
     violations: list[Violation] = []
@@ -354,11 +368,10 @@ def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
                 violations.append(Violation(time, REPEATED_JOB, entry))
                 ok = False
             executed.add(entry)
-            if not job.pending_at(time):
+            if not job.release <= time < job.deadline:
                 violations.append(Violation(time, OUT_OF_WINDOW, entry))
                 ok = False
-            left, right = cross_multiplied(tau, cfg.threshold)
-            if left > right:
+            if tau.numerator * t_den > t_num * tau.denominator:
                 violations.append(Violation(time, THERMAL, entry))
                 ok = False
             if ok:

@@ -9,18 +9,23 @@ expired, not yet scheduled) sorted by id. The harness never shows a
 policy a job before its release time, which is what makes a run
 online. Returning None means stay idle for one slot.
 
-A policy is *reasonable* if it (i) never idles while some pending job
-is admissible and (ii) never executes a job that is strictly dominated
-by another pending job, where j dominates k when h_j <= h_k and
-d_j <= d_k (strictly if at least one inequality is strict). Reasonable
-policies are 2-competitive for throughput; CoolestFirst and
-EarliestDeadlineFirst below are the two canonical members. Only the
-harness derives what is pending; ``check_reasonable`` reads the pending
-ids the run recorded.
+A job of heat h is *admissible* at temperature tau iff
+tau + h <= R·T, which is (tau + h)/R <= T; the ThermalConfig holds R·T
+once, as a lowest-terms integer pair. A policy is *reasonable* if it
+(i) never idles while some pending job is admissible and (ii) never
+executes a job that is strictly dominated by another pending job, where
+j dominates k when h_j <= h_k and d_j <= d_k (strictly if at least one
+inequality is strict). Reasonable policies are 2-competitive for
+throughput; CoolestFirst and EarliestDeadlineFirst below are the two
+canonical members. Only the harness derives what is pending;
+``check_reasonable`` reads the pending ids the run recorded. The
+harness admits a choice by the post-step test that simulate applies,
+tau' = step_temperature(tau, h) <= T, and does not repeat the policy's
+is_admissible.
 
-CoolestFirst's scan, EDF's heat tie-break and strictly_dominates
-compare heats with model.cross_multiplied: one integer comparison,
-exact because a Fraction's denominator is positive.
+Heats and rationals are compared as integers, never with Fraction's
+operators: a/b < c/d iff a·d < c·b, exact because a Fraction's
+denominator is positive (model.cross_multiplied).
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
     """
     require_valid(instance)
     cfg = instance.config
+    t_num, t_den = cfg.threshold.numerator, cfg.threshold.denominator
     arrivals = sorted(instance.jobs, key=attrgetter("release"), reverse=True)
     job_id = attrgetter("id")
     live: list[Job] = []
@@ -105,22 +111,22 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
         pending = tuple(live)
         ids = tuple(map(job_id, pending))
         choice = policy(time, tau, pending, cfg)
-        heat = 0
-        if choice is not None:
+        if choice is None:
+            tau = step_temperature(tau, 0, cfg)
+        else:
             # 1.0 == 1 and True == 1, so only an exact int may name a job.
             if type(choice) is not int or choice not in ids:
                 raise PolicyViolationError(
                     f"policy returned job {choice} at time {time}, which is not pending"
                 )
-            chosen = live.pop(ids.index(choice))
-            if not is_admissible(tau, chosen, cfg):
+            tau = step_temperature(tau, live.pop(ids.index(choice)).heat, cfg)
+            # simulate's threshold test, tau <= T after the step, is admissibility.
+            if tau.numerator * t_den > t_num * tau.denominator:
                 raise PolicyViolationError(
                     f"policy returned job {choice} at time {time}, which is not admissible"
                 )
-            heat = chosen.heat
         shown.append(ids)
         slots.append(choice)
-        tau = step_temperature(tau, heat, cfg)
         temperatures.append(tau)
     # Every choice above was pending and admissible, so no slot violates a rule.
     ran = frozenset(job_id for job_id in slots if job_id is not None)
@@ -146,12 +152,15 @@ def coolest_first_decide(
     if not pending:
         return None
     coolest = pending[0]
+    # The coolest heat so far is c/d; job.heat < c/d iff its num·d < c·its den.
+    c, d = coolest.heat.numerator, coolest.heat.denominator
     for job in pending:
-        left, right = cross_multiplied(job.heat, coolest.heat)
+        heat = job.heat
+        left, right = heat.numerator * d, c * heat.denominator
         if left < right or (
             left == right and (job.deadline, job.id) < (coolest.deadline, coolest.id)
         ):
-            coolest = job
+            coolest, c, d = job, heat.numerator, heat.denominator
     return coolest.id if is_admissible(temperature, coolest, config) else None
 
 
@@ -217,20 +226,39 @@ def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
     admissible pending job, a DOMINANCE violation an executed job
     strictly dominated by a pending one; the witness is the first such
     pending job in id order.
+
+    An idle slot forms the room R·T - tau = n/m once (m > 0), and a
+    pending heat c/d is admissible iff c·m <= n·d. The dominance scan is
+    strictly_dominates(j, executed) with the executed job's deadline and
+    heat read once.
     """
-    cfg = run.instance.config
+    u, v = run.instance.config.admission_limit
     jobs = run.instance.job_map()
     violations: list[ReasonablenessViolation] = []
     slots = zip(run.schedule, run.pending, run.trace.temperatures)
     for time, (choice, shown, tau) in enumerate(slots):
         pending = map(jobs.__getitem__, shown)
+        witness = None
         if choice is None:
             kind = NON_WAITING
-            witness = next((j for j in pending if is_admissible(tau, j, cfg)), None)
+            if shown:
+                b = tau.denominator
+                n, m = u * b - tau.numerator * v, v * b
+                for j in pending:
+                    if j.heat.numerator * m <= n * j.heat.denominator:
+                        witness = j
+                        break
         else:
             kind = DOMINANCE
             executed = jobs[choice]
-            witness = next((j for j in pending if strictly_dominates(j, executed)), None)
+            deadline = executed.deadline
+            c, d = executed.heat.numerator, executed.heat.denominator
+            for j in pending:
+                if j.deadline <= deadline:
+                    left, right = j.heat.numerator * d, c * j.heat.denominator
+                    if left < right or left == right and j.deadline < deadline:
+                        witness = j
+                        break
         if witness is not None:
             violations.append(ReasonablenessViolation(time, kind, choice, witness.id))
     return violations

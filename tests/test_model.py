@@ -1,5 +1,7 @@
 """Thermal recurrence, admissibility, validation and diagnostic simulation."""
 
+import dataclasses
+import pickle
 import re
 from decimal import Decimal
 from enum import IntEnum
@@ -444,6 +446,41 @@ def test_horizon_of_empty_instance():
 def test_default_config():
     assert DEFAULT_CONFIG.threshold == 1
     assert DEFAULT_CONFIG.cooling_factor == 2
+
+
+class TestConfigValueSemantics:
+    """The config holds R·T as a derived pair that is no field of its value:
+    equality, hash and repr see T and R only."""
+
+    def test_ints_and_fractions_give_one_value(self):
+        from_ints = ThermalConfig(5, 3)
+        from_fractions = ThermalConfig(Fraction(5), Fraction(3))
+        assert from_ints == from_fractions
+        assert hash(from_ints) == hash(from_fractions) == hash((Fraction(5), Fraction(3)))
+        assert repr(from_ints) == repr(from_fractions) == (
+            "ThermalConfig(threshold=Fraction(5, 1), cooling_factor=Fraction(3, 1))"
+        )
+        assert ThermalConfig(Fraction(5, 3), Fraction(3, 2)) != ThermalConfig(Fraction(5, 3), 2)
+
+    def test_the_limit_is_no_argument(self):
+        with pytest.raises(TypeError):
+            ThermalConfig(1, 2, (2, 1))
+
+    def test_replace_recomputes_the_limit(self):
+        config = dataclasses.replace(ThermalConfig(Fraction(5, 3), Fraction(3, 2)), threshold=2)
+        assert config == ThermalConfig(2, Fraction(3, 2))
+        assert config.admission_limit == (3, 1)
+
+    def test_pickle_keeps_the_limit(self):
+        config = ThermalConfig(Fraction(5, 3), Fraction(3, 2))
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and hash(copy) == hash(config)
+        assert copy.admission_limit == config.admission_limit == (5, 2)
+
+    @given(configs())
+    def test_the_limit_is_r_times_t_in_lowest_terms(self, config):
+        limit = config.threshold * config.cooling_factor
+        assert config.admission_limit == (limit.numerator, limit.denominator)
 
 
 class TestInstanceTypes:

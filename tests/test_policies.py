@@ -1,6 +1,7 @@
 """Online harness, CoolestFirst/EDF and the reasonableness checker."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,13 @@ from thermosched import (
     Job,
     PolicyViolationError,
     ReasonablenessViolation,
+    ThermalConfig,
     check_reasonable,
     always_idle,
     coolest_first_decide,
     edf_decide,
     is_admissible,
+    parse_instance,
     run_online,
     simulate,
     step_temperature,
@@ -26,6 +29,8 @@ from thermosched import (
 )
 from thermosched.policies import DOMINANCE, NON_WAITING
 from thermosched.serialization import serialize_run
+
+TIGHT_CUT = Path(__file__).parent / "data" / "tight_cut.json"
 
 
 class TestDecisionRules:
@@ -116,6 +121,27 @@ class TestRunOnline:
         with pytest.raises(PolicyViolationError, match="not admissible"):
             run_online(instance, hot_headed)
 
+    def test_job_landing_exactly_on_t_is_admitted(self):
+        # T = 5/3, R = 3/2: job 1 leaves 3/2, two idle slots cool it to 2/3,
+        # and job 2 (heat 11/6) then lands on (2/3 + 11/6)/(3/2) = 5/3 = T.
+        instance = parse_instance(TIGHT_CUT.read_text())
+        run = run_online(instance, _replay((1, None, None, 2, None)))
+        assert run.schedule.slots == (1, None, None, 2, None)
+        assert run.trace.temperatures[4] == instance.config.threshold
+
+    def test_job_one_slot_early_is_not_admissible(self):
+        # After one idle slot tau = 1, and (1 + 11/6)/(3/2) = 17/9 > 5/3.
+        instance = parse_instance(TIGHT_CUT.read_text())
+        with pytest.raises(
+            PolicyViolationError, match=r"^policy returned job 2 at time 2, which is not admissible$"
+        ):
+            run_online(instance, _replay((1, None, 2, None, None)))
+
+
+def _replay(script):
+    """Policy that returns script[t] at slot t, admissible or not."""
+    return lambda time, temperature, pending, config: script[time]
+
 
 class TestStrictDominance:
     def test_strict_in_one_coordinate(self):
@@ -161,6 +187,21 @@ class TestCheckReasonable:
         run = run_online(instance, coolest_first_decide)
         assert run.schedule[0] == 1 and run.schedule[1] is None
         assert check_reasonable(run) == []
+
+    @pytest.mark.parametrize(
+        "heat, expected",
+        [(Fraction(11, 6), [(3, NON_WAITING, None, 2)]), (Fraction(37, 20), [])],
+        ids=["on-the-room", "above-the-room"],
+    )
+    def test_heat_equal_to_the_room_is_admissible(self, heat, expected):
+        # T = 5/3, R = 3/2, so R·T = 5/2. Idling after job 1 leaves
+        # tau = 3/2, 1, 2/3; at slot 3 the room 5/2 - 2/3 is exactly 11/6.
+        config = ThermalConfig(Fraction(5, 3), Fraction(3, 2))
+        instance = Instance((Job(1, 0, 1, Fraction(9, 4)), Job(2, 1, 4, heat)), config)
+        run = run_online(instance, _replay((1, None, None, None)))
+        assert run.trace.temperatures[3] == Fraction(2, 3)
+        violations = check_reasonable(run)
+        assert [(v.time, v.kind, v.executed, v.witness) for v in violations] == expected
 
 
 @settings(max_examples=200, deadline=None)

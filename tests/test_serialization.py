@@ -50,12 +50,18 @@ from thermosched.cli import main
 from thermosched.reductions import InvalidSourceError, N3DMInstance
 
 GOLDEN = Path(__file__).parent / "golden"
+TIGHT_CUT = Path(__file__).parent / "data" / "tight_cut.json"
 
 
 def _opt_document(instance, tmp_path, capsys):
     path = tmp_path / "instance.json"
     path.write_text(serialize_instance(instance))
     main(["opt", str(path)])
+    return capsys.readouterr().out
+
+
+def _online_tight_cut_document(_, tmp_path, capsys):
+    main(["online", str(TIGHT_CUT), "--policy", "coolest", "--trace"])
     return capsys.readouterr().out
 
 
@@ -74,6 +80,8 @@ GOLDEN_DOCUMENTS = {
         gen_from_n3dm(N3DMInstance(a=(0, 8), b=(8, 0), c=(4, 4), beta=12))[1]
     ),
     "opt": _opt_document,
+    # T = 5/3, R = 3/2: CoolestFirst on the data file, through the CLI.
+    "run_tight_cut": _online_tight_cut_document,
 }
 
 
