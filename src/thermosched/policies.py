@@ -175,8 +175,15 @@ def edf_decide(
     Ties go to the cooler job, then to the smaller id. The first admissible
     job in that order wins; the policy idles only when none is. One scan
     keeps the best admissible job so far and tests a job for admissibility
-    only if it would come before that one.
+    only if it would come before that one. As in check_reasonable, the
+    room R·T - tau = n/m is formed once (m > 0), and a heat c/d is
+    admissible iff c·m <= n·d.
     """
+    if not pending:
+        return None
+    u, v = config.admission_limit
+    b = temperature.denominator
+    n, m = u * b - temperature.numerator * v, v * b
     best = None
     for job in pending:
         if best is not None:
@@ -186,7 +193,8 @@ def edf_decide(
                 left, right = cross_multiplied(job.heat, best.heat)
                 if left > right or left == right and job.id > best.id:
                     continue
-        if is_admissible(temperature, job, config):
+        heat = job.heat
+        if heat.numerator * m <= n * heat.denominator:
             best = job
     return None if best is None else best.id
 

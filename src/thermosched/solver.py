@@ -19,15 +19,46 @@ the best complete schedule found, and prunes with
     V + h·D·w[f] <= T·D·w[f+1], i.e. V <= c_j = T·D·w[f+1] - h·D·w[f]:
     one exact integer per job. A node looks up the cuts once, for its
     idle child's temperature: every child is at least as hot, so a job
-    out of the idle child's reach is out of every child's, and
+    out of the idle child's reach is out of every child's,
   * state dominance: two search states at the same slot with the same
     set of completed still-alive jobs are comparable, and the one with
     at least as many completions and a temperature at most as high can
     only do better from here on (cooler is never worse, since lowering
-    the temperature preserves every later admissibility check).
+    the temperature preserves every later admissibility check). A child
+    is entered in the memo of its slot when it is generated, and it is
+    pushed only if no entry with its key dominates it, and
+  * two exchange rules. A node at slot t does not branch on a job j
+    that was pending at t - 1 (r_j <= t - 1) and admissible there when
+    (a) slot t - 1 was idle: j at t - 1 and idle at t end no hotter,
+        and since idling keeps V, j fits at t - 1 iff
+        V + h_j·D·w[t-1] <= T·D·w[t], or
+    (b) slot t - 1 ran a job k with h_k < h_j that is still pending at
+        t (d_k > t): j at t - 1 and k at t end no hotter, because
+        (tau + h_j)/R + h_k <= (tau + h_k)/R + h_j when R > 1, and j
+        fits at t - 1 iff V - h_k·D·w[t-1] + h_j·D·w[t-1] <= T·D·w[t].
+    Either swap keeps the done set and the count, and the swapped run
+    fits at slot t because it ends no hotter than the forbidden one.
 
 Expired jobs drop out of the dominance key because they cannot affect
 the future; their count is kept in the Pareto value instead.
+
+Why the pruning is exact. Take the search without the exchange rules
+and the memo (twins still in order). By induction over slots, each of
+its states at slot t is either dominated by a state the search expands
+(same key, at least as many completions, V no higher) or cannot beat
+the final incumbent. For t + 1, let S at t be dominated by the expanded
+S' and let e be the entry of slot t. S' can take e too, and its child
+dominates S's. That child is cut by its bound, dominated by a memo
+entry (which was pushed, so it is expanded or cut by its bound), pushed
+itself, or forbidden by a rule. A forbidden child equals or is
+dominated by a state with j at t - 1 (a state at slot t, covered by the
+induction) and entry e' at t: idle under (a), which no rule forbids,
+and k under (b), which is strictly cooler than j. Repeating the step on
+e' ends, since heats cannot fall forever, so every state at t + 1 is
+covered. The swap keeps the twin order, because j and k differ in heat
+and j's predecessor ran before slot t - 1. Equal heats are never
+swapped: two jobs of one heat that are not twins would forbid each
+other's order.
 
 The search order does the rest. Jobs branch earliest deadline first
 and, among equal deadlines, hottest first, so the hot jobs that fit
@@ -68,10 +99,11 @@ class OptResult:
     """Outcome of solve_optimal.
 
     witness re-simulates violation-free with exactly best_throughput
-    completions. explored counts the search nodes popped; a child whose
-    bound cannot beat the incumbent is never pushed, so it is not
-    counted. proven_optimal is False only when a node budget was hit,
-    in which case best_throughput is a lower bound.
+    completions. explored counts the search nodes popped. A child whose
+    bound cannot beat the incumbent, that an exchange rule forbids or
+    that a memo entry dominates is never pushed, so it is not counted.
+    proven_optimal is False only when a node budget was hit, in which
+    case best_throughput is a lower bound.
     """
 
     best_throughput: int
@@ -115,17 +147,23 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     for i in order:
         twin = (jobs[i].release, jobs[i].deadline, heats[i])
         need[i], last[twin] = last.get(twin, 0), 1 << i
-    # pending[t]: (bit, need, h·D, id, still alive at t + 1) of each job
-    # pending at slot t, in reverse branching order, because children are
-    # pushed on a stack. ending[f]: the bits of the jobs whose last slot is f.
-    pending: list[list[tuple[int, int, int, int, bool]]] = [[] for _ in range(horizon)]
+    # pending[t]: (bit, need, h·D, id, deadline, still alive at t + 1,
+    # pending at t - 1 too) of each job pending at slot t, in reverse
+    # branching order, because children are pushed on a stack.
+    # ending[f]: the bits of the jobs whose last slot is f.
+    pending: list[list[tuple[int, int, int, int, int, bool, bool]]] = [[] for _ in range(horizon)]
     ending = [0] * (horizon + 1)
     for i in reversed(order):
         job = jobs[i]
-        bit, final = 1 << i, job.deadline - 1
-        row = (bit, need[i], heats[i], job.id)
-        for t in range(job.release, job.deadline):
-            pending[t].append((*row, t < final))
+        bit, release, final = 1 << i, job.release, job.deadline - 1
+        row = (bit, need[i], heats[i], job.id, job.deadline)
+        # The slots strictly inside the window share one row.
+        pending[release].append((*row, release < final, False))
+        inside = (*row, True, True)
+        for t in range(release + 1, final):
+            pending[t].append(inside)
+        if release < final:
+            pending[final].append((*row, False, True))
         ending[final] |= bit
     # alive[t]: the jobs with a slot at t or later.
     alive = [*accumulate(reversed(ending), or_)]
@@ -142,19 +180,38 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     best_slots: list[Optional[int]] = [None] * horizon
     # path[t + 1] is the entry of slot t on the way to the node being visited.
     path: list[Optional[int]] = [None] * (horizon + 1)
-    # memo[time][unexpired done-mask] -> Pareto set of (count, V)
-    memo: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(horizon)]
+    # memo[time][unexpired done-mask] -> Pareto set of (count, V) of the
+    # nodes pushed at time.
+    memo: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(horizon + 1)]
+
+    def undominated(time: int, key: int, count: int, s: int) -> bool:
+        """Enter (count, s) in memo[time][key] unless an entry dominates it."""
+        fronts = memo[time]
+        pareto = fronts.get(key)
+        if pareto is None:
+            fronts[key] = [(count, s)]
+            return True
+        for c, v in pareto:
+            if c >= count and v <= s:
+                return False
+        pareto[:] = [(c, v) for c, v in pareto if not (count >= c and s <= v)]
+        pareto.append((count, s))
+        return True
+
     explored = 0
     proven = True
-    # Depth-first in pre-order: a node is (time, V, done-mask,
-    # count, entry of slot time - 1, bound); its job children pop before its
-    # idle child. bound = count + min(jobs alive, reachable and not done at
-    # time, slots left) caps the completions of every schedule through the node.
-    stack: list[tuple[int, int, int, int, Optional[int], int]] = [
-        (0, 0, 0, 0, None, min(len(order), horizon))
+    # Depth-first in pre-order: a node is (time, V, done-mask, count, entry
+    # of slot time - 1, bound, heat h·D and deadline of that entry's job).
+    # An idle entry has heat -1 and deadline horizon, so it is pending
+    # throughout for the exchange rules; the root has deadline 0, since no
+    # slot comes before it. A node's job children pop before its idle
+    # child. bound = count + min(jobs alive, reachable and not done at time,
+    # slots left) caps the completions of every schedule through the node.
+    stack: list[tuple[int, int, int, int, Optional[int], int, int, int]] = [
+        (0, 0, 0, 0, None, min(len(order), horizon), -1, 0)
     ]
     while stack:
-        time, s, done, count, entry, bound = stack.pop()
+        time, s, done, count, entry, bound, last_heat, last_deadline = stack.pop()
         explored += 1
         if explored == stop:
             proven = False
@@ -168,21 +225,6 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
             best = count
             best_slots = path[1:]
             continue
-        key = done & alive[time]
-        fronts = memo[time]
-        pareto = fronts.get(key)
-        if pareto is None:
-            fronts[key] = [(count, s)]
-        else:
-            dominated = False
-            for c, t in pareto:
-                if c >= count and t <= s:
-                    dominated = True
-                    break
-            if dominated:
-                continue
-            pareto[:] = [(c, t) for c, t in pareto if not (count >= c and s <= t)]
-            pareto.append((count, s))
         # A child that cannot beat the incumbent is never pushed. Heats are
         # non-negative, so every child is at least as hot as the idle child
         # and reaches no job that the idle child cannot reach. At the child,
@@ -194,23 +236,37 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
         # count + 1 + min(rem - 1, left) = count + min(rem, left + 1);
         # if it expires, count + 1 + min(rem, left).
         child = time + 1
-        rem = (reach[bisect_left(cuts, s)] & alive[child] & ~done).bit_count()
+        alive_after = alive[child]
+        rem = (reach[bisect_left(cuts, s)] & alive_after & ~done).bit_count()
         left = horizon - child
         idle_bound = count + (rem if rem < left else left)
-        if idle_bound > best:
-            stack.append((child, s, done, count, None, idle_bound))
+        if idle_bound > best and undominated(child, done & alive_after, count, s):
+            stack.append((child, s, done, count, None, idle_bound, -1, horizon))
         # No job child's bound exceeds idle_bound + 1, so skip the scan when that cannot win.
         if idle_bound >= best:
             stays_bound = count + (rem if rem <= left else left + 1)
             weight, cap = weights[time], limit[child]
-            for bit, prev, heat, job_id, stays in pending[time]:
+            # The exchange rules forbid a job that was pending at time - 1
+            # with a heat h in (lo, hi]. After an idle slot (lo = -1) that is
+            # every h with s + h·w[time-1] <= limit[time]; after a job k that
+            # is still pending (lo = h_k), every hotter h with
+            # s + (h - h_k)·w[time-1] <= limit[time]. Else it is empty.
+            lo = hi = -1
+            if last_deadline > time:
+                lo = last_heat
+                hi = (limit[time] - s) // weights[time - 1] + (lo if lo > 0 else 0)
+            for bit, prev, heat, job_id, deadline, stays, earlier in pending[time]:
                 if not done & bit and done & prev == prev:
                     bound = stays_bound if stays else idle_bound + 1
-                    if bound > best:
+                    if bound > best and not (earlier and lo < heat <= hi):
                         # The ScaledKernel step, admissible iff it stays at most T·D·w[t+1].
                         after = s + heat * weight
-                        if after <= cap:
-                            stack.append((child, after, done | bit, count + 1, job_id, bound))
+                        if after <= cap and undominated(
+                            child, (done | bit) & alive_after, count + 1, after
+                        ):
+                            stack.append(
+                                (child, after, done | bit, count + 1, job_id, bound, heat, deadline)
+                            )
     return OptResult(
         best_throughput=best,
         witness=Schedule(tuple(best_slots)),

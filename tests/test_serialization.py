@@ -76,6 +76,12 @@ GOLDEN_DOCUMENTS = {
     "report": lambda *_: serialize_report(
         ratio_experiment(RandomModel(n=2, seed=4), ("coolest", "idle"), 2)
     ),
+    # The benchmark's ratio_random model: 32 exact optima at n = 16.
+    "report_n16": lambda *_: serialize_report(
+        ratio_experiment(
+            RandomModel(n=16, release_span=16, max_window=10, seed=7919), ("coolest", "edf"), 32
+        )
+    ),
     "meta": lambda *_: serialize_reduction_meta(
         gen_from_n3dm(N3DMInstance(a=(0, 8), b=(8, 0), c=(4, 4), beta=12))[1]
     ),

@@ -129,13 +129,13 @@ class TestNodeCounts:
             ThreePartitionInstance.from_values((4, 4, 4, 4, 4, 6))
         )
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (7, 234)
+        assert (result.best_throughput, result.explored) == (7, 137)
         assert result.proven_optimal
 
     def test_n3dm_no_instance(self):
         instance, _ = gen_from_n3dm(N3DMInstance(a=(2, 0), b=(2, 0), c=(2, 0), beta=3))
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (8, 332)
+        assert (result.best_throughput, result.explored) == (8, 132)
         assert result.proven_optimal
 
     def test_n3dm_n4_no_instance(self):
@@ -143,14 +143,22 @@ class TestNodeCounts:
             N3DMInstance(a=(2, 0, 2, 0), b=(2, 0, 2, 0), c=(2, 0, 2, 0), beta=3)
         )
         result = solve_optimal(instance)
-        assert (result.best_throughput, result.explored) == (16, 14775)
+        assert (result.best_throughput, result.explored) == (16, 3928)
         assert result.proven_optimal
 
     def test_random_instance(self):
         model = RandomModel(n=16, release_span=16, max_window=10, seed=18)
         result = solve_optimal(random_instance(model))
-        assert (result.best_throughput, result.explored) == (14, 89)
+        assert (result.best_throughput, result.explored) == (14, 63)
         assert result.proven_optimal
+
+    def test_ratio_random_corpus(self):
+        """The benchmark's ratio_random model, seeds 0 to 31."""
+        models = (RandomModel(n=16, release_span=16, max_window=10, seed=s) for s in range(32))
+        results = [solve_optimal(random_instance(model)) for model in models]
+        assert all(r.proven_optimal for r in results)
+        assert sum(r.best_throughput for r in results) == 461
+        assert sum(r.explored for r in results) == 9739
 
 
 TIGHT_CUT = Path(__file__).parent / "data" / "tight_cut.json"
@@ -174,6 +182,66 @@ class TestReachCut:
         # A looser cut (one idle slot too many, c_2·p/q) keeps the node
         # that this one prunes: 11 nodes, as count alone.
         assert (result.explored, result.proven_optimal) == (10, True)
+
+
+def _solve_checked(*jobs):
+    """solve_optimal on T = 1, R = 2, checked against the brute force."""
+    instance = Instance(jobs=jobs)
+    result = solve_optimal(instance)
+    assert result.best_throughput == enumerate_optimal_bruteforce(instance)
+    trace = simulate(instance, result.witness)
+    assert (trace.violations, trace.throughput) == ((), result.best_throughput)
+    assert result.proven_optimal
+    return result
+
+
+class TestExchangeRules:
+    """The two exchange rules at T = 1, R = 2, and the guards that stop
+    them. A rule that fires only saves nodes; a missing guard forbids the
+    only order that completes every job."""
+
+    def test_idle_swap_fires(self):
+        """Only one of the jobs ever runs: job 1 needs temperature 0, and
+        after either job the other no longer fits. After an idle slot 0,
+        both are forbidden at slot 1, because they fit at slot 0 and
+        swapping the job with the idle slot ends no hotter; the idle node
+        then has no child that can beat 1. Without the rule: 7 nodes."""
+        result = _solve_checked(Job(1, 0, 3, Fraction(2)), Job(2, 0, 3, Fraction(7, 4)))
+        assert (result.best_throughput, result.explored) == (1, 6)
+
+    def test_heat_order_swap_fires(self):
+        """After job 1 (heat 1/4) at slot 0, the hotter job 2 is forbidden
+        at slot 1: it fits at slot 0, job 1 is still pending at slot 1, and
+        2 then 1 ends at 7/16 where 1 then 2 ends at 11/16. Without the
+        rule: 8 nodes."""
+        result = _solve_checked(
+            Job(1, 0, 2, Fraction(1, 4)), Job(2, 0, 3, Fraction(5, 4)), Job(3, 1, 3, Fraction(7, 4))
+        )
+        assert (result.best_throughput, result.explored) == (2, 7)
+
+    @pytest.mark.parametrize(
+        "jobs",
+        [
+            # Idle slot 0, then the job at its release: it did not fit at slot 0.
+            (Job(1, 1, 2, Fraction(1)),),
+            # Job 1 at slot 0, then the hotter job 2 at its release.
+            (Job(1, 0, 2, Fraction(1, 2)), Job(2, 1, 2, Fraction(1))),
+        ],
+        ids=["idle-swap", "heat-order-swap"],
+    )
+    def test_job_released_at_the_slot_is_not_swapped(self, jobs):
+        assert _solve_checked(*jobs).best_throughput == len(jobs)
+
+    def test_job_ending_at_the_previous_slot_is_not_swapped(self):
+        """Job 1 (heat 1/2) has only slot 0, so the hotter job 2 must follow it."""
+        result = _solve_checked(Job(1, 0, 1, Fraction(1, 2)), Job(2, 0, 2, Fraction(1)))
+        assert result.witness.slots == (1, 2)
+
+    def test_equal_heats_are_not_swapped(self):
+        """Two jobs of heat 1 that are not twins: either order ends at 3/4,
+        so forbidding one order for the other would forbid both."""
+        result = _solve_checked(Job(1, 0, 2, Fraction(1)), Job(2, 0, 3, Fraction(1)))
+        assert result.best_throughput == 2
 
 
 class TestBruteForce:
