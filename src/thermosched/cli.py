@@ -145,19 +145,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.out:
         _write(args.out, serialize_report(report))
     counterexamples = report.counterexamples
-    width = max((len(name) for name in report.policies), default=6) + 2
     print(f"instances: {report.count}  skipped (OPT=0): {report.skipped_zero_opt}")
-    print(f"{'policy'.ljust(width)}{'max ratio'.ljust(18)}{'mean ratio'.ljust(18)}bound")
+    rows = [("policy", "max ratio", "mean ratio", "bound")]
     for name, *aggregates in zip(report.policies, report.max_ratios, report.mean_ratios):
-        cells = []
-        for value in aggregates:
-            if value is None:
-                cells.append("-".ljust(18))
-            else:
-                cells.append(f"{format_rational(value)} ({approx_decimal(value)})".ljust(18))
+        cells = [
+            "-" if value is None else f"{format_rational(value)} ({approx_decimal(value)})"
+            for value in aggregates
+        ]
         bad = sum(1 for c in counterexamples if c.policy == name)
-        verdict = "ok" if bad == 0 else f"{bad} counterexample(s)"
-        print(f"{name.ljust(width)}{cells[0]}{cells[1]}{verdict}")
+        rows.append((name, *cells, "ok" if bad == 0 else f"{bad} counterexample(s)"))
+    # Each column but the last is as wide as its widest cell plus two spaces.
+    widths = [max(map(len, column)) + 2 for column in zip(*rows)][:-1]
+    for *cells, verdict in rows:
+        print("".join(cell.ljust(width) for cell, width in zip(cells, widths)) + verdict)
     unproven = sum(1 for r in report.records if not r.proven_optimal)
     if unproven:
         print(f"unproven optimum: {unproven} instance(s) hit the node budget")
@@ -259,10 +259,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:

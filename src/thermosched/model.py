@@ -15,12 +15,12 @@ temperature landing on the threshold *exactly*, so comparisons against
 T are exact as well (<= T passes, > T violates).
 
 A job of heat h is admissible at temperature tau iff (tau + h)/R <= T,
-that is tau + h <= R·T; the config holds R·T once, as a lowest-terms
-integer pair. The per-slot comparisons (tau against T in simulate,
-tau + h against R·T in is_admissible, heat signs in validate_instance,
-heats in the policies) compare integers, never Fractions: a/b < c/d iff
-a·d < c·b, exact because a Fraction's denominator is positive (see
-cross_multiplied).
+that is h <= R·T - tau. admission_room forms that room from the
+config's R·T as integers n/m with m > 0, so a heat c/d is admissible
+iff c·m <= n·d. Every per-slot comparison of two rationals, here and
+in the policies, is such a product comparison and never one of
+Fraction's operators, which dispatch on types in Python code: a/b < c/d
+iff a·d < c·b, exact because both denominators are positive.
 
 All types are immutable after construction and every function is a
 pure function of its inputs.
@@ -265,16 +265,6 @@ def require_valid(instance: Instance) -> None:
         raise InvalidInstanceError("; ".join(issue.message for issue in issues))
 
 
-def cross_multiplied(a: Fraction, b: Fraction) -> tuple[int, int]:
-    """(a.num·b.den, b.num·a.den): two integers in the order of a and b.
-
-    Both denominators are positive, so <, == and > between the integers
-    are exactly those between a and b. This spares the Python-level type
-    dispatch of Fraction's comparison operators.
-    """
-    return a.numerator * b.denominator, b.numerator * a.denominator
-
-
 def step_temperature(
     tau: Fraction, heat: Union[Fraction, int], config: ThermalConfig = DEFAULT_CONFIG
 ) -> Fraction:
@@ -323,20 +313,23 @@ class ScaledKernel:
         return heat.numerator * (self.lcm // heat.denominator)
 
 
+def admission_room(tau: Fraction, config: ThermalConfig = DEFAULT_CONFIG) -> tuple[int, int]:
+    """The room R·T - tau as integers (n, m) with m > 0, not in lowest terms.
+
+    A heat c/d is admissible at tau iff c·m <= n·d; n < 0 when tau > R·T.
+    """
+    u, v = config.admission_limit
+    b = tau.denominator
+    return u * b - tau.numerator * v, v * b
+
+
 def is_admissible(
     tau: Fraction, job: Job, config: ThermalConfig = DEFAULT_CONFIG
 ) -> bool:
-    """True iff executing the job now keeps the post-step temperature <= T.
-
-    (tau + h) / R <= T is tau + h <= R·T. With tau = a/b, h = c/d and the
-    config's R·T = u/v, that is (a·d + c·b)·v <= u·b·d: one integer
-    comparison, no Fraction built and no gcd taken, exact because the
-    denominators are positive.
-    """
-    u, v = config.admission_limit
-    a, b = tau.numerator, tau.denominator
-    c, d = job.heat.numerator, job.heat.denominator
-    return (a * d + c * b) * v <= u * b * d
+    """True iff executing the job now keeps the post-step temperature <= T."""
+    n, m = admission_room(tau, config)
+    heat = job.heat
+    return heat.numerator * m <= n * heat.denominator
 
 
 def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
@@ -368,7 +361,7 @@ def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
                 violations.append(Violation(time, REPEATED_JOB, entry))
                 ok = False
             executed.add(entry)
-            if not job.release <= time < job.deadline:
+            if not job.pending_at(time):
                 violations.append(Violation(time, OUT_OF_WINDOW, entry))
                 ok = False
             if tau.numerator * t_den > t_num * tau.denominator:

@@ -23,9 +23,9 @@ harness admits a choice by the post-step test that simulate applies,
 tau' = step_temperature(tau, h) <= T, and does not repeat the policy's
 is_admissible.
 
-Heats and rationals are compared as integers, never with Fraction's
-operators: a/b < c/d iff a·d < c·b, exact because a Fraction's
-denominator is positive (model.cross_multiplied).
+Heats are tested against the room model.admission_room and against
+each other as integer products, never with Fraction's operators; the
+model module's docstring gives the argument.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .model import (
     Schedule,
     SimulationTrace,
     ThermalConfig,
-    cross_multiplied,
+    admission_room,
     is_admissible,
     require_valid,
     step_temperature,
@@ -175,25 +175,22 @@ def edf_decide(
     Ties go to the cooler job, then to the smaller id. The first admissible
     job in that order wins; the policy idles only when none is. One scan
     keeps the best admissible job so far and tests a job for admissibility
-    only if it would come before that one. As in check_reasonable, the
-    room R·T - tau = n/m is formed once (m > 0), and a heat c/d is
-    admissible iff c·m <= n·d.
+    only if it would come before that one, against the room formed once.
     """
     if not pending:
         return None
-    u, v = config.admission_limit
-    b = temperature.denominator
-    n, m = u * b - temperature.numerator * v, v * b
+    n, m = admission_room(temperature, config)
     best = None
     for job in pending:
+        heat = job.heat
         if best is not None:
             if job.deadline > best.deadline:
                 continue
             if job.deadline == best.deadline:
-                left, right = cross_multiplied(job.heat, best.heat)
+                left = heat.numerator * best.heat.denominator
+                right = best.heat.numerator * heat.denominator
                 if left > right or left == right and job.id > best.id:
                     continue
-        heat = job.heat
         if heat.numerator * m <= n * heat.denominator:
             best = job
     return None if best is None else best.id
@@ -221,7 +218,8 @@ def strictly_dominates(j: Job, k: Job) -> bool:
     """True iff j is no hotter and no later-due than k, strictly in one of the two."""
     if j.deadline > k.deadline:
         return False
-    left, right = cross_multiplied(j.heat, k.heat)
+    left = j.heat.numerator * k.heat.denominator
+    right = k.heat.numerator * j.heat.denominator
     return left < right or left == right and j.deadline < k.deadline
 
 
@@ -234,13 +232,8 @@ def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
     admissible pending job, a DOMINANCE violation an executed job
     strictly dominated by a pending one; the witness is the first such
     pending job in id order.
-
-    An idle slot forms the room R·T - tau = n/m once (m > 0), and a
-    pending heat c/d is admissible iff c·m <= n·d. The dominance scan is
-    strictly_dominates(j, executed) with the executed job's deadline and
-    heat read once.
     """
-    u, v = run.instance.config.admission_limit
+    config = run.instance.config
     jobs = run.instance.job_map()
     violations: list[ReasonablenessViolation] = []
     slots = zip(run.schedule, run.pending, run.trace.temperatures)
@@ -250,8 +243,7 @@ def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
         if choice is None:
             kind = NON_WAITING
             if shown:
-                b = tau.denominator
-                n, m = u * b - tau.numerator * v, v * b
+                n, m = admission_room(tau, config)
                 for j in pending:
                     if j.heat.numerator * m <= n * j.heat.denominator:
                         witness = j
@@ -259,14 +251,10 @@ def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
         else:
             kind = DOMINANCE
             executed = jobs[choice]
-            deadline = executed.deadline
-            c, d = executed.heat.numerator, executed.heat.denominator
             for j in pending:
-                if j.deadline <= deadline:
-                    left, right = j.heat.numerator * d, c * j.heat.denominator
-                    if left < right or left == right and j.deadline < deadline:
-                        witness = j
-                        break
+                if strictly_dominates(j, executed):
+                    witness = j
+                    break
         if witness is not None:
             violations.append(ReasonablenessViolation(time, kind, choice, witness.id))
     return violations

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -312,6 +313,24 @@ class TestExperiment:
         assert "instances: 10" in stdout
         assert "coolest" in stdout and "edf" in stdout
         assert "ok" in stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # The coolest row's mean ratio, 228883/192192 (1.191), is 21 characters.
+            ["--n", "16", "--count", "32", "--seed", "7919", "--release-span", "16"]
+            + ["--max-window", "10", "--policy", "coolest", "--policy", "edf"],
+            # The only policy name is shorter than the header "policy".
+            ["--n", "2", "--count", "2", "--policy", "edf"],
+        ],
+    )
+    def test_summary_columns_fit_their_widest_cell(self, argv, capsys):
+        assert main(["experiment", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        bound = lines[0].index("bound")
+        for line in lines:
+            assert len(re.split(" {2,}", line)) == 4
+            assert line[bound - 2 : bound] == "  "
 
     def test_counterexamples_exit_one(self, capsys):
         code = main(

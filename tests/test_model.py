@@ -17,6 +17,7 @@ from strategies import (
     heats,
     instance_with_arbitrary_schedule,
     instance_with_feasible_schedule,
+    mixed_heats,
     stepped_temperatures,
 )
 from thermosched import (
@@ -42,6 +43,7 @@ from thermosched.model import (
     UNKNOWN_JOB,
     ScaledKernel,
     Violation,
+    admission_room,
 )
 
 
@@ -85,6 +87,16 @@ def test_is_admissible_is_the_threshold_test_of_one_step(cfg, data):
     for heat in (h for h in candidates if h >= 0):
         expected = step_temperature(tau, heat, cfg) <= cfg.threshold
         assert is_admissible(tau, Job(1, 0, 1, heat), cfg) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs(), st.data())
+def test_admission_room_is_r_times_t_minus_tau(cfg, data):
+    """(n, m) is R·T - tau exactly with m > 0, also where tau exceeds R·T."""
+    tau = data.draw(stepped_temperatures(cfg, heat=mixed_heats()))
+    n, m = admission_room(tau, cfg)
+    assert m > 0
+    assert Fraction(n, m) == cfg.cooling_factor * cfg.threshold - tau
 
 
 @settings(max_examples=300, deadline=None)
