@@ -196,7 +196,8 @@ class RatioReport:
     mean_ratios align with policies and are None when no record
     contributed. counterexamples lists, in record then policy order,
     each throughput below ceil(OPT/2). Construction raises ValueError
-    when a record's throughputs do not align with policies.
+    when a policy name repeats or a record's throughputs do not align
+    with policies.
     """
 
     model: RandomModel
@@ -204,6 +205,8 @@ class RatioReport:
     records: tuple[RatioRecord, ...]
 
     def __post_init__(self) -> None:
+        if len(set(self.policies)) != len(self.policies):
+            raise ValueError(f"policy names must be distinct, got {self.policies!r}")
         for record in self.records:
             if len(record.throughputs) != len(self.policies):
                 raise ValueError(

@@ -30,8 +30,10 @@ A source checks the rules above, with every number an exact int, when
 it is constructed and raises InvalidSourceError, so the source parsers
 raise it too. A ReductionMeta is computed from its source alone, so its
 fields cannot disagree; the 3-Partition construction caps element
-values at 64. Canonical-schedule builders refuse a meta whose source
-is not theirs, and extractors check their certificate against it.
+values at 64. Generators and canonical-schedule builders refuse the
+other construction's source with TypeError, the builders also refuse a
+meta whose source is not theirs, and extractors check their
+certificate against it.
 """
 
 from __future__ import annotations
@@ -246,6 +248,12 @@ class ReductionMeta:
         return tuple(o.job_id for o in self.origins if o.role == role)
 
 
+def _require_source(src: object, kind: type) -> None:
+    """Raise TypeError unless src is a source of type kind."""
+    if not isinstance(src, kind):
+        raise TypeError(f"expected source type {kind.__name__}, got {type(src).__name__}")
+
+
 def _require_full(meta: ReductionMeta, kind: str, name: str, schedule: Schedule) -> None:
     """Raise unless meta is a kind reduction and schedule runs all its
     jobs without violations."""
@@ -291,8 +299,10 @@ def gen_from_3partition(src: ThreePartitionInstance) -> tuple[Instance, Reductio
     Element job i (ids 1..3n) has heat 2 - 2^(1-a_i), release 1 and
     deadline n(beta+1). Gadget jobs (ids 3n+1..4n) are tight: the
     first has heat 2 at time 0, the rest heat 1 at times j(beta+1).
-    Values above DEFAULT_MAX_ELEMENT (64) raise InvalidSourceError.
+    Values above DEFAULT_MAX_ELEMENT (64) raise InvalidSourceError, and
+    a source of another type TypeError.
     """
+    _require_source(src, ThreePartitionInstance)
     meta = ReductionMeta(src)
     return meta.instance, meta
 
@@ -321,8 +331,10 @@ def canonical_schedule_3partition(
     Gadgets run at their release times; the i-th triple fills the i-th
     interval with each element job preceded by value-1 idle slots. The
     temperature is exactly 1 at every interval boundary. Raises
-    ValueError unless meta was generated from src.
+    TypeError for a source of another type and ValueError unless meta
+    was generated from src.
     """
+    _require_source(src, ThreePartitionInstance)
     if meta.source != src:
         raise ValueError("meta does not belong to this source instance")
     _check_partition_certificate(src, cert)
@@ -389,8 +401,10 @@ def gen_from_n3dm(src: N3DMInstance) -> tuple[Instance, ReductionMeta]:
 
     Jobs for row values a, b, c carry heats 8f(a), 4f(b), 2f(c); one
     gadget has heat 2 and n gadgets heat 7/4. Every job has release 0
-    and deadline 4n+1, so full throughput fills every slot.
+    and deadline 4n+1, so full throughput fills every slot. A source of
+    another type raises TypeError.
     """
+    _require_source(src, N3DMInstance)
     meta = ReductionMeta(src)
     return meta.instance, meta
 
@@ -421,9 +435,10 @@ def canonical_schedule_n3dm(
     The heat-2 gadget runs at slot 0 and the 7/4 gadgets at slots 4i;
     block i holds the i-th matched triple in the order a, b, c. The
     temperature is exactly 1 after every gadget and exactly 1/4 when
-    each 7/4 gadget starts. Raises ValueError unless meta was generated
-    from src.
+    each 7/4 gadget starts. Raises TypeError for a source of another
+    type and ValueError unless meta was generated from src.
     """
+    _require_source(src, N3DMInstance)
     if meta.source != src:
         raise ValueError("meta does not belong to this source instance")
     _check_matching_certificate(src, cert)

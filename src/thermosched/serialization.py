@@ -13,18 +13,20 @@ its writer and its parser read, so the two directions cannot drift
 apart. Some keys are derived: the writer emits them, the parser builds
 the object without them and raises ParseError at the key's path when
 one disagrees with what the object computes. They are a trace's
-throughput; a report record's ratios; a report's count,
-skipped_zero_opt, max_ratios, mean_ratios and counterexamples; and a
-reduction sidecar's n and intervals. A violation's job is always an
-integer, never null. A sidecar must be the one the generator writes
-for the given instance, though its origins may come in any order.
+throughput; a report record's ratios; and a report's count,
+skipped_zero_opt, max_ratios, mean_ratios and counterexamples. A
+violation's job is always an integer, never null.
 
-Online runs and adversary transcripts are written, never parsed. A run
-document holds the schedule and the pending ids of each slot; its
+A document that nothing reads back is written, never parsed: an online
+run, a traced run, an adversary transcript, an opt result and a
+reduction sidecar. Each is a function of what its writer was given. A
+run document holds the schedule and the pending ids of each slot; its
 trace, which simulate(instance, schedule) gives exactly and whose
 exact temperatures would make the document grow with the square of
 the horizon, is written only by serialize_run(run, trace=True). A
-transcript's algorithm block is such a traced run.
+transcript's algorithm block is such a traced run. A sidecar holds
+ReductionMeta(source), so the meta of a source file is
+ReductionMeta(parse_*_source(text)).
 
 Reduction source files are plain integer tokens with '#' comments;
 see parse_three_partition_source and parse_n3dm_source.
@@ -38,7 +40,7 @@ from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .adversary import (
     AdversaryTranscript,
@@ -56,16 +58,7 @@ from .model import (
     Violation,
 )
 from .policies import OnlineRun
-from .reductions import (
-    ROLE_A,
-    ROLE_B,
-    ROLE_C,
-    ROLE_ELEMENT,
-    JobOrigin,
-    N3DMInstance,
-    ReductionMeta,
-    ThreePartitionInstance,
-)
+from .reductions import N3DMInstance, ReductionMeta, ThreePartitionInstance
 from .solver import OptResult
 
 # ASCII digits only: \d and int() would also take other scripts' digits
@@ -224,7 +217,7 @@ def _optional(codec: _Codec) -> _Codec:
     )
 
 
-def _array(item: _Codec, container: Callable = tuple, length: Optional[int] = None) -> _Codec:
+def _array(item: _Codec, container: Callable = tuple) -> _Codec:
     """JSON array of items; a set is written sorted, so its bytes are canonical."""
 
     def encode(value: Any) -> list:
@@ -234,8 +227,6 @@ def _array(item: _Codec, container: Callable = tuple, length: Optional[int] = No
     def decode(value: Any, where: str) -> Any:
         if not isinstance(value, list):
             raise ParseError(f"{where}: expected an array, got {type(value).__name__}")
-        if length is not None and len(value) != length:
-            raise ParseError(f"{where}: expected {length} items, got {len(value)}")
         try:
             return container([item.decode(x, where) for x in value])
         except ParseError:
@@ -331,7 +322,7 @@ _TRACE = _record(
     ("violations", _array(_record(Violation, ("time", _INT), ("kind", _STR), ("job", _INT)))),
     derived=("throughput",),
 )
-# Runs and transcripts are written, never parsed: an OnlineRun needs its
+# Written, never parsed (see the module docstring). An OnlineRun needs its
 # instance, which the run document leaves out. A run's trace is
 # simulate(run.instance, run.schedule), so only the traced form writes it;
 # the transcript's algorithm block is a traced run.
@@ -349,12 +340,24 @@ _TRANSCRIPT = _writer(
     ("alg_throughput", _INT.encode),
     ("adv_throughput", _INT.encode),
 )
-_OPT_RESULT = _record(
-    OptResult,
-    ("best_throughput", _INT),
-    ("proven_optimal", _BOOL),
-    ("explored", _INT),
-    ("witness", _SCHEDULE),
+_OPT_RESULT = _writer(
+    ("best_throughput", _INT.encode),
+    ("proven_optimal", _BOOL.encode),
+    ("explored", _INT.encode),
+    ("witness", _SCHEDULE.encode),
+)
+_ORIGIN = _writer(
+    ("job", _INT.encode, "job_id"),
+    ("role", _STR.encode),
+    ("index", _INT.encode),
+    ("value", _optional(_INT).encode),
+)
+_REDUCTION_META = _writer(
+    ("kind", _STR.encode),
+    ("n", _INT.encode),
+    ("beta", _INT.encode),
+    ("origins", lambda origins: [_ORIGIN(o) for o in origins]),
+    ("intervals", _array(_array(_INT)).encode),
 )
 _POLICY_NAMES = _array(_STR)
 
@@ -379,39 +382,6 @@ def _report(names: Sequence[str]) -> _Codec:
         ))),
         derived=("count", "skipped_zero_opt", "max_ratios", "mean_ratios", "counterexamples"),
     )
-
-
-def _reduction_meta(kind: str, beta: int, origins: tuple[JobOrigin, ...]) -> ReductionMeta:
-    """The meta of the source rebuilt from beta and the origins' values by
-    role and index, if the origins are that meta's, in any order."""
-
-    def row(role: str) -> tuple[Optional[int], ...]:
-        return tuple(o.value for o in sorted(origins, key=attrgetter("index")) if o.role == role)
-
-    if kind == "3partition":
-        source = ThreePartitionInstance(row(ROLE_ELEMENT), beta)
-    elif kind == "n3dm":
-        source = N3DMInstance(row(ROLE_A), row(ROLE_B), row(ROLE_C), beta)
-    else:
-        raise ValueError(f"unknown reduction kind {kind!r}")
-    meta = ReductionMeta(source)
-    if sorted(origins, key=attrgetter("job_id")) != list(meta.origins):
-        raise ValueError("origins are not the ones generated from this source")
-    return meta
-
-
-_REDUCTION_META = _record(
-    _reduction_meta,
-    ("kind", _STR),
-    ("n", _INT),
-    ("beta", _INT),
-    ("origins", _array(_record(
-        JobOrigin, ("job", _INT, "job_id"), ("role", _STR), ("index", _INT),
-        ("value", _optional(_INT)),
-    ))),
-    ("intervals", _array(_array(_INT, length=2))),
-    derived=("n", "intervals"),
-)
 
 
 # -- documents -----------------------------------------------------------
@@ -452,7 +422,7 @@ def serialize_transcript(transcript: AdversaryTranscript) -> str:
 
 
 def serialize_opt_result(result: OptResult) -> str:
-    return _dumps(_OPT_RESULT.encode(result))
+    return _dumps(_OPT_RESULT(result))
 
 
 def serialize_report(report: RatioReport) -> str:
@@ -467,16 +437,7 @@ def parse_report(text: str) -> RatioReport:
 
 def serialize_reduction_meta(meta: ReductionMeta) -> str:
     """Sidecar document: origins and interval geometry, not the instance."""
-    return _dumps(_REDUCTION_META.encode(meta))
-
-
-def parse_reduction_meta(text: str, instance: Instance) -> ReductionMeta:
-    """The meta of the sidecar's source, if the generator writes this
-    sidecar, origins in any order, with this instance."""
-    meta = _REDUCTION_META.decode(_loads(text), "meta")
-    if meta.instance != instance:
-        raise ParseError("meta: the instance is not the one generated from this source")
-    return meta
+    return _dumps(_REDUCTION_META(meta))
 
 
 # -- reduction source files -----------------------------------------------

@@ -147,24 +147,18 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     for i in order:
         twin = (jobs[i].release, jobs[i].deadline, heats[i])
         need[i], last[twin] = last.get(twin, 0), 1 << i
-    # pending[t]: (bit, need, h·D, id, deadline, still alive at t + 1,
-    # pending at t - 1 too) of each job pending at slot t, in reverse
-    # branching order, because children are pushed on a stack.
+    # pending[t]: the row (bit, need, h·D, id, release, deadline) of each
+    # job pending at slot t, in reverse branching order, because children
+    # are pushed on a stack. A job's one row is shared by its whole window.
     # ending[f]: the bits of the jobs whose last slot is f.
-    pending: list[list[tuple[int, int, int, int, int, bool, bool]]] = [[] for _ in range(horizon)]
+    pending: list[list[tuple[int, int, int, int, int, int]]] = [[] for _ in range(horizon)]
     ending = [0] * (horizon + 1)
     for i in reversed(order):
         job = jobs[i]
-        bit, release, final = 1 << i, job.release, job.deadline - 1
-        row = (bit, need[i], heats[i], job.id, job.deadline)
-        # The slots strictly inside the window share one row.
-        pending[release].append((*row, release < final, False))
-        inside = (*row, True, True)
-        for t in range(release + 1, final):
-            pending[t].append(inside)
-        if release < final:
-            pending[final].append((*row, False, True))
-        ending[final] |= bit
+        row = (1 << i, need[i], heats[i], job.id, job.release, job.deadline)
+        for t in range(job.release, job.deadline):
+            pending[t].append(row)
+        ending[job.deadline - 1] |= 1 << i
     # alive[t]: the jobs with a slot at t or later.
     alive = [*accumulate(reversed(ending), or_)]
     alive.reverse()
@@ -255,10 +249,12 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
             if last_deadline > time:
                 lo = last_heat
                 hi = (limit[time] - s) // weights[time - 1] + (lo if lo > 0 else 0)
-            for bit, prev, heat, job_id, deadline, stays, earlier in pending[time]:
+            for bit, prev, heat, job_id, release, deadline in pending[time]:
                 if not done & bit and done & prev == prev:
-                    bound = stays_bound if stays else idle_bound + 1
-                    if bound > best and not (earlier and lo < heat <= hi):
+                    # The job stays alive after this slot iff deadline > child,
+                    # and was pending at time - 1 too iff release < time.
+                    bound = stays_bound if deadline > child else idle_bound + 1
+                    if bound > best and not (release < time and lo < heat <= hi):
                         # The ScaledKernel step, admissible iff it stays at most T·D·w[t+1].
                         after = s + heat * weight
                         if after <= cap and undominated(

@@ -204,6 +204,13 @@ class TestRatioExperiment:
         ):
             RatioReport(RandomModel(n=1), ("coolest",), (record,))
 
+    def test_repeated_policy_name_is_rejected(self):
+        record = RatioRecord(seed=0, opt=2, proven_optimal=True, throughputs=(1, 2))
+        with pytest.raises(
+            ValueError, match=r"^policy names must be distinct, got \('coolest', 'coolest'\)$"
+        ):
+            RatioReport(RandomModel(n=1), ("coolest", "coolest"), (record,))
+
     def test_reproducible(self):
         model = RandomModel(n=4, seed=7)
         first = ratio_experiment(model, ("coolest", "edf"), 12)

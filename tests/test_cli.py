@@ -26,7 +26,7 @@ from thermosched import (
     simulate,
 )
 from thermosched.cli import main
-from thermosched.serialization import parse_reduction_meta, serialize_run
+from thermosched.serialization import serialize_reduction_meta, serialize_run
 
 VIOLATING = Schedule((1, 2, 3, None, 4, None))
 OPTIMAL = Schedule((1, None, 3, 2, 4, None))
@@ -227,7 +227,7 @@ class TestReduce:
         instance = parse_instance(out.read_text())
         assert instance == expected_instance
         sidecar = tmp_path / "gen.json.meta"
-        assert parse_reduction_meta(sidecar.read_text(), instance) == expected_meta
+        assert sidecar.read_text() == serialize_reduction_meta(expected_meta)
 
     def test_explicit_meta_path(self, tmp_path):
         source = tmp_path / "source.txt"
@@ -240,7 +240,7 @@ class TestReduce:
         expected_instance, expected_meta = gen_from_n3dm(src)
         instance = parse_instance(out.read_text())
         assert instance == expected_instance
-        assert parse_reduction_meta(meta_out.read_text(), instance) == expected_meta
+        assert meta_out.read_text() == serialize_reduction_meta(expected_meta)
         assert not (tmp_path / "gen.json.meta").exists()
 
     def test_stdout_skips_sidecar(self, tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Hardness reductions: generators, canonical schedules, extraction,
 and the standalone brute-force deciders for the source problems."""
 
-import json
 from enum import IntEnum
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from thermosched import (
     MatchingCertificate,
     N3DMInstance,
     NotFullThroughputError,
-    ParseError,
     PartitionCertificate,
     ReductionMeta,
     Schedule,
@@ -41,7 +39,6 @@ from thermosched.reductions import (
     element_heat,
     f_scaled,
 )
-from thermosched.serialization import parse_reduction_meta, serialize_reduction_meta
 
 ALL_THREES = ThreePartitionInstance.from_values((3,) * 6)  # n=2, beta=9
 NO_PARTITION = ThreePartitionInstance.from_values((4, 4, 4, 4, 4, 6))  # beta=13
@@ -182,6 +179,12 @@ class TestGenFrom3Partition:
         assert meta.ids_with_role(ROLE_GADGET) == (7, 8)
         assert [o.value for o in meta.origins if o.role == ROLE_ELEMENT] == [3] * 6
 
+    def test_rejects_a_matching_source(self):
+        with pytest.raises(
+            TypeError, match="^expected source type ThreePartitionInstance, got N3DMInstance$"
+        ):
+            gen_from_3partition(MATCHABLE_N1)
+
     def test_element_cap(self):
         oversized = ThreePartitionInstance.from_values((65,) * 6)
         with pytest.raises(InvalidSourceError, match="cap 64"):
@@ -245,6 +248,15 @@ class TestCanonical3Partition:
             canonical_schedule_3partition(ALL_THREES, meta, cert)
 
 
+    def test_rejects_a_matching_source(self):
+        _, meta = gen_from_n3dm(MATCHABLE_N1)
+        cert = PartitionCertificate(((0, 1, 2),))
+        with pytest.raises(
+            TypeError, match="^expected source type ThreePartitionInstance, got N3DMInstance$"
+        ):
+            canonical_schedule_3partition(MATCHABLE_N1, meta, cert)
+
+
 class TestExtract3Partition:
     def test_roundtrip_from_canonical(self):
         _, meta = gen_from_3partition(ALL_THREES)
@@ -277,199 +289,9 @@ class TestExtract3Partition:
         assert solve_optimal(instance).best_throughput == 7
 
 
-def edited_sidecar(instance, meta, edit):
-    """The meta after a round trip through its sidecar, with edit applied
-    to the JSON document in between."""
-    document = json.loads(serialize_reduction_meta(meta))
-    edit(document)
-    return parse_reduction_meta(json.dumps(document), instance)
-
-
-def list_origins(*job_ids):
-    """An edit that lists the sidecar's origins in the given job order."""
-
-    def edit(document):
-        by_job = {o["job"]: o for o in document["origins"]}
-        document["origins"] = [by_job[job_id] for job_id in job_ids]
-
-    return edit
-
-
-def set_key(key, value):
-    def edit(document):
-        document[key] = value
-
-    return edit
-
-
-def set_role(job_id, role):
-    def edit(document):
-        for origin in document["origins"]:
-            if origin["job"] == job_id:
-                origin["role"] = role
-
-    return edit
-
-
-def swap_jobs(first, second):
-    """An edit that gives each of two jobs the other's role, index and value."""
-
-    def edit(document):
-        for origin in document["origins"]:
-            if origin["job"] in (first, second):
-                origin["job"] = first + second - origin["job"]
-
-    return edit
-
-
-def relist_origin(job_id, in_place_of):
-    """An edit that lists job_id's origin again instead of in_place_of's."""
-
-    def edit(document):
-        origin = next(o for o in document["origins"] if o["job"] == job_id)
-        document["origins"] = [
-            origin if o["job"] == in_place_of else o for o in document["origins"]
-        ]
-
-    return edit
-
-
-def set_values(value, beta):
-    """An edit that gives every source number the value, and beta."""
-
-    def edit(document):
-        document["beta"] = beta
-        for origin in document["origins"]:
-            if origin["value"] is not None:
-                origin["value"] = value
-
-    return edit
-
-
-PARTITION_15 = ThreePartitionInstance.from_values((4, 5, 6, 5, 4, 6))  # beta=15
-
-# Sidecar edits that parsed at one time and then misbehaved downstream,
-# with the ParseError each one now raises.
-LYING_SIDECARS = {
-    # extract_n3dm_matching raised a bare IndexError.
-    "n-too-large": (MATCHABLE_N2, set_key("n", 3), r"^meta\.n: 3 disagrees with the derived 2$"),
-    # The certificate was returned anyway.
-    "n-too-small": (MATCHABLE_N2, set_key("n", 1), r"^meta\.n: 1 disagrees with the derived 2$"),
-    # The canonical schedule had six thermal violations (throughput 2 of 8).
-    "intervals-shifted": (
-        PARTITION_15, set_key("intervals", [[0, 16], [16, 33]]), r"^meta\.intervals: "
-    ),
-    # The canonical schedule had no violation but left 3 jobs unrun (5 of 8).
-    "interval-dropped": (PARTITION_15, set_key("intervals", [[1, 16]]), r"^meta\.intervals: "),
-    # The canonical schedule ran job 1 twice (7 of 8).
-    "origin-listed-twice": (
-        ALL_THREES,
-        relist_origin(1, in_place_of=6),
-        r"^meta: origins are not the ones generated from this source$",
-    ),
-    # The canonical schedule had window and thermal violations (throughput 3).
-    "roles-swapped": (
-        ALL_THREES,
-        swap_jobs(3, 8),
-        r"^meta: origins are not the ones generated from this source$",
-    ),
-    "unknown-kind": (
-        MATCHABLE_N2, set_key("kind", "bogus"), r"^meta: unknown reduction kind 'bogus'$"
-    ),
-    # An interval is a [start, end) pair; a third number is not a looser interval.
-    "interval-of-three": (
-        PARTITION_15,
-        set_key("intervals", [[1, 16, 17], [17, 32]]),
-        r"^meta\.intervals\[0\]: expected 2 items, got 3$",
-    ),
-    # The construction caps element values at 64, so no generator writes this sidecar.
-    "over-the-cap": (
-        ThreePartitionInstance.from_values((64,) * 3),
-        set_values(65, beta=195),
-        r"^meta: largest value 65 exceeds the supported cap 64$",
-    ),
-}
-
-
-class TestExtractFromSidecar:
-    """Extraction reads the source back by index, whatever order the
-    sidecar lists its origins in, and a sidecar the generator would not
-    write for its instance is refused when it is parsed."""
-
-    def test_3partition_origins_out_of_order(self):
-        src = ThreePartitionInstance.from_values((4, 5, 6, 5, 4, 4))  # beta=14
-        instance, meta = gen_from_3partition(src)
-        cert = brute_3partition(src)
-        schedule = canonical_schedule_3partition(src, meta, cert)
-        shuffled = edited_sidecar(instance, meta, list_origins(7, 1, 5, 8, 6, 2, 3, 4))
-        assert [o.job_id for o in shuffled.origins] == [1, 2, 3, 4, 5, 6, 7, 8]
-        assert shuffled == meta
-        assert extract_3partition(shuffled, schedule) == cert
-        assert cert.triples == ((0, 1, 3), (2, 4, 5))
-
-    def test_n3dm_origins_out_of_order(self):
-        instance, meta = gen_from_n3dm(MATCHABLE_N2)
-        cert = MatchingCertificate(((0, 0, 0), (1, 1, 1)))
-        schedule = canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
-        shuffled = edited_sidecar(instance, meta, list_origins(6, 2, 9, 3, 7, 5, 1, 8, 4))
-        assert [o.job_id for o in shuffled.origins] == list(range(1, 10))
-        assert extract_n3dm_matching(shuffled, schedule) == cert
-
-    def test_meta_gives_back_its_source(self):
-        src = ThreePartitionInstance.from_values((4, 5, 6, 5, 4, 4))
-        instance, meta = gen_from_3partition(src)
-        shuffled = edited_sidecar(instance, meta, list_origins(7, 1, 5, 8, 6, 2, 3, 4))
-        assert meta.source == shuffled.source == src
-        instance, meta = gen_from_n3dm(MATCHABLE_N2)
-        shuffled = edited_sidecar(instance, meta, list_origins(6, 2, 9, 3, 7, 5, 1, 8, 4))
-        assert meta.source == shuffled.source == MATCHABLE_N2
-        with pytest.raises(TypeError, match=r"^not a reduction source: \(3, 3, 3\)$"):
-            ReductionMeta((3, 3, 3))
-
-    # The next four edits once parsed and reached the extractors' structural
-    # errors; the parser now refuses each of them.
-
-    def test_element_outside_every_interval(self):
-        instance, meta = gen_from_3partition(ALL_THREES)
-        with pytest.raises(ParseError, match=r"^meta\.intervals: "):
-            edited_sidecar(instance, meta, set_key("intervals", [[1, 9], [11, 20]]))
-
-    def test_interval_holding_the_wrong_count(self):
-        instance, meta = gen_from_3partition(ALL_THREES)
-        with pytest.raises(ParseError, match=r"^meta\.intervals: "):
-            edited_sidecar(instance, meta, set_key("intervals", [[1, 20], [11, 20]]))
-
-    def test_gadget_slot_holding_another_job(self):
-        instance, meta = gen_from_n3dm(MATCHABLE_N2)
-
-        def swap(document):
-            set_role(1, ROLE_GADGET)(document)
-            set_role(7, ROLE_A)(document)
-
-        with pytest.raises(
-            ParseError, match=r"^meta: a\[0\] must be a non-negative integer, got None$"
-        ):
-            edited_sidecar(instance, meta, swap)
-
-    def test_block_missing_a_role(self):
-        instance, meta = gen_from_n3dm(MATCHABLE_N2)
-        with pytest.raises(ParseError, match=r"^meta: rows must have equal length, got 3/1/2$"):
-            edited_sidecar(instance, meta, set_role(3, ROLE_A))
-
-    @pytest.mark.parametrize("case", LYING_SIDECARS)
-    def test_lying_sidecar_is_refused(self, case):
-        src, edit, match = LYING_SIDECARS[case]
-        meta = ReductionMeta(src)
-        with pytest.raises(ParseError, match=match):
-            edited_sidecar(meta.instance, meta, edit)
-
-    def test_sidecar_of_another_instance_is_refused(self):
-        _, meta = gen_from_3partition(ALL_THREES)
-        other, _ = gen_from_3partition(NO_PARTITION)
-        with pytest.raises(
-            ParseError, match=r"^meta: the instance is not the one generated from this source$"
-        ):
-            parse_reduction_meta(serialize_reduction_meta(meta), other)
+def test_reduction_meta_refuses_a_non_source():
+    with pytest.raises(TypeError, match=r"^not a reduction source: \(3, 3, 3\)$"):
+        ReductionMeta((3, 3, 3))
 
 
 class TestGenFromN3DM:
@@ -496,6 +318,13 @@ class TestGenFromN3DM:
         assert meta.ids_with_role(ROLE_B) == (3, 4)
         assert meta.ids_with_role(ROLE_C) == (5, 6)
         assert meta.ids_with_role(ROLE_GADGET) == (7, 8, 9)
+
+
+    def test_rejects_a_3partition_source(self):
+        with pytest.raises(
+            TypeError, match="^expected source type N3DMInstance, got ThreePartitionInstance$"
+        ):
+            gen_from_n3dm(ALL_THREES)
 
 
 class TestCanonicalN3DM:
@@ -552,6 +381,15 @@ class TestCanonicalN3DM:
             canonical_schedule_n3dm(MATCHABLE_N2, foreign, cert)
         trace = simulate(instance, canonical_schedule_n3dm(MATCHABLE_N2, meta, cert))
         assert trace.violations == () and trace.throughput == 9
+
+
+    def test_rejects_a_3partition_source(self):
+        _, meta = gen_from_3partition(ALL_THREES)
+        cert = MatchingCertificate(((0, 0, 0), (1, 1, 1)))
+        with pytest.raises(
+            TypeError, match="^expected source type N3DMInstance, got ThreePartitionInstance$"
+        ):
+            canonical_schedule_n3dm(ALL_THREES, meta, cert)
 
 
 class TestExtractN3DM:
