@@ -144,8 +144,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     report = ratio_experiment(model, args.policy, args.count, budget=args.budget)
     if args.out:
         _write(args.out, serialize_report(report))
+    # With the report on stdout, the summary goes to stderr so stdout stays JSON.
+    summary = sys.stderr if args.out == "-" else sys.stdout
     counterexamples = report.counterexamples
-    print(f"instances: {report.count}  skipped (OPT=0): {report.skipped_zero_opt}")
+    print(f"instances: {report.count}  skipped (OPT=0): {report.skipped_zero_opt}", file=summary)
     rows = [("policy", "max ratio", "mean ratio", "bound")]
     for name, *aggregates in zip(report.policies, report.max_ratios, report.mean_ratios):
         cells = [
@@ -157,10 +159,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     # Each column but the last is as wide as its widest cell plus two spaces.
     widths = [max(map(len, column)) + 2 for column in zip(*rows)][:-1]
     for *cells, verdict in rows:
-        print("".join(cell.ljust(width) for cell, width in zip(cells, widths)) + verdict)
+        line = "".join(cell.ljust(width) for cell, width in zip(cells, widths))
+        print(line + verdict, file=summary)
     unproven = sum(1 for r in report.records if not r.proven_optimal)
     if unproven:
-        print(f"unproven optimum: {unproven} instance(s) hit the node budget")
+        print(f"unproven optimum: {unproven} instance(s) hit the node budget", file=summary)
     return 1 if counterexamples or unproven else 0
 
 

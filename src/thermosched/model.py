@@ -340,8 +340,10 @@ def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
     diagnostic: a violating execution is recorded but its heat is still
     applied (unknown ids contribute no heat), so temperatures keep
     being meaningful past the first problem. A job counts as completed
-    only if its own execution slot is violation-free.
+    only if its own execution slot is violation-free. Raises
+    InvalidInstanceError on an invalid instance.
     """
+    require_valid(instance)
     cfg = instance.config
     t_num, t_den = cfg.threshold.numerator, cfg.threshold.denominator
     jobs = instance.job_map()

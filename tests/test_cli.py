@@ -4,6 +4,7 @@ import io
 import json
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,7 @@ from thermosched import (
 from thermosched.cli import main
 from thermosched.serialization import serialize_reduction_meta, serialize_run
 
+GOLDEN = Path(__file__).parent / "golden"
 VIOLATING = Schedule((1, 2, 3, None, 4, None))
 OPTIMAL = Schedule((1, None, 3, 2, 4, None))
 
@@ -338,6 +340,14 @@ class TestExperiment:
         )
         assert code == 1
         assert "counterexample" in capsys.readouterr().out
+
+    def test_report_on_stdout_sends_the_summary_to_stderr(self, capsys):
+        argv = ["--n", "2", "--count", "2", "--seed", "4", "--policy", "coolest"]
+        assert main(["experiment", *argv, "--policy", "idle", "-o", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.encode() == (GOLDEN / "report.json").read_bytes()
+        assert captured.err.startswith("instances: 2  skipped (OPT=0): ")
+        assert "counterexample(s)" in captured.err
 
     def test_unproven_optimum_exits_one(self, capsys):
         code = main(

@@ -29,6 +29,7 @@ from thermosched import (
     ThermalConfig,
     coolest_first_decide,
     is_admissible,
+    render_gantt,
     require_valid,
     run_online,
     simulate,
@@ -206,8 +207,16 @@ class TestRequireValid:
             solve_optimal,
             enumerate_optimal_bruteforce,
             lambda instance: run_online(instance, coolest_first_decide),
+            lambda instance: simulate(instance, Schedule((1,))),
+            lambda instance: render_gantt(instance, Schedule((1,))),
         ],
-        ids=["solve_optimal", "enumerate_optimal_bruteforce", "run_online"],
+        ids=[
+            "solve_optimal",
+            "enumerate_optimal_bruteforce",
+            "run_online",
+            "simulate",
+            "render_gantt",
+        ],
     )
     def test_entry_points_reject_invalid_instances(self, entry):
         with pytest.raises(InvalidInstanceError, match="job 1: duplicate id"):

@@ -373,6 +373,12 @@ class TestCanonicalN3DM:
         with pytest.raises(InvalidCertificateError, match="exactly once"):
             canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
 
+    def test_rejects_too_few_triples(self):
+        _, meta = gen_from_n3dm(MATCHABLE_N2)
+        cert = MatchingCertificate(((0, 0, 0),))
+        with pytest.raises(InvalidCertificateError, match="^need 2 triples, got 1$"):
+            canonical_schedule_n3dm(MATCHABLE_N2, meta, cert)
+
     def test_rejects_meta_of_another_source_with_equal_n_and_beta(self):
         _, foreign = gen_from_n3dm(N3DMInstance(a=(0, 8), b=(0, 8), c=(4, 4), beta=12))
         instance, meta = gen_from_n3dm(MATCHABLE_N2)

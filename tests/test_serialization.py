@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configs, instance_with_feasible_schedule, instances, mixed_heats
+from strategies import configs, instance_with_feasible_schedule, instances, mixed_heats, reports
 from thermosched import (
     Instance,
     Job,
@@ -545,7 +545,7 @@ class TestSourceFiles:
             parse_n3dm_source("12 1 2")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.one_of(instances(), instances(config=configs(), heat=mixed_heats())))
 def test_instance_round_trip_property(instance):
     text = serialize_instance(instance)
@@ -553,10 +553,18 @@ def test_instance_round_trip_property(instance):
     assert serialize_instance(parse_instance(text)) == text
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(instance_with_feasible_schedule())
 def test_trace_round_trip_property(pair):
     instance, schedule = pair
     assert parse_schedule(serialize_schedule(schedule)) == schedule
     trace = simulate(instance, schedule)
     assert parse_trace(serialize_trace(trace)) == trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(reports())
+def test_report_round_trip_property(report):
+    text = serialize_report(report)
+    assert parse_report(text) == report
+    assert serialize_report(parse_report(text)) == text

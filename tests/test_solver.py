@@ -295,7 +295,7 @@ def test_witness_always_valid(instance):
     assert trace.throughput == result.best_throughput
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(instances(min_jobs=1, max_jobs=5, release_span=3, max_window=3), st.data())
 def test_opt_monotone_under_job_removal(instance, data):
     base = solve_optimal(instance).best_throughput
@@ -304,7 +304,7 @@ def test_opt_monotone_under_job_removal(instance, data):
     assert solve_optimal(reduced).best_throughput <= base
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(instances(min_jobs=1, max_jobs=5, release_span=3, max_window=3), st.data())
 def test_opt_monotone_under_deadline_relaxation(instance, data):
     base = solve_optimal(instance).best_throughput
