@@ -70,9 +70,7 @@ from .serialization import (
     format_rational,
     parse_instance,
     parse_rational,
-    parse_report,
     parse_schedule,
-    parse_trace,
     serialize_instance,
     serialize_report,
     serialize_schedule,

@@ -260,17 +260,19 @@ def ratio_experiment(
     POLICIES registry (an unknown name raises KeyError); budget is
     passed through to the solver and budget-capped optima are recorded
     per instance. Raises ValueError when count is not an int or is
-    negative.
+    negative, or when a policy name repeats.
     """
     _require_int("count", count)
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    named = {name: POLICIES[name] for name in policies}
+    chosen = [POLICIES[name] for name in policies]
+    # The empty report checks the names before any instance is solved.
+    report = RatioReport(model, tuple(policies), ())
     records = []
     for seed in range(model.seed, model.seed + count):
         instance = random_instance(replace(model, seed=seed))
         result = solve_optimal(instance, budget=budget)
-        throughputs = tuple(run_online(instance, p).trace.throughput for p in named.values())
+        throughputs = tuple(run_online(instance, p).trace.throughput for p in chosen)
         opt = result.best_throughput
         records.append(RatioRecord(seed, opt, result.proven_optimal, throughputs))
-    return RatioReport(model, tuple(named), tuple(records))
+    return replace(report, records=tuple(records))

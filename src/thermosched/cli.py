@@ -141,7 +141,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         max_window=args.max_window,
         seed=args.seed,
     )
-    report = ratio_experiment(model, args.policy, args.count, budget=args.budget)
+    try:
+        report = ratio_experiment(model, args.policy, args.count, budget=args.budget)
+    except ValueError as exc:
+        # argparse range-checks every other argument, so the one
+        # ValueError left is a repeated --policy name.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         _write(args.out, serialize_report(report))
     # With the report on stdout, the summary goes to stderr so stdout stays JSON.

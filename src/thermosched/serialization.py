@@ -3,24 +3,24 @@
 All structured documents are JSON with two-space indent, a trailing
 newline and fixed key order; rationals appear as lowest-terms "p/q"
 strings (a "7/4" heat is emitted verbatim, never as a float). Parsing
-is strict: unknown fields are rejected, rationals must be "p/q" or a
-finite decimal, and every diagnostic names the offending field path.
-The point of one canonical byte form is that round-trip and determinism
-tests can compare serialized documents directly.
+is strict: unknown or repeated fields are rejected, rationals must be
+"p/q" or a finite decimal, and every diagnostic names the offending
+field path. The point of one canonical byte form is that round-trip
+and determinism tests can compare serialized documents directly.
 
-Each parsed JSON document is one table of (key, codec) rows that both
-its writer and its parser read, so the two directions cannot drift
-apart. Some keys are derived: the writer emits them, the parser builds
-the object without them and raises ParseError at the key's path when
-one disagrees with what the object computes. They are a trace's
-throughput; a report record's ratios; and a report's count,
-skipped_zero_opt, max_ratios, mean_ratios and counterexamples. A
-violation's job is always an integer, never null.
+The program's inputs are parsed, and every output is written, never
+parsed. The inputs are an instance, a schedule and a reduction source
+file. Each of the two JSON inputs is one table of (key, codec) rows
+that both its writer and its parser read, so the two directions cannot
+drift apart.
 
-A document that nothing reads back is written, never parsed: an online
-run, a traced run, an adversary transcript, an opt result and a
-reduction sidecar. Each is a function of what its writer was given. A
-run document holds the schedule and the pending ids of each slot; its
+Every other document is a function of what its writer was given: a
+trace of (instance, schedule), a ratio report of (model, policies,
+seeds), an online run, a traced run, an adversary transcript, an opt
+result and a reduction sidecar. A trace's throughput and a report's
+ratios, totals and counterexamples are written as the objects compute
+them. A violation's job is always an integer, never null. A run
+document holds the schedule and the pending ids of each slot; its
 trace, which simulate(instance, schedule) gives exactly and whose
 exact temperatures would make the document grow with the square of
 the horizon, is written only by serialize_run(run, trace=True). A
@@ -36,27 +36,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import fields
+from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .adversary import (
-    AdversaryTranscript,
-    BoundCounterexample,
-    RandomModel,
-    RatioRecord,
-    RatioReport,
-)
-from .model import (
-    Instance,
-    Job,
-    Schedule,
-    SimulationTrace,
-    ThermalConfig,
-    Violation,
-)
+from .adversary import AdversaryTranscript, RatioReport
+from .model import Instance, Job, Schedule, SimulationTrace, ThermalConfig
 from .policies import OnlineRun
 from .reductions import N3DMInstance, ReductionMeta, ThreePartitionInstance
 from .solver import OptResult
@@ -146,11 +133,25 @@ def parse_integer(token: str, where: str = "value") -> int:
         raise ParseError(f"{where}: an integer has too many digits") from None
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object's dict; a repeated key is an error, not a silent overwrite."""
+    value = dict(pairs)
+    if len(value) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r}")
+            seen.add(key)
+    return value
+
+
 def _loads(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
+    except ParseError:
+        raise
     except RecursionError:
         raise ParseError("arrays or objects are nested too deep") from None
     except ValueError:
@@ -205,8 +206,6 @@ def _leaf(what: str, kind: type) -> _Codec:
 
 
 _INT = _leaf("an integer", int)
-_STR = _leaf("a string", str)
-_BOOL = _leaf("a boolean", bool)
 _RATIONAL = _Codec(format_rational, parse_rational)
 
 
@@ -217,12 +216,18 @@ def _optional(codec: _Codec) -> _Codec:
     )
 
 
-def _array(item: _Codec, container: Callable = tuple) -> _Codec:
-    """JSON array of items; a set is written sorted, so its bytes are canonical."""
+def _items(encode: Callable[[Any], Any]) -> Callable[[Any], list]:
+    """Encoder of a JSON array; a set is written sorted, so its bytes are canonical."""
 
-    def encode(value: Any) -> list:
+    def write(value: Any) -> list:
         items = sorted(value) if isinstance(value, frozenset) else value
-        return list(items) if item.encode is _same else [item.encode(x) for x in items]
+        return list(items) if encode is _same else [encode(x) for x in items]
+
+    return write
+
+
+def _array(item: _Codec, container: Callable = tuple) -> _Codec:
+    """JSON array of items, decoded into container."""
 
     def decode(value: Any, where: str) -> Any:
         if not isinstance(value, list):
@@ -234,7 +239,7 @@ def _array(item: _Codec, container: Callable = tuple) -> _Codec:
                 item.decode(x, f"{where}[{pos}]")
             raise
 
-    return _Codec(encode, decode)
+    return _Codec(_items(item.encode), decode)
 
 
 def _writer(*rows: tuple) -> Callable[[Any], dict]:
@@ -247,25 +252,18 @@ def _writer(*rows: tuple) -> Callable[[Any], dict]:
     return lambda value: {key: encode(get(value)) for key, encode, get in table}
 
 
-def _record(build: Callable, *rows: tuple, derived: Sequence[str] = ()) -> _Codec:
+def _record(build: Callable, *rows: tuple) -> _Codec:
     """JSON object from (key, codec[, attribute path]) rows, in row order.
 
     Encoding is _writer's. Decoding checks the exact key set and calls
-    build with one keyword per row not in derived, named by the last
-    component of its path. A ValueError from build, such as an
-    out-of-range RandomModel field, becomes a ParseError at this
-    object's path. A derived key is written like any other, but on parse
-    it must equal what the built object computes, else a ParseError
-    names its path.
+    build with one keyword per row, named by the last component of its
+    path.
     """
     keys = tuple(row[0] for row in rows)
     key_set = frozenset(keys)
-    table = []
-    for key, codec, *path in rows:
-        attribute = path[0] if path else key
-        table.append((key, codec, attrgetter(attribute), attribute.rpartition(".")[2]))
-    stored = [(key, codec, name) for key, codec, _, name in table if key not in derived]
-    checked = [(key, codec, get) for key, codec, get, _ in table if key in derived]
+    table = [
+        (key, codec, (path[0] if path else key).rpartition(".")[2]) for key, codec, *path in rows
+    ]
 
     def decode(value: Any, where: str) -> Any:
         # A dict with exactly the row keys needs no check; _require_object
@@ -273,36 +271,22 @@ def _record(build: Callable, *rows: tuple, derived: Sequence[str] = ()) -> _Code
         if type(value) is not dict or value.keys() != key_set:
             _require_object(value, where, keys)
         try:
-            kwargs = {name: codec.decode(value[key], where) for key, codec, name in stored}
+            kwargs = {name: codec.decode(value[key], where) for key, codec, name in table}
         except ParseError:
-            for key, codec, _ in stored:
+            for key, codec, _ in table:
                 codec.decode(value[key], f"{where}.{key}")
             raise
-        try:
-            built = build(**kwargs)
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from None
-        for key, codec, get in checked:
-            if codec.decode(value[key], f"{where}.{key}") != get(built):
-                raise ParseError(
-                    f"{where}.{key}: {value[key]!r} disagrees with the derived "
-                    f"{codec.encode(get(built))!r}"
-                )
-        return built
+        return build(**kwargs)
 
     return _Codec(_writer(*((key, codec.encode, *path) for key, codec, *path in rows)), decode)
 
 
-def _named(names: Sequence[str], codec: _Codec) -> _Codec:
-    """Object with one key per name, holding a tuple aligned with names."""
-
-    def decode(value: Any, where: str) -> tuple:
-        obj = _require_object(value, where, names)
-        return tuple(codec.decode(obj[n], f"{where}.{n}") for n in names)
-
-    return _Codec(lambda values: {n: codec.encode(v) for n, v in zip(names, values)}, decode)
+def _named(names: Sequence[str], encode: Callable[[Any], Any]) -> Callable[[tuple], dict]:
+    """Encoder of an object with one key per name, from a tuple aligned with names."""
+    return lambda values: {n: encode(v) for n, v in zip(names, values)}
 
 
+# The two parsed documents.
 _SCHEDULE = _array(_optional(_INT), container=Schedule)
 _INSTANCE = _record(
     lambda threshold, cooling_factor, jobs: Instance(
@@ -314,73 +298,58 @@ _INSTANCE = _record(
         Job, ("id", _INT), ("release", _INT), ("deadline", _INT), ("heat", _RATIONAL)
     ))),
 )
-_TRACE = _record(
-    SimulationTrace,
-    ("temperatures", _array(_RATIONAL)),
-    ("completed", _array(_INT, container=frozenset)),
-    ("throughput", _INT),
-    ("violations", _array(_record(Violation, ("time", _INT), ("kind", _STR), ("job", _INT)))),
-    derived=("throughput",),
-)
 # Written, never parsed (see the module docstring). An OnlineRun needs its
 # instance, which the run document leaves out. A run's trace is
 # simulate(run.instance, run.schedule), so only the traced form writes it;
 # the transcript's algorithm block is a traced run.
-_PENDING = _array(_array(_INT))
-_RUN = _writer(("schedule", _SCHEDULE.encode), ("pending", _PENDING.encode))
-_TRACED_RUN = _writer(
-    ("schedule", _SCHEDULE.encode), ("trace", _TRACE.encode), ("pending", _PENDING.encode)
+_TRACE = _writer(
+    ("temperatures", _items(format_rational)),
+    ("completed", _items(_same)),
+    ("throughput", _same),
+    ("violations", _items(asdict)),
 )
+_PENDING = _items(_items(_same))
+_RUN = _writer(("schedule", _SCHEDULE.encode), ("pending", _PENDING))
+_TRACED_RUN = _writer(("schedule", _SCHEDULE.encode), ("trace", _TRACE), ("pending", _PENDING))
 _TRANSCRIPT = _writer(
-    ("branch", _STR.encode),
+    ("branch", _same),
     ("instance", _INSTANCE.encode),
     ("algorithm", _TRACED_RUN, "run"),
     ("adversary_schedule", _SCHEDULE.encode),
-    ("adversary_trace", _TRACE.encode),
-    ("alg_throughput", _INT.encode),
-    ("adv_throughput", _INT.encode),
+    ("adversary_trace", _TRACE),
+    ("alg_throughput", _same),
+    ("adv_throughput", _same),
 )
 _OPT_RESULT = _writer(
-    ("best_throughput", _INT.encode),
-    ("proven_optimal", _BOOL.encode),
-    ("explored", _INT.encode),
+    ("best_throughput", _same),
+    ("proven_optimal", _same),
+    ("explored", _same),
     ("witness", _SCHEDULE.encode),
 )
-_ORIGIN = _writer(
-    ("job", _INT.encode, "job_id"),
-    ("role", _STR.encode),
-    ("index", _INT.encode),
-    ("value", _optional(_INT).encode),
-)
+_ORIGIN = _writer(("job", _same, "job_id"), ("role", _same), ("index", _same), ("value", _same))
 _REDUCTION_META = _writer(
-    ("kind", _STR.encode),
-    ("n", _INT.encode),
-    ("beta", _INT.encode),
-    ("origins", lambda origins: [_ORIGIN(o) for o in origins]),
-    ("intervals", _array(_array(_INT)).encode),
+    ("kind", _same),
+    ("n", _same),
+    ("beta", _same),
+    ("origins", _items(_ORIGIN)),
+    ("intervals", _items(_items(_same))),
 )
-_POLICY_NAMES = _array(_STR)
 
 
-def _report(names: Sequence[str]) -> _Codec:
-    ratios = _named(names, _optional(_RATIONAL))
-    return _record(
-        RatioReport,
-        ("model", _record(RandomModel, *((field.name, _INT) for field in fields(RandomModel)))),
-        ("count", _INT),
-        ("policies", _POLICY_NAMES),
-        ("records", _array(_record(
-            RatioRecord, ("seed", _INT), ("opt", _INT), ("proven_optimal", _BOOL),
-            ("throughputs", _named(names, _INT)), ("ratios", ratios), derived=("ratios",),
+def _report(names: Sequence[str]) -> Callable[[RatioReport], dict]:
+    ratios = _named(names, _optional(_RATIONAL).encode)
+    return _writer(
+        ("model", asdict),
+        ("count", _same),
+        ("policies", list),
+        ("records", _items(_writer(
+            ("seed", _same), ("opt", _same), ("proven_optimal", _same),
+            ("throughputs", _named(names, _same)), ("ratios", ratios),
         ))),
-        ("skipped_zero_opt", _INT),
+        ("skipped_zero_opt", _same),
         ("max_ratios", ratios),
         ("mean_ratios", ratios),
-        ("counterexamples", _array(_record(
-            BoundCounterexample,
-            ("seed", _INT), ("policy", _STR), ("opt", _INT), ("throughput", _INT),
-        ))),
-        derived=("count", "skipped_zero_opt", "max_ratios", "mean_ratios", "counterexamples"),
+        ("counterexamples", _items(asdict)),
     )
 
 
@@ -404,11 +373,7 @@ def parse_schedule(text: str) -> Schedule:
 
 
 def serialize_trace(trace: SimulationTrace) -> str:
-    return _dumps(_TRACE.encode(trace))
-
-
-def parse_trace(text: str) -> SimulationTrace:
-    return _TRACE.decode(_loads(text), "trace")
+    return _dumps(_TRACE(trace))
 
 
 def serialize_run(run: OnlineRun, trace: bool = False) -> str:
@@ -426,13 +391,7 @@ def serialize_opt_result(result: OptResult) -> str:
 
 
 def serialize_report(report: RatioReport) -> str:
-    return _dumps(_report(report.policies).encode(report))
-
-
-def parse_report(text: str) -> RatioReport:
-    document = _loads(text)
-    policies = document.get("policies", []) if isinstance(document, dict) else []
-    return _report(_POLICY_NAMES.decode(policies, "report.policies")).decode(document, "report")
+    return _dumps(_report(report.policies)(report))
 
 
 def serialize_reduction_meta(meta: ReductionMeta) -> str:

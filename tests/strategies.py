@@ -19,9 +19,6 @@ from thermosched import (
     DEFAULT_CONFIG,
     Instance,
     Job,
-    RandomModel,
-    RatioRecord,
-    RatioReport,
     Schedule,
     ThermalConfig,
     is_admissible,
@@ -148,33 +145,3 @@ def instance_with_arbitrary_schedule(draw, **kwargs) -> tuple[Instance, Schedule
 def instance_with_feasible_schedule(draw, **kwargs) -> tuple[Instance, Schedule]:
     instance = draw(instances(**kwargs))
     return instance, draw(feasible_schedules(instance))
-
-
-@st.composite
-def reports(draw) -> RatioReport:
-    """A report's stored fields only; its totals, ratios and counterexamples
-    are derived, so every draw is self-consistent."""
-    names = tuple(
-        draw(
-            st.lists(
-                st.sampled_from(("coolest", "edf", "idle")),
-                min_size=1,
-                max_size=3,
-                unique=True,
-            )
-        )
-    )
-    records = tuple(
-        RatioRecord(
-            seed=seed,
-            opt=draw(st.integers(0, 6)),
-            proven_optimal=draw(st.booleans()),
-            throughputs=tuple(draw(st.integers(0, 6)) for _ in names),
-        )
-        for seed in range(draw(st.integers(0, 4)))
-    )
-    return RatioReport(
-        model=RandomModel(n=draw(st.integers(0, 8)), seed=draw(st.integers(0, 999))),
-        policies=names,
-        records=records,
-    )

@@ -358,7 +358,6 @@ INVARIANT_SUITES = (
     test_solver.test_opt_monotone_under_deadline_relaxation,
     test_serialization.test_instance_round_trip_property,
     test_serialization.test_trace_round_trip_property,
-    test_serialization.test_report_round_trip_property,
 )
 
 

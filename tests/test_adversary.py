@@ -211,6 +211,14 @@ class TestRatioExperiment:
         ):
             RatioReport(RandomModel(n=1), ("coolest", "coolest"), (record,))
 
+    def test_experiment_rejects_a_repeated_policy_name(self):
+        """A repeated name would otherwise be dropped and the run go on."""
+        with pytest.raises(
+            ValueError,
+            match=r"^policy names must be distinct, got \('coolest', 'edf', 'coolest'\)$",
+        ):
+            ratio_experiment(RandomModel(n=3), ["coolest", "edf", "coolest"], 2)
+
     def test_reproducible(self):
         model = RandomModel(n=4, seed=7)
         first = ratio_experiment(model, ("coolest", "edf"), 12)

@@ -17,13 +17,13 @@ from thermosched import (
     gen_from_3partition,
     gen_from_n3dm,
     parse_instance,
-    parse_report,
     parse_schedule,
-    parse_trace,
     ratio_experiment,
     run_online,
     serialize_instance,
+    serialize_report,
     serialize_schedule,
+    serialize_trace,
     simulate,
 )
 from thermosched.cli import main
@@ -94,6 +94,12 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_repeated_key(self, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text('{"threshold": "1/1", "cooling_factor": "2/1", "jobs": [], "jobs": []}')
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: repeated key 'jobs'\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -110,22 +116,22 @@ class TestSimulate:
         out = tmp_path / "trace.json"
         code = main(["simulate", instance_file, schedule_file, "-o", str(out)])
         assert code == 0
-        assert parse_trace(out.read_text()) == simulate(four_job_example, OPTIMAL)
+        assert out.read_text() == serialize_trace(simulate(four_job_example, OPTIMAL))
 
     def test_trace_to_stdout(self, tmp_path, instance_file, four_job_example, capsys):
         schedule_file = write_schedule(tmp_path, OPTIMAL)
         assert main(["simulate", instance_file, schedule_file]) == 0
         out = capsys.readouterr().out
-        assert parse_trace(out) == simulate(four_job_example, OPTIMAL)
+        assert out == serialize_trace(simulate(four_job_example, OPTIMAL))
 
     def test_violations_exit_one_but_still_report(
         self, tmp_path, instance_file, four_job_example, capsys
     ):
         schedule_file = write_schedule(tmp_path, VIOLATING)
         assert main(["simulate", instance_file, schedule_file]) == 1
-        trace = parse_trace(capsys.readouterr().out)
-        assert trace == simulate(four_job_example, VIOLATING)
+        trace = simulate(four_job_example, VIOLATING)
         assert trace.violations
+        assert capsys.readouterr().out == serialize_trace(trace)
 
 
 @pytest.fixture
@@ -310,7 +316,7 @@ class TestExperiment:
         expected = ratio_experiment(
             RandomModel(n=4, seed=3), ("coolest", "edf"), 10
         )
-        assert parse_report(out.read_text()) == expected
+        assert out.read_text() == serialize_report(expected)
         stdout = capsys.readouterr().out
         assert "instances: 10" in stdout
         assert "coolest" in stdout and "edf" in stdout
@@ -333,6 +339,15 @@ class TestExperiment:
         for line in lines:
             assert len(re.split(" {2,}", line)) == 4
             assert line[bound - 2 : bound] == "  "
+
+    def test_repeated_policy_exits_two(self, capsys):
+        argv = ["experiment", "--n", "2", "--count", "2", "--policy", "coolest"]
+        assert main([*argv, "--policy", "edf", "--policy", "coolest"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: policy names must be distinct, got ('coolest', 'edf', 'coolest')\n"
+        )
 
     def test_counterexamples_exit_one(self, capsys):
         code = main(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import configs, instance_with_feasible_schedule, instances, mixed_heats, reports
+from strategies import configs, instance_with_feasible_schedule, instances, mixed_heats
 from thermosched import (
     Instance,
     Job,
@@ -24,9 +24,7 @@ from thermosched import (
     gen_from_n3dm,
     parse_instance,
     parse_rational,
-    parse_report,
     parse_schedule,
-    parse_trace,
     ratio_experiment,
     run_lower_bound_game,
     run_online,
@@ -261,6 +259,20 @@ class TestInstanceFormat:
         with pytest.raises(ParseError, match="line 2"):
             parse_instance('{\n  "threshold": ,\n}')
 
+    def test_repeated_job_field(self):
+        """json.loads alone would keep the last heat, 1/2, without a word."""
+        text = (
+            '{"threshold": "1/1", "cooling_factor": "2/1", "jobs": '
+            '[{"id": 1, "release": 0, "deadline": 2, "heat": "9/1", "heat": "1/2"}]}'
+        )
+        with pytest.raises(ParseError, match=r"^repeated key 'heat'$"):
+            parse_instance(text)
+
+    def test_repeated_top_level_key(self):
+        text = '{"threshold": "1/1", "cooling_factor": "2/1", "jobs": [], "threshold": "2/1"}'
+        with pytest.raises(ParseError, match=r"^repeated key 'threshold'$"):
+            parse_instance(text)
+
     @pytest.mark.parametrize(
         "job, message",
         [
@@ -310,78 +322,42 @@ class TestScheduleFormat:
             parse_schedule("{}")
 
 
+def _assert_trace_written(text, trace):
+    """The document holds the trace's values; each temperature reads back exactly."""
+    document = json.loads(text)
+    assert [parse_rational(t) for t in document["temperatures"]] == list(trace.temperatures)
+    assert document["completed"] == sorted(trace.completed)
+    assert document["throughput"] == trace.throughput
+    assert document["violations"] == [
+        {"time": v.time, "kind": v.kind, "job": v.job} for v in trace.violations
+    ]
+
+
 class TestTraceFormat:
     def test_round_trip_clean(self, four_job_example):
         trace = simulate(four_job_example, Schedule((1, 2, None, None, 4, None)))
-        text = serialize_trace(trace)
-        assert parse_trace(text) == trace
-        assert serialize_trace(parse_trace(text)) == text
+        assert not trace.violations
+        _assert_trace_written(serialize_trace(trace), trace)
 
     def test_round_trip_at_horizon_15001(self):
-        """Past slot 14,284 the denominators 2^t have more than 4,300 digits."""
+        """Past slot 14,284 the denominators 2^t have more than 4,300 digits,
+        which format_rational writes and parse_rational reads through Decimal."""
         instance = parse_instance((Path(__file__).parent / "data" / "long_gap.json").read_text())
         assert instance.horizon == 15_001
         trace = simulate(instance, Schedule((1,)))
         assert trace.throughput == 1
-        assert parse_trace(serialize_trace(trace)) == trace
+        _assert_trace_written(serialize_trace(trace), trace)
 
     def test_round_trip_with_violations(self, four_job_example):
         trace = simulate(four_job_example, Schedule((1, 2, 3, None, 4, None)))
         assert trace.violations
-        assert parse_trace(serialize_trace(trace)) == trace
+        _assert_trace_written(serialize_trace(trace), trace)
 
     def test_temperatures_are_rational_strings(self, four_job_example):
         trace = simulate(four_job_example, Schedule((1, 2, None, None, 4, None)))
         document = json.loads(serialize_trace(trace))
         assert document["temperatures"][0] == "0/1"
         assert all("/" in t for t in document["temperatures"])
-
-    def test_bad_violation_kind(self):
-        text = json.dumps(
-            {
-                "temperatures": ["0/1"],
-                "completed": [],
-                "throughput": 0,
-                "violations": [{"time": 0, "kind": 3, "job": None}],
-            }
-        )
-        with pytest.raises(ParseError, match="kind"):
-            parse_trace(text)
-
-
-    def test_violation_job_must_be_an_integer(self):
-        document = json.loads((GOLDEN / "trace.json").read_text())
-        document["violations"][0]["job"] = None
-        with pytest.raises(ParseError, match=r"^trace\.violations\[0\]\.job: expected an integer"):
-            parse_trace(json.dumps(document))
-
-
-# (document, key path of one derived value, a wrong value, the path the error names)
-_DERIVED_EDITS = [
-    ("trace", ("throughput",), 5, "trace.throughput"),
-    ("report", ("count",), 9, "report.count"),
-    ("report", ("skipped_zero_opt",), 1, "report.skipped_zero_opt"),
-    ("report", ("max_ratios", "coolest"), "1/7", "report.max_ratios"),
-    ("report", ("mean_ratios", "coolest"), "2/1", "report.mean_ratios"),
-    ("report", ("counterexamples",), [], "report.counterexamples"),
-    ("report", ("records", 0, "ratios", "coolest"), "2/1", "report.records[0].ratios"),
-]
-
-
-@pytest.mark.parametrize(
-    "kind, keys, value, where", _DERIVED_EDITS, ids=[edit[-1] for edit in _DERIVED_EDITS]
-)
-def test_derived_key_must_agree(kind, keys, value, where):
-    """A derived key that disagrees with the value the parsed object
-    computes is rejected at its path."""
-    document = json.loads((GOLDEN / f"{kind}.json").read_text())
-    parent = document
-    for key in keys[:-1]:
-        parent = parent[key]
-    parent[keys[-1]] = value
-    parse = parse_trace if kind == "trace" else parse_report
-    with pytest.raises(ParseError, match=rf"^{re.escape(where)}: .* disagrees with the derived"):
-        parse(json.dumps(document))
 
 
 def _stream(jobs):
@@ -424,17 +400,35 @@ class TestRunAndTranscriptDocuments:
         assert a == b
 
 
+def _rationals(obj):
+    """A document's {name: "p/q" or null} object with its rationals read back."""
+    return {name: None if text is None else parse_rational(text) for name, text in obj.items()}
+
+
 class TestReportFormat:
     def test_round_trip(self):
         report = ratio_experiment(RandomModel(n=3, seed=5), ("coolest", "edf"), 6)
-        text = serialize_report(report)
-        assert parse_report(text) == report
-        assert serialize_report(parse_report(text)) == text
+        document = json.loads(serialize_report(report))
+        names = report.policies
+        assert document["policies"] == list(names)
+        assert document["count"] == report.count == 6
+        for entry, record in zip(document["records"], report.records, strict=True):
+            assert entry["seed"] == record.seed and entry["opt"] == record.opt
+            assert entry["throughputs"] == dict(zip(names, record.throughputs))
+            assert _rationals(entry["ratios"]) == dict(zip(names, record.ratios))
+        assert _rationals(document["max_ratios"]) == dict(zip(names, report.max_ratios))
+        assert _rationals(document["mean_ratios"]) == dict(zip(names, report.mean_ratios))
 
     def test_round_trip_with_undefined_ratios(self):
         report = ratio_experiment(RandomModel(n=2, seed=11), ("coolest", "idle"), 5)
         assert any(r.ratios[1] is None for r in report.records)
-        assert parse_report(serialize_report(report)) == report
+        document = json.loads(serialize_report(report))
+        for entry, record in zip(document["records"], report.records, strict=True):
+            assert _rationals(entry["ratios"]) == dict(zip(report.policies, record.ratios))
+        assert document["counterexamples"] == [
+            {"seed": c.seed, "policy": c.policy, "opt": c.opt, "throughput": c.throughput}
+            for c in report.counterexamples
+        ]
 
     def test_ratios_serialized_as_strings_or_null(self):
         report = ratio_experiment(RandomModel(n=3, seed=5), ("coolest",), 4)
@@ -442,36 +436,6 @@ class TestReportFormat:
         for entry in document["records"]:
             value = entry["ratios"]["coolest"]
             assert value is None or "/" in value
-
-    @pytest.mark.parametrize("policies", [5, {"coolest": 1}])
-    def test_policies_must_be_an_array(self, policies):
-        report = ratio_experiment(RandomModel(n=2, seed=1), ("coolest",), 2)
-        document = json.loads(serialize_report(report))
-        document["policies"] = policies
-        with pytest.raises(ParseError, match="policies"):
-            parse_report(json.dumps(document))
-
-    def test_out_of_range_model_is_a_parse_error(self):
-        report = ratio_experiment(RandomModel(n=2, seed=1), ("coolest",), 2)
-        document = json.loads(serialize_report(report))
-        document["model"]["max_window"] = 0
-        with pytest.raises(ParseError, match=r"^report\.model: max_window must be at least 1"):
-            parse_report(json.dumps(document))
-
-    def test_repeated_policy_names_are_a_parse_error(self):
-        """One JSON key per name cannot hold a throughput for each repeat."""
-        report = ratio_experiment(RandomModel(n=2, seed=1), ("coolest",), 2)
-        document = json.loads(serialize_report(report))
-        document["policies"] = ["coolest", "coolest"]
-        with pytest.raises(ParseError, match=r"^report: policy names must be distinct"):
-            parse_report(json.dumps(document))
-
-    def test_policy_names_must_match(self):
-        report = ratio_experiment(RandomModel(n=2, seed=1), ("coolest",), 2)
-        document = json.loads(serialize_report(report))
-        document["records"][0]["ratios"] = {"edf": None}
-        with pytest.raises(ParseError):
-            parse_report(json.dumps(document))
 
 
 class TestReductionMetaFormat:
@@ -559,12 +523,4 @@ def test_trace_round_trip_property(pair):
     instance, schedule = pair
     assert parse_schedule(serialize_schedule(schedule)) == schedule
     trace = simulate(instance, schedule)
-    assert parse_trace(serialize_trace(trace)) == trace
-
-
-@settings(max_examples=200, deadline=None)
-@given(reports())
-def test_report_round_trip_property(report):
-    text = serialize_report(report)
-    assert parse_report(text) == report
-    assert serialize_report(parse_report(text)) == text
+    _assert_trace_written(serialize_trace(trace), trace)
