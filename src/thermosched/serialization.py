@@ -3,30 +3,26 @@
 All structured documents are JSON with two-space indent, a trailing
 newline and fixed key order; rationals appear as lowest-terms "p/q"
 strings (a "7/4" heat is emitted verbatim, never as a float). Parsing
-is strict: unknown or repeated fields are rejected, rationals must be
-"p/q" or a finite decimal, and every diagnostic names the offending
-field path. The point of one canonical byte form is that round-trip
-and determinism tests can compare serialized documents directly.
+is strict: unknown, missing or repeated fields are rejected, rationals
+must be "p/q" or a finite decimal, and every diagnostic names the
+offending field path, as in "instance.jobs[0]: repeated key 'heat'".
+The point of one canonical byte form is that round-trip and
+determinism tests can compare serialized documents directly.
 
-The program's inputs are parsed, and every output is written, never
-parsed. The inputs are an instance, a schedule and a reduction source
-file. Each of the two JSON inputs is one table of (key, codec) rows
-that both its writer and its parser read, so the two directions cannot
-drift apart.
+The program parses only its inputs: an instance, a schedule and a
+reduction source file. Each JSON input has a plain writer and a direct
+parser, kept in agreement by the golden bytes under tests/golden and by
+test_instance_round_trip_property, which acceptance criterion 7 runs
+at 200 cases with non-default configs.
 
-Every other document is a function of what its writer was given: a
-trace of (instance, schedule), a ratio report of (model, policies,
-seeds), an online run, a traced run, an adversary transcript, an opt
-result and a reduction sidecar. A trace's throughput and a report's
-ratios, totals and counterexamples are written as the objects compute
-them. A violation's job is always an integer, never null. A run
-document holds the schedule and the pending ids of each slot; its
-trace, which simulate(instance, schedule) gives exactly and whose
-exact temperatures would make the document grow with the square of
-the horizon, is written only by serialize_run(run, trace=True). A
-transcript's algorithm block is such a traced run. A sidecar holds
-ReductionMeta(source), so the meta of a source file is
-ReductionMeta(parse_*_source(text)).
+Every other document is a function of what its writer was given (a
+trace of instance and schedule, a ratio report of model, policies and
+seeds, and so on), so it is written and never parsed. A run document
+holds the schedule and the pending ids of each slot. Its trace, which
+simulate(instance, schedule) gives exactly and whose exact
+temperatures grow the document with the square of the horizon, is
+written only by serialize_run(run, trace=True), as in a transcript's
+algorithm block. A sidecar holds ReductionMeta(source).
 
 Reduction source files are plain integer tokens with '#' comments;
 see parse_three_partition_source and parse_n3dm_source.
@@ -39,8 +35,7 @@ import re
 from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
-from operator import attrgetter
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, KeysView, Optional, Sequence
 
 from .adversary import AdversaryTranscript, RatioReport
 from .model import Instance, Job, Schedule, SimulationTrace, ThermalConfig
@@ -133,15 +128,21 @@ def parse_integer(token: str, where: str = "value") -> int:
         raise ParseError(f"{where}: an integer has too many digits") from None
 
 
+class _Repeated(dict):
+    """A JSON object that repeats self.key; _require_object reports it at its path."""
+
+
 def _object(pairs: list) -> dict:
-    """A JSON object's dict; a repeated key is an error, not a silent overwrite."""
+    """A JSON object's dict; one that repeats a key is a _Repeated, never overwritten."""
     value = dict(pairs)
     if len(value) != len(pairs):
         seen = set()
         for key, _ in pairs:
             if key in seen:
-                raise ParseError(f"repeated key {key!r}")
+                break
             seen.add(key)
+        value = _Repeated(value)
+        value.key = key
     return value
 
 
@@ -150,8 +151,6 @@ def _loads(text: str) -> Any:
         return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
-    except ParseError:
-        raise
     except RecursionError:
         raise ParseError("arrays or objects are nested too deep") from None
     except ValueError:
@@ -163,240 +162,181 @@ def _dumps(document: Any) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
-def _require_object(value: Any, where: str, fields: Sequence[str]) -> dict:
+def _require_object(value: Any, where: str, fields: KeysView[str]) -> dict:
+    if type(value) is dict and value.keys() == fields:
+        return value
     if not isinstance(value, dict):
         raise ParseError(f"{where}: expected an object, got {type(value).__name__}")
+    if type(value) is _Repeated:
+        raise ParseError(f"{where}: repeated key {value.key!r}")
     missing = [f for f in fields if f not in value]
     if missing:
         raise ParseError(f"{where}: missing field(s) {', '.join(missing)}")
     unknown = [k for k in value if k not in fields]
-    if unknown:
-        raise ParseError(f"{where}: unknown field(s) {', '.join(unknown)}")
+    raise ParseError(f"{where}: unknown field(s) {', '.join(unknown)}")
+
+
+def _require_array(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        kind = "dict" if isinstance(value, dict) else type(value).__name__  # a _Repeated too
+        raise ParseError(f"{where}: expected an array, got {kind}")
     return value
 
 
-# -- codecs ------------------------------------------------------------
-
-class _Codec(NamedTuple):
-    """Python value to JSON value and back; decode gets the field path its errors name.
-
-    An array or object decodes its items under its own path first and
-    builds the items' paths only when one of them raises ParseError: it
-    then decodes them again under their paths, so the error names the
-    failing field, and a valid document builds no path strings at all.
-    """
-
-    encode: Callable[[Any], Any]
-    decode: Callable[[Any, str], Any]
-
-
-def _same(value: Any) -> Any:
+def _integer(value: Any, where: str) -> int:
+    # The exact type test keeps a bool, which is an int subclass, out.
+    if type(value) is not int:
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
     return value
-
-
-def _leaf(what: str, kind: type) -> _Codec:
-    """A JSON scalar kept as is; the exact type test keeps a bool out of integers."""
-
-    def decode(value: Any, where: str) -> Any:
-        if type(value) is not kind:
-            raise ParseError(f"{where}: expected {what}, got {value!r}")
-        return value
-
-    return _Codec(_same, decode)
-
-
-_INT = _leaf("an integer", int)
-_RATIONAL = _Codec(format_rational, parse_rational)
-
-
-def _optional(codec: _Codec) -> _Codec:
-    return _Codec(
-        lambda v: None if v is None else codec.encode(v),
-        lambda v, where: None if v is None else codec.decode(v, where),
-    )
-
-
-def _items(encode: Callable[[Any], Any]) -> Callable[[Any], list]:
-    """Encoder of a JSON array; a set is written sorted, so its bytes are canonical."""
-
-    def write(value: Any) -> list:
-        items = sorted(value) if isinstance(value, frozenset) else value
-        return list(items) if encode is _same else [encode(x) for x in items]
-
-    return write
-
-
-def _array(item: _Codec, container: Callable = tuple) -> _Codec:
-    """JSON array of items, decoded into container."""
-
-    def decode(value: Any, where: str) -> Any:
-        if not isinstance(value, list):
-            raise ParseError(f"{where}: expected an array, got {type(value).__name__}")
-        try:
-            return container([item.decode(x, where) for x in value])
-        except ParseError:
-            for pos, x in enumerate(value):
-                item.decode(x, f"{where}[{pos}]")
-            raise
-
-    return _Codec(_items(item.encode), decode)
-
-
-def _writer(*rows: tuple) -> Callable[[Any], dict]:
-    """Encoder of a JSON object from (key, encode[, attribute path]) rows, in row order.
-
-    Each value is encode applied to the attribute path (the key by
-    default), read with getattr.
-    """
-    table = [(key, encode, attrgetter(path[0] if path else key)) for key, encode, *path in rows]
-    return lambda value: {key: encode(get(value)) for key, encode, get in table}
-
-
-def _record(build: Callable, *rows: tuple) -> _Codec:
-    """JSON object from (key, codec[, attribute path]) rows, in row order.
-
-    Encoding is _writer's. Decoding checks the exact key set and calls
-    build with one keyword per row, named by the last component of its
-    path.
-    """
-    keys = tuple(row[0] for row in rows)
-    key_set = frozenset(keys)
-    table = [
-        (key, codec, (path[0] if path else key).rpartition(".")[2]) for key, codec, *path in rows
-    ]
-
-    def decode(value: Any, where: str) -> Any:
-        # A dict with exactly the row keys needs no check; _require_object
-        # names what is wrong with anything else.
-        if type(value) is not dict or value.keys() != key_set:
-            _require_object(value, where, keys)
-        try:
-            kwargs = {name: codec.decode(value[key], where) for key, codec, name in table}
-        except ParseError:
-            for key, codec, _ in table:
-                codec.decode(value[key], f"{where}.{key}")
-            raise
-        return build(**kwargs)
-
-    return _Codec(_writer(*((key, codec.encode, *path) for key, codec, *path in rows)), decode)
-
-
-def _named(names: Sequence[str], encode: Callable[[Any], Any]) -> Callable[[tuple], dict]:
-    """Encoder of an object with one key per name, from a tuple aligned with names."""
-    return lambda values: {n: encode(v) for n, v in zip(names, values)}
-
-
-# The two parsed documents.
-_SCHEDULE = _array(_optional(_INT), container=Schedule)
-_INSTANCE = _record(
-    lambda threshold, cooling_factor, jobs: Instance(
-        jobs, ThermalConfig(threshold, cooling_factor)
-    ),
-    ("threshold", _RATIONAL, "config.threshold"),
-    ("cooling_factor", _RATIONAL, "config.cooling_factor"),
-    ("jobs", _array(_record(
-        Job, ("id", _INT), ("release", _INT), ("deadline", _INT), ("heat", _RATIONAL)
-    ))),
-)
-# Written, never parsed (see the module docstring). An OnlineRun needs its
-# instance, which the run document leaves out. A run's trace is
-# simulate(run.instance, run.schedule), so only the traced form writes it;
-# the transcript's algorithm block is a traced run.
-_TRACE = _writer(
-    ("temperatures", _items(format_rational)),
-    ("completed", _items(_same)),
-    ("throughput", _same),
-    ("violations", _items(asdict)),
-)
-_PENDING = _items(_items(_same))
-_RUN = _writer(("schedule", _SCHEDULE.encode), ("pending", _PENDING))
-_TRACED_RUN = _writer(("schedule", _SCHEDULE.encode), ("trace", _TRACE), ("pending", _PENDING))
-_TRANSCRIPT = _writer(
-    ("branch", _same),
-    ("instance", _INSTANCE.encode),
-    ("algorithm", _TRACED_RUN, "run"),
-    ("adversary_schedule", _SCHEDULE.encode),
-    ("adversary_trace", _TRACE),
-    ("alg_throughput", _same),
-    ("adv_throughput", _same),
-)
-_OPT_RESULT = _writer(
-    ("best_throughput", _same),
-    ("proven_optimal", _same),
-    ("explored", _same),
-    ("witness", _SCHEDULE.encode),
-)
-_ORIGIN = _writer(("job", _same, "job_id"), ("role", _same), ("index", _same), ("value", _same))
-_REDUCTION_META = _writer(
-    ("kind", _same),
-    ("n", _same),
-    ("beta", _same),
-    ("origins", _items(_ORIGIN)),
-    ("intervals", _items(_items(_same))),
-)
-
-
-def _report(names: Sequence[str]) -> Callable[[RatioReport], dict]:
-    ratios = _named(names, _optional(_RATIONAL).encode)
-    return _writer(
-        ("model", asdict),
-        ("count", _same),
-        ("policies", list),
-        ("records", _items(_writer(
-            ("seed", _same), ("opt", _same), ("proven_optimal", _same),
-            ("throughputs", _named(names, _same)), ("ratios", ratios),
-        ))),
-        ("skipped_zero_opt", _same),
-        ("max_ratios", ratios),
-        ("mean_ratios", ratios),
-        ("counterexamples", _items(asdict)),
-    )
 
 
 # -- documents -----------------------------------------------------------
 
+# Key views: in order for error messages, set-like for the one-step key check.
+_INSTANCE_FIELDS = dict.fromkeys(("threshold", "cooling_factor", "jobs")).keys()
+_JOB_FIELDS = dict.fromkeys(("id", "release", "deadline", "heat")).keys()
+
+
+def _instance(instance: Instance) -> dict:
+    config = instance.config
+    jobs = [
+        {"id": j.id, "release": j.release, "deadline": j.deadline, "heat": format_rational(j.heat)}
+        for j in instance.jobs
+    ]
+    return {
+        "threshold": format_rational(config.threshold),
+        "cooling_factor": format_rational(config.cooling_factor),
+        "jobs": jobs,
+    }
+
+
+def _trace(trace: SimulationTrace) -> dict:
+    return {
+        "temperatures": [format_rational(t) for t in trace.temperatures],
+        "completed": sorted(trace.completed),
+        "throughput": trace.throughput,
+        "violations": [asdict(v) for v in trace.violations],
+    }
+
+
+def _run(run: OnlineRun, trace: bool) -> dict:
+    traced = {"trace": _trace(run.trace)} if trace else {}
+    pending = [list(ids) for ids in run.pending]
+    return {"schedule": list(run.schedule), **traced, "pending": pending}
+
+
 def serialize_instance(instance: Instance) -> str:
-    return _dumps(_INSTANCE.encode(instance))
+    return _dumps(_instance(instance))
+
+
+def _job(value: Any, where: str) -> Job:
+    job = _require_object(value, where, _JOB_FIELDS)
+    return Job(
+        _integer(job["id"], f"{where}.id"),
+        _integer(job["release"], f"{where}.release"),
+        _integer(job["deadline"], f"{where}.deadline"),
+        parse_rational(job["heat"], f"{where}.heat"),
+    )
 
 
 def parse_instance(text: str) -> Instance:
-    return _INSTANCE.decode(_loads(text), "instance")
+    document = _require_object(_loads(text), "instance", _INSTANCE_FIELDS)
+    config = ThermalConfig(
+        parse_rational(document["threshold"], "instance.threshold"),
+        parse_rational(document["cooling_factor"], "instance.cooling_factor"),
+    )
+    jobs = _require_array(document["jobs"], "instance.jobs")
+    return Instance(
+        tuple(_job(job, f"instance.jobs[{pos}]") for pos, job in enumerate(jobs)), config
+    )
 
 
 def serialize_schedule(schedule: Schedule) -> str:
-    return _dumps(_SCHEDULE.encode(schedule))
+    return _dumps(list(schedule))
 
 
 def parse_schedule(text: str) -> Schedule:
     """Errors name the slot, as in "slot[3]: expected an integer"."""
-    return _SCHEDULE.decode(_loads(text), "slot")
+    slots = _require_array(_loads(text), "slot")
+    return Schedule(
+        tuple(None if x is None else _integer(x, f"slot[{pos}]") for pos, x in enumerate(slots))
+    )
 
 
 def serialize_trace(trace: SimulationTrace) -> str:
-    return _dumps(_TRACE(trace))
+    return _dumps(_trace(trace))
 
 
 def serialize_run(run: OnlineRun, trace: bool = False) -> str:
     """Schedule and pending ids; trace=True also writes the run's trace,
     which simulate(run.instance, run.schedule) gives exactly."""
-    return _dumps((_TRACED_RUN if trace else _RUN)(run))
+    return _dumps(_run(run, trace))
 
 
 def serialize_transcript(transcript: AdversaryTranscript) -> str:
-    return _dumps(_TRANSCRIPT(transcript))
+    document = {
+        "branch": transcript.branch,
+        "instance": _instance(transcript.instance),
+        "algorithm": _run(transcript.run, trace=True),
+        "adversary_schedule": list(transcript.adversary_schedule),
+        "adversary_trace": _trace(transcript.adversary_trace),
+        "alg_throughput": transcript.alg_throughput,
+        "adv_throughput": transcript.adv_throughput,
+    }
+    return _dumps(document)
 
 
 def serialize_opt_result(result: OptResult) -> str:
-    return _dumps(_OPT_RESULT(result))
+    document = {
+        "best_throughput": result.best_throughput,
+        "proven_optimal": result.proven_optimal,
+        "explored": result.explored,
+        "witness": list(result.witness),
+    }
+    return _dumps(document)
 
 
 def serialize_report(report: RatioReport) -> str:
-    return _dumps(_report(report.policies)(report))
+    names = report.policies
+
+    def ratios(values: Sequence[Optional[Fraction]]) -> dict:
+        return {n: None if v is None else format_rational(v) for n, v in zip(names, values)}
+
+    document = {
+        "model": asdict(report.model),
+        "count": report.count,
+        "policies": list(names),
+        "records": [
+            {
+                "seed": r.seed,
+                "opt": r.opt,
+                "proven_optimal": r.proven_optimal,
+                "throughputs": dict(zip(names, r.throughputs)),
+                "ratios": ratios(r.ratios),
+            }
+            for r in report.records
+        ],
+        "skipped_zero_opt": report.skipped_zero_opt,
+        "max_ratios": ratios(report.max_ratios),
+        "mean_ratios": ratios(report.mean_ratios),
+        "counterexamples": [asdict(c) for c in report.counterexamples],
+    }
+    return _dumps(document)
 
 
 def serialize_reduction_meta(meta: ReductionMeta) -> str:
     """Sidecar document: origins and interval geometry, not the instance."""
-    return _dumps(_REDUCTION_META(meta))
+    document = {
+        "kind": meta.kind,
+        "n": meta.n,
+        "beta": meta.beta,
+        "origins": [
+            {"job": o.job_id, "role": o.role, "index": o.index, "value": o.value}
+            for o in meta.origins
+        ],
+        "intervals": [list(interval) for interval in meta.intervals],
+    }
+    return _dumps(document)
 
 
 # -- reduction source files -----------------------------------------------

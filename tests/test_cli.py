@@ -98,7 +98,7 @@ class TestValidate:
         path = tmp_path / "repeated.json"
         path.write_text('{"threshold": "1/1", "cooling_factor": "2/1", "jobs": [], "jobs": []}')
         assert main(["validate", str(path)]) == 2
-        assert capsys.readouterr().err == "error: repeated key 'jobs'\n"
+        assert capsys.readouterr().err == "error: instance: repeated key 'jobs'\n"
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2

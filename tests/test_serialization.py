@@ -265,12 +265,12 @@ class TestInstanceFormat:
             '{"threshold": "1/1", "cooling_factor": "2/1", "jobs": '
             '[{"id": 1, "release": 0, "deadline": 2, "heat": "9/1", "heat": "1/2"}]}'
         )
-        with pytest.raises(ParseError, match=r"^repeated key 'heat'$"):
+        with pytest.raises(ParseError, match=r"^instance\.jobs\[0\]: repeated key 'heat'$"):
             parse_instance(text)
 
     def test_repeated_top_level_key(self):
         text = '{"threshold": "1/1", "cooling_factor": "2/1", "jobs": [], "threshold": "2/1"}'
-        with pytest.raises(ParseError, match=r"^repeated key 'threshold'$"):
+        with pytest.raises(ParseError, match=r"^instance: repeated key 'threshold'$"):
             parse_instance(text)
 
     @pytest.mark.parametrize(
@@ -288,6 +288,29 @@ class TestInstanceFormat:
         with pytest.raises(ParseError) as excinfo:
             parse_instance(_instance_document(_JOB, job))
         assert str(excinfo.value) == f"instance.jobs[1]: {message}"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"threshold": "1/0"}, "instance.threshold: zero denominator in '1/0'"),
+            ({"cooling_factor": 2}, "instance.cooling_factor: expected a rational string, got 2"),
+            ({"jobs": {"1": _JOB}}, "instance.jobs: expected an array, got dict"),
+            (
+                {"jobs": [_JOB, {**_JOB, "release": True}]},
+                "instance.jobs[1].release: expected an integer, got True",
+            ),
+            (
+                {"jobs": [_JOB, {**_JOB, "deadline": True}]},
+                "instance.jobs[1].deadline: expected an integer, got True",
+            ),
+        ],
+        ids=["threshold", "cooling_factor", "jobs", "release", "deadline"],
+    )
+    def test_field_errors(self, fields, message):
+        document = {"threshold": "1/1", "cooling_factor": "2/1", "jobs": [_JOB], **fields}
+        with pytest.raises(ParseError) as excinfo:
+            parse_instance(json.dumps(document))
+        assert str(excinfo.value) == message
 
     def test_bad_heat_fails_at_its_path_every_time(self):
         bad = {**_JOB, "id": 2, "heat": "1/0"}
@@ -314,12 +337,33 @@ class TestScheduleFormat:
         assert parse_schedule("[]") == Schedule(())
 
     def test_rejects_non_integers(self):
-        with pytest.raises(ParseError, match=r"slot\[1\]"):
+        with pytest.raises(ParseError, match=r"^slot\[1\]: expected an integer, got 'x'$"):
             parse_schedule('[1, "x"]')
 
     def test_rejects_non_arrays(self):
-        with pytest.raises(ParseError, match="expected an array"):
+        with pytest.raises(ParseError, match="^slot: expected an array, got dict$"):
             parse_schedule("{}")
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (
+            parse_instance,
+            '{"threshold": "1/1", "cooling_factor": "2/1", "jobs": [], "note": {"a": 1, "a": 2}}',
+        ),
+        (parse_instance, '{"threshold": {"a": 1, "a": 2}, "cooling_factor": "2/1", "jobs": []}'),
+        (parse_instance, '{"threshold": "1/1", "cooling_factor": "2/1", "jobs": {"a": 1, "a": 2}}'),
+        (parse_schedule, '[1, {"a": 1, "a": 2}]'),
+        (parse_schedule, '{"a": 1, "a": 2}'),
+    ],
+    ids=["unknown-field", "threshold", "jobs", "slot", "schedule"],
+)
+def test_repeated_key_where_no_object_is_expected(parse, text):
+    """No parser reads these objects' keys; each still fails the check made there."""
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert "_Repeated" not in str(excinfo.value)
 
 
 def _assert_trace_written(text, trace):
