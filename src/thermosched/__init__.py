@@ -28,7 +28,6 @@ from .model import (
     ValidationIssue,
     Violation,
     is_admissible,
-    require_valid,
     simulate,
     step_temperature,
     validate_instance,

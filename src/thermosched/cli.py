@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 from .adversary import RandomModel, ratio_experiment, run_lower_bound_game
 from .gantt import SVG_FORMAT, TEXT_FORMAT, approx_decimal, render_gantt
-from .model import InvalidInstanceError, require_valid, simulate, validate_instance
+from .model import InvalidInstanceError, simulate
 from .policies import POLICIES, PolicyViolationError, run_online
 from .reductions import InvalidSourceError, gen_from_3partition, gen_from_n3dm
 from .serialization import (
@@ -78,11 +78,11 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    instance = parse_instance(_read(args.instance))
-    issues = validate_instance(instance)
-    for issue in issues:
-        print(issue.message)
-    if issues:
+    try:
+        instance = parse_instance(_read(args.instance))
+    except InvalidInstanceError as exc:
+        for issue in exc.issues:
+            print(issue.message)
         return 1
     print(f"ok: {len(instance.jobs)} job(s), horizon {instance.horizon}")
     return 0
@@ -90,7 +90,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    require_valid(instance)
     schedule = parse_schedule(_read(args.schedule))
     trace = simulate(instance, schedule)
     _write(args.out, serialize_trace(trace))
@@ -175,7 +174,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     instance = parse_instance(_read(args.instance))
-    require_valid(instance)
     schedule = parse_schedule(_read(args.schedule))
     _write(args.out, render_gantt(instance, schedule, args.format))
     return 0

@@ -23,7 +23,8 @@ Fraction's operators, which dispatch on types in Python code: a/b < c/d
 iff a·d < c·b, exact because both denominators are positive.
 
 All types are immutable after construction and every function is a
-pure function of its inputs.
+pure function of its inputs. An Instance checks its own values when it
+is built, so every function here takes a valid one.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class Instance:
     iteration order and serialization canonical. The scheduling horizon
     is the largest deadline; no job can run at or after it. An item of
     jobs that is not a Job, or a config that is not a ThermalConfig,
-    raises TypeError naming it (jobs[i] counts the jobs as given).
+    raises TypeError naming it (jobs[i] counts the jobs as given). Values
+    that validate_instance finds issues in raise InvalidInstanceError.
     """
 
     jobs: tuple[Job, ...]
@@ -125,6 +127,9 @@ class Instance:
                 "pass a ThermalConfig"
             )
         object.__setattr__(self, "jobs", tuple(sorted(jobs, key=lambda j: j.id)))
+        issues = validate_instance(self)
+        if issues:
+            raise InvalidInstanceError(issues)
 
     @property
     def horizon(self) -> int:
@@ -210,7 +215,7 @@ class ValidationIssue:
 
 
 def validate_instance(instance: Instance) -> list[ValidationIssue]:
-    """Check the instance's values; an empty list means the instance is valid.
+    """Check the instance's values; Instance calls this when it is built.
 
     Checked per job: non-negative id, non-negative release, a non-empty
     execution window (release < deadline) and non-negative heat. Job ids
@@ -255,14 +260,15 @@ def validate_instance(instance: Instance) -> list[ValidationIssue]:
 
 
 class InvalidInstanceError(ValueError):
-    """An instance fails validate_instance; the message joins its issues."""
+    """An instance fails validate_instance: .issues lists them, the message joins them."""
 
+    def __init__(self, issues: list[ValidationIssue]) -> None:
+        super().__init__("; ".join(issue.message for issue in issues))
+        self.issues = issues
 
-def require_valid(instance: Instance) -> None:
-    """Raise InvalidInstanceError unless validate_instance finds no issue."""
-    issues = validate_instance(instance)
-    if issues:
-        raise InvalidInstanceError("; ".join(issue.message for issue in issues))
+    def __reduce__(self) -> tuple[type, tuple[list[ValidationIssue]]]:
+        # A pickled exception is rebuilt from its args, which hold the message.
+        return type(self), (self.issues,)
 
 
 def step_temperature(
@@ -340,10 +346,8 @@ def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
     diagnostic: a violating execution is recorded but its heat is still
     applied (unknown ids contribute no heat), so temperatures keep
     being meaningful past the first problem. A job counts as completed
-    only if its own execution slot is violation-free. Raises
-    InvalidInstanceError on an invalid instance.
+    only if its own execution slot is violation-free.
     """
-    require_valid(instance)
     cfg = instance.config
     t_num, t_den = cfg.threshold.numerator, cfg.threshold.denominator
     jobs = instance.job_map()

@@ -45,7 +45,6 @@ from .model import (
     ThermalConfig,
     admission_room,
     is_admissible,
-    require_valid,
     step_temperature,
 )
 
@@ -89,12 +88,10 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
 
     Jobs are pending from release until they run or expire. Each slot
     the policy sees them and its decision is applied and recorded. The
-    schedule re-simulates to exactly the trace returned here.
-    Raises InvalidInstanceError on an invalid instance, and
+    schedule re-simulates to exactly the trace returned here. Raises
     PolicyViolationError when the policy returns anything but None or
     the int id of a pending, admissible job.
     """
-    require_valid(instance)
     cfg = instance.config
     t_num, t_den = cfg.threshold.numerator, cfg.threshold.denominator
     arrivals = sorted(instance.jobs, key=attrgetter("release"), reverse=True)

@@ -91,7 +91,7 @@ from itertools import accumulate
 from operator import or_
 from typing import Optional
 
-from .model import Instance, ScaledKernel, Schedule, require_valid
+from .model import Instance, ScaledKernel, Schedule
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,9 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
 
     budget caps the number of search nodes; when it is hit the best
     schedule found so far is returned with proven_optimal=False.
-    Raises InvalidInstanceError on an invalid instance and ValueError
-    on a budget that is not a non-negative int (a bool is not).
+    Raises ValueError on a budget that is not a non-negative int (a
+    bool is not).
     """
-    require_valid(instance)
     if budget is not None and (type(budget) is not int or budget < 0):
         raise ValueError(f"budget must be a non-negative int, got {budget!r}")
     jobs = instance.jobs

@@ -12,7 +12,7 @@ horizon.
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from thermosched import InstanceTooLargeError, is_admissible, require_valid, step_temperature
+from thermosched import InstanceTooLargeError, is_admissible, step_temperature
 from thermosched.policies import Policy
 
 BRUTE_FORCE_MAX_JOBS = 10
@@ -27,7 +27,6 @@ def enumerate_optimal_bruteforce(instance):
     at most 10 jobs and horizon 16 because the search space is raw
     exponential.
     """
-    require_valid(instance)
     n = len(instance.jobs)
     horizon = instance.horizon
     if n > BRUTE_FORCE_MAX_JOBS or horizon > BRUTE_FORCE_MAX_HORIZON:

@@ -363,7 +363,7 @@ INVARIANT_SUITES = (
 
 def test_criterion_7():
     with _criterion(
-        7, "five randomized invariant suites hold at 200 cases each"
+        7, "seven randomized invariant suites hold at 200 cases each"
     ):
         for suite in INVARIANT_SUITES:
             # The line above promises 200 cases; a suite lowered below that fails here.

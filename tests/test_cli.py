@@ -59,12 +59,20 @@ class TestValidate:
                 {
                     "threshold": "1/1",
                     "cooling_factor": "2/1",
-                    "jobs": [{"id": 1, "release": 3, "deadline": 3, "heat": "1/2"}],
+                    "jobs": [
+                        {"id": 1, "release": 0, "deadline": 2, "heat": "1/2"},
+                        {"id": 1, "release": 3, "deadline": 3, "heat": "1/2"},
+                    ],
                 }
             )
         )
         assert main(["validate", str(path)]) == 1
-        assert "execution window is empty" in capsys.readouterr().out
+        # Every issue on its own line, in validate_instance's order.
+        assert capsys.readouterr() == (
+            "job 1: duplicate id\n"
+            "job 1: execution window is empty (release=3, deadline=3)\n",
+            "",
+        )
 
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

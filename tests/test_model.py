@@ -30,7 +30,6 @@ from thermosched import (
     coolest_first_decide,
     is_admissible,
     render_gantt,
-    require_valid,
     run_online,
     simulate,
     solve_optimal,
@@ -128,40 +127,39 @@ class _Ids(IntEnum):
     ONE = 1
 
 
+def _issues(jobs, config=DEFAULT_CONFIG):
+    """The issues of the InvalidInstanceError that building Instance(jobs, config) raises."""
+    with pytest.raises(InvalidInstanceError) as excinfo:
+        Instance(jobs, config)
+    return excinfo.value.issues
+
+
 class TestValidateInstance:
     def test_worked_example_is_valid(self, four_job_example):
         assert validate_instance(four_job_example) == []
 
     def test_empty_window(self):
-        instance = Instance(jobs=(Job(1, 3, 3, Fraction(1)),))
-        issues = validate_instance(instance)
+        issues = _issues((Job(1, 3, 3, Fraction(1)),))
         assert [i.field for i in issues] == ["deadline"]
         assert issues[0].job_id == 1
 
     def test_duplicate_ids(self):
-        instance = Instance(
-            jobs=(Job(1, 0, 2, Fraction(1)), Job(1, 1, 3, Fraction(1)))
-        )
-        assert any(i.field == "id" and "duplicate" in i.message for i in validate_instance(instance))
+        issues = _issues((Job(1, 0, 2, Fraction(1)), Job(1, 1, 3, Fraction(1))))
+        assert any(i.field == "id" and "duplicate" in i.message for i in issues)
 
     def test_negative_id(self):
-        issues = validate_instance(Instance(jobs=(Job(-1, 0, 1, Fraction(1)),)))
+        issues = _issues((Job(-1, 0, 1, Fraction(1)),))
         assert [(i.job_id, i.field, i.message) for i in issues] == [
             (-1, "id", "job -1: id must be non-negative")
         ]
 
     def test_negative_heat_and_release(self):
-        instance = Instance(jobs=(Job(2, -1, 2, Fraction(-1, 2)),))
-        fields = {i.field for i in validate_instance(instance)}
-        assert fields == {"release", "heat"}
+        issues = _issues((Job(2, -1, 2, Fraction(-1, 2)),))
+        assert {i.field for i in issues} == {"release", "heat"}
 
     def test_bad_config(self):
-        instance = Instance(
-            jobs=(),
-            config=ThermalConfig(threshold=Fraction(0), cooling_factor=Fraction(1)),
-        )
-        fields = {i.field for i in validate_instance(instance)}
-        assert fields == {"threshold", "cooling_factor"}
+        issues = _issues((), ThermalConfig(threshold=Fraction(0), cooling_factor=Fraction(1)))
+        assert {i.field for i in issues} == {"threshold", "cooling_factor"}
 
     # A field of another type never reaches validate_instance: Job refuses it.
     @pytest.mark.parametrize(
@@ -186,20 +184,44 @@ class TestValidateInstance:
 
 # Two jobs share id 1: the solver used to count both (OPT 2, witness [1, 1])
 # while run_online counted one.
-DUPLICATE_ID = Instance(jobs=(Job(1, 0, 2, Fraction(1, 2)), Job(1, 0, 2, Fraction(1, 2))))
+DUPLICATE_ID = (Job(1, 0, 2, Fraction(1, 2)), Job(1, 0, 2, Fraction(1, 2)))
 
 
 class TestRequireValid:
-    def test_valid_instance_passes(self, four_job_example):
-        assert require_valid(four_job_example) is None
+    """An invalid instance is refused when it is built, so no entry point sees one."""
 
     def test_message_joins_every_issue(self):
-        instance = Instance(jobs=(Job(2, -1, 2, Fraction(-1, 2)),))
         with pytest.raises(InvalidInstanceError) as excinfo:
-            require_valid(instance)
+            Instance(jobs=(Job(2, -1, 2, Fraction(-1, 2)),))
         assert str(excinfo.value) == (
             "job 2: release must be non-negative; job 2: heat must be non-negative"
         )
+
+    def test_error_survives_pickling(self):
+        # An error raised in a worker process reaches its parent pickled.
+        with pytest.raises(InvalidInstanceError) as excinfo:
+            Instance(jobs=(Job(1, 3, 3, Fraction(1)),))
+        copy = pickle.loads(pickle.dumps(excinfo.value))
+        assert copy.issues == excinfo.value.issues
+        assert str(copy) == str(excinfo.value)
+
+    # dataclasses.replace builds a new Instance, so it checks the new values too.
+    @pytest.mark.parametrize(
+        "changes, messages",
+        [
+            (
+                {"jobs": (Job(1, 0, 2, Fraction(1)), Job(2, 0, 2, Fraction(-1, 2)))},
+                ["job 2: heat must be non-negative"],
+            ),
+            ({"config": ThermalConfig(threshold=Fraction(0))}, ["threshold must be positive"]),
+        ],
+        ids=["negative_heat", "zero_threshold"],
+    )
+    def test_replace_is_refused(self, four_job_example, changes, messages):
+        with pytest.raises(InvalidInstanceError) as excinfo:
+            dataclasses.replace(four_job_example, **changes)
+        assert [issue.message for issue in excinfo.value.issues] == messages
+        assert str(excinfo.value) == "; ".join(messages)
 
     @pytest.mark.parametrize(
         "entry",
@@ -220,7 +242,7 @@ class TestRequireValid:
     )
     def test_entry_points_reject_invalid_instances(self, entry):
         with pytest.raises(InvalidInstanceError, match="job 1: duplicate id"):
-            entry(DUPLICATE_ID)
+            entry(Instance(DUPLICATE_ID))
 
     # An int subclass or an unhashable id once got past Job and had to be
     # refused by each entry point; now building the Job refuses it, so the
@@ -237,12 +259,11 @@ class TestRequireValid:
     @pytest.mark.parametrize(
         "entry",
         [
-            require_valid,
             solve_optimal,
             enumerate_optimal_bruteforce,
             lambda instance: run_online(instance, coolest_first_decide),
         ],
-        ids=["require_valid", "solve_optimal", "enumerate_optimal_bruteforce", "run_online"],
+        ids=["solve_optimal", "enumerate_optimal_bruteforce", "run_online"],
     )
     def test_entry_points_reject_an_unhashable_id(self, entry):
         with pytest.raises(TypeError, match=r"^id: \[1\] is a list; "):
