@@ -22,6 +22,14 @@ in the policies, is such a product comparison and never one of
 Fraction's operators, which dispatch on types in Python code: a/b < c/d
 iff a·d < c·b, exact because both denominators are positive.
 
+step_temperature, the one kernel of the recurrence, steps a temperature
+with a small denominator as one normalizing Fraction(n, d), which skips
+the type dispatch of two Fraction operators, and a larger one by those
+operators, whose gcds of smaller parts cost less than the constructor's
+one gcd of the full products, which grows with the square of their size.
+A rational has one lowest-terms form, so both routes give the same
+Fraction.
+
 All types are immutable after construction and every function is a
 pure function of its inputs. An Instance checks its own values when it
 is built, so every function here takes a valid one.
@@ -271,16 +279,38 @@ class InvalidInstanceError(ValueError):
         return type(self), (self.issues,)
 
 
+# Where step_temperature switches routes. Per step at R = 2 the constructor
+# breaks even with the operators near 2**340 when busy and near 2**50 when
+# idle; a run with as many busy slots as idle ones breaks even near 2**190.
+_CONSTRUCTOR_BELOW = 2**192
+
+
 def step_temperature(
     tau: Fraction, heat: Union[Fraction, int], config: ThermalConfig = DEFAULT_CONFIG
 ) -> Fraction:
     """One slot of the thermal recurrence: (tau + heat) / R, exactly.
 
-    An idle slot passes heat 0 and costs one division, tau / R.
+    Write tau = n/d, heat = c/e (e = 1 for an int) and R = p/q. While d
+    is below _CONSTRUCTOR_BELOW, idle slots (heat 0) and busy ones alike
+    step as one Fraction((n·e + c·d)·q, d·e·p); from there on a slot
+    steps as (tau + heat) / R, or tau / R when idle. The switch is on
+    size: on small values a step costs the Python-level type dispatch of
+    two Fraction operators, which the constructor skips; on large ones
+    it costs gcds, and the constructor's one gcd of the full products
+    grows with the square of their size, where the operators reduce
+    smaller parts first. Both routes give the same Fraction, since a
+    rational has one lowest-terms form and the public constructor
+    reduces to it as the operators do.
     """
+    R = config.cooling_factor
+    d = tau.denominator
+    if d < _CONSTRUCTOR_BELOW:
+        e = heat.denominator
+        n = (tau.numerator * e + heat.numerator * d) * R.denominator
+        return Fraction(n, d * e * R.numerator)
     if heat:
-        return (tau + heat) / config.cooling_factor
-    return tau / config.cooling_factor
+        return (tau + heat) / R
+    return tau / R
 
 
 @dataclass(frozen=True)

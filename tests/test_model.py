@@ -37,6 +37,7 @@ from thermosched import (
     validate_instance,
 )
 from thermosched.model import (
+    _CONSTRUCTOR_BELOW,
     OUT_OF_WINDOW,
     REPEATED_JOB,
     THERMAL,
@@ -60,6 +61,28 @@ class TestStepTemperature:
     def test_custom_cooling_factor(self):
         config = ThermalConfig(cooling_factor=Fraction(3))
         assert step_temperature(Fraction(1), Fraction(2), config) == 1
+
+
+def _denominators() -> st.SearchStrategy[int]:
+    """Sizes up to about 2**600, and the neighbours of the kernel's switch."""
+    return st.one_of(
+        st.sampled_from([_CONSTRUCTOR_BELOW - 1, _CONSTRUCTOR_BELOW, _CONSTRUCTOR_BELOW + 1]),
+        st.integers(0, 600).flatmap(lambda b: st.integers(2**b, 2 ** (b + 1) - 1)),
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.just(DEFAULT_CONFIG), configs()),
+    st.one_of(mixed_heats(), st.sampled_from([0, 1])),
+    _denominators().flatmap(lambda d: st.builds(Fraction, st.integers(0, 3 * d), st.just(d))),
+)
+def test_step_temperature_is_the_operator_recurrence(cfg, heat, tau):
+    """Both routes of the kernel, below and from _CONSTRUCTOR_BELOW on, give
+    the Fraction that Fraction's own operators give."""
+    stepped = step_temperature(tau, heat, cfg)
+    assert stepped == (tau + heat) / cfg.cooling_factor
+    assert type(stepped) is Fraction
 
 
 class TestAdmissibility:
