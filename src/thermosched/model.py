@@ -37,7 +37,6 @@ is built, so every function here takes a valid one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -311,42 +310,6 @@ def step_temperature(
     if heat:
         return (tau + heat) / R
     return tau / R
-
-
-@dataclass(frozen=True)
-class ScaledKernel:
-    """step_temperature on integers that an idle slot leaves unchanged.
-
-    Write R = p/q in lowest terms, let D be the lcm of the denominators
-    of T and of every heat, let H be the horizon and w[t] = p^t·q^(H-t).
-    At slot boundary t a temperature tau is held as the integer
-    V = tau·D·w[t]; a heat h and the threshold T are held as h·D and
-    T·D, integers because D clears their denominators.
-
-    An idle slot takes tau to tau·q/p and w[t] to w[t+1] = w[t]·p/q, so
-    V stays as it is. A job of heat h at slot t takes V to V + h·D·w[t],
-    so from 0 every V is a sum of integers and no step divides. w[t+1]
-    is positive, so the job is admissible iff V + h·D·w[t] <= T·D·w[t+1].
-    At one slot V is a positive multiple of tau, so comparing V's there
-    compares temperatures.
-    """
-
-    lcm: int
-    threshold: int
-    weights: tuple[int, ...]
-
-    @classmethod
-    def for_instance(cls, instance: Instance) -> ScaledKernel:
-        cfg = instance.config
-        T, R, horizon = cfg.threshold, cfg.cooling_factor, instance.horizon
-        lcm = math.lcm(T.denominator, *(j.heat.denominator for j in instance.jobs))
-        p, q = R.numerator, R.denominator
-        weights = tuple(p**t * q ** (horizon - t) for t in range(horizon + 1))
-        return cls(lcm, T.numerator * (lcm // T.denominator), weights)
-
-    def heat(self, heat: Fraction) -> int:
-        # The denominator divides D, so this is exact without a Fraction product.
-        return heat.numerator * (self.lcm // heat.denominator)
 
 
 def admission_room(tau: Fraction, config: ThermalConfig = DEFAULT_CONFIG) -> tuple[int, int]:

@@ -49,7 +49,7 @@ BRUTE_3PARTITION_MAX_VALUES = 12
 BRUTE_N3DM_MAX_N = 6
 
 # Element values are capped so heat denominators 2^(a-1) stay manageable.
-DEFAULT_MAX_ELEMENT = 64
+MAX_ELEMENT = 64
 
 ROLE_ELEMENT = "element"
 ROLE_A = "a"
@@ -275,9 +275,9 @@ def element_heat(value: int) -> Fraction:
 
 def _3partition_rows(src: ThreePartitionInstance) -> tuple[str, list[tuple], list]:
     """Kind, (role, index, value, release, deadline, heat) rows and intervals."""
-    if max(src.values) > DEFAULT_MAX_ELEMENT:
+    if max(src.values) > MAX_ELEMENT:
         raise InvalidSourceError(
-            f"largest value {max(src.values)} exceeds the supported cap {DEFAULT_MAX_ELEMENT}"
+            f"largest value {max(src.values)} exceeds the supported cap {MAX_ELEMENT}"
         )
     n, beta = src.n, src.beta
     rows = [
@@ -299,7 +299,7 @@ def gen_from_3partition(src: ThreePartitionInstance) -> tuple[Instance, Reductio
     Element job i (ids 1..3n) has heat 2 - 2^(1-a_i), release 1 and
     deadline n(beta+1). Gadget jobs (ids 3n+1..4n) are tight: the
     first has heat 2 at time 0, the rest heat 1 at times j(beta+1).
-    Values above DEFAULT_MAX_ELEMENT (64) raise InvalidSourceError, and
+    Values above MAX_ELEMENT (64) raise InvalidSourceError, and
     a source of another type TypeError.
     """
     _require_source(src, ThreePartitionInstance)

@@ -1,5 +1,17 @@
 """Exact maximum-throughput solver.
 
+The search holds every temperature as a scaled integer. Write R = p/q
+in lowest terms, let D be the lcm of the denominators of T and of every
+heat, let H be the horizon and w[t] = p^t·q^(H-t). At slot boundary t a
+temperature tau is held as the integer V = tau·D·w[t]; a heat h and the
+threshold T are held as h·D and T·D, integers because D clears their
+denominators. An idle slot takes tau to tau·q/p and w[t] to
+w[t+1] = w[t]·p/q, so V stays as it is. A job of heat h at slot t takes
+V to V + h·D·w[t], so from 0 every V is a sum of integers and no step
+divides. w[t+1] is positive, so the job is admissible iff
+V + h·D·w[t] <= T·D·w[t+1]. At one slot V is a positive multiple of
+tau, so comparing V's there compares temperatures exactly.
+
 solve_optimal() is a depth-first branch-and-bound over the slots: at
 each slot it tries every admissible pending job and then idling, keeps
 the best complete schedule found, and prunes with
@@ -14,8 +26,8 @@ the best complete schedule found, and prunes with
     left out of that bound. Idling is the coolest continuation, since
     heats are non-negative and the step is monotone in the temperature,
     and a job with deadline d can run at the latest in slot f = d - 1.
-    In the scaled integers of model.ScaledKernel (below) idling leaves
-    V unchanged, so the job is in reach from V at any slot up to f iff
+    In the scaled integers (above) idling leaves V unchanged, so the
+    job is in reach from V at any slot up to f iff
     V + h·D·w[f] <= T·D·w[f+1], i.e. V <= c_j = T·D·w[f+1] - h·D·w[f]:
     one exact integer per job. A node looks up the cuts once, for its
     idle child's temperature: every child is at least as hot, so a job
@@ -71,27 +83,25 @@ stays sound because states with the same done-mask face the same twin
 order and twins expire together. Jobs hotter than R·T can never run
 and are dropped before the search.
 
-The search runs on integers: model.ScaledKernel holds the temperature
-at slot boundary t as V = tau·D·w[t] (R = p/q, D the lcm of the heat
-and threshold denominators, w[t] = p^t·q^(H-t), H the horizon). An
-idle slot leaves V unchanged and a job adds h·D·w[t], so no step
-divides, and the memo, the Pareto fronts, the reach cuts and the
-threshold test compare integers; no Fraction arithmetic runs, not even
-to build the scaled integers. The search loop steps inline and tests
-admissibility on the sum. The search keeps its own stack instead of
-recursing, so a long horizon does not hit Python's recursion limit; it
-visits nodes in the same pre-order as the recursion would.
+The search runs on the scaled integers above: the memo, the Pareto
+fronts, the reach cuts and the threshold test compare integers, and no
+Fraction arithmetic runs, not even to build them. The search loop steps
+inline and tests admissibility on the sum. The search keeps its own
+stack instead of recursing, so a long horizon does not hit Python's
+recursion limit; it visits nodes in the same pre-order as the
+recursion would.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import or_
 from typing import Optional
 
-from .model import Instance, ScaledKernel, Schedule
+from .model import Instance, Schedule
 
 
 @dataclass(frozen=True)
@@ -124,11 +134,16 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
         raise ValueError(f"budget must be a non-negative int, got {budget!r}")
     jobs = instance.jobs
     horizon = instance.horizon
-    kernel = ScaledKernel.for_instance(instance)
-    weights = kernel.weights
+    # D, w[t], T·D and every h·D of the scaled integers (see the module
+    # docstring). Each denominator divides D, so no Fraction product is needed.
+    T, R = instance.config.threshold, instance.config.cooling_factor
+    D = math.lcm(T.denominator, *(job.heat.denominator for job in jobs))
+    p, q = R.numerator, R.denominator
+    weights = [p**t * q ** (horizon - t) for t in range(horizon + 1)]
+    scaled_threshold = T.numerator * (D // T.denominator)
     # limit[t] = T·D·w[t]: a temperature at slot boundary t fits iff V <= limit[t].
-    limit = [kernel.threshold * w for w in weights]
-    heats = [kernel.heat(job.heat) for job in jobs]
+    limit = [scaled_threshold * w for w in weights]
+    heats = [job.heat.numerator * (D // job.heat.denominator) for job in jobs]
     # cut[i] = c_j = T·D·w[f+1] - h·D·w[f] with f = d - 1 (see "reach" above).
     # Every V is at least 0, so a job with c_j < 0, i.e. h > R·T, never
     # runs and is left out.
@@ -254,7 +269,7 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
                     # and was pending at time - 1 too iff release < time.
                     bound = stays_bound if deadline > child else idle_bound + 1
                     if bound > best and not (release < time and lo < heat <= hi):
-                        # The ScaledKernel step, admissible iff it stays at most T·D·w[t+1].
+                        # The scaled step, admissible iff it stays at most T·D·w[t+1].
                         after = s + heat * weight
                         if after <= cap and undominated(
                             child, (done | bit) & alive_after, count + 1, after

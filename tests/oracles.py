@@ -3,8 +3,8 @@
 enumerate_optimal_bruteforce is the deliberately dumb cross-check of
 solve_optimal: plain recursion over every violation-free schedule with
 no memoization and no bounds. It stays on Fraction and
-step_temperature, so it is independent of the scaled kernel the solver
-runs on. scripted_policy replays a fixed decision per slot, so
+step_temperature, so it is independent of the scaled integers the
+solver runs on. scripted_policy replays a fixed decision per slot, so
 enumerating scripts enumerates every online behaviour on a short
 horizon.
 """

@@ -42,7 +42,6 @@ from thermosched.model import (
     REPEATED_JOB,
     THERMAL,
     UNKNOWN_JOB,
-    ScaledKernel,
     Violation,
     admission_room,
 )
@@ -415,42 +414,6 @@ def test_closed_form_temperature(pair):
     for u in range(len(trace.temperatures)):
         closed = sum((h / R ** (u - i) for i, h in enumerate(applied[:u])), Fraction(0))
         assert trace.temperatures[u] == closed
-
-
-def _scaled_steps_match(instance, schedule):
-    """Every slot's integer step, scaled back by D·w[t+1], is step_temperature,
-    and its threshold test agrees with the exact one."""
-    cfg = instance.config
-    kernel = ScaledKernel.for_instance(instance)
-    w = kernel.weights
-    jobs = instance.job_map()
-    temps = simulate(instance, schedule).temperatures
-    for t in range(instance.horizon):
-        heat = jobs[schedule[t]].heat if schedule[t] in jobs else Fraction(0)
-        scaled = temps[t] * kernel.lcm * w[t]
-        assert scaled.denominator == 1
-        after = int(scaled) + kernel.heat(heat) * w[t]
-        exact = step_temperature(temps[t], heat, cfg)
-        assert Fraction(after, kernel.lcm * w[t + 1]) == exact
-        assert (after <= kernel.threshold * w[t + 1]) == (exact <= cfg.threshold)
-
-
-@settings(max_examples=200, deadline=None)
-@given(instance_with_arbitrary_schedule(config=configs()))
-def test_scaled_kernel_matches_step_temperature(pair):
-    _scaled_steps_match(*pair)
-
-
-def test_scaled_kernel_clears_every_denominator():
-    config = ThermalConfig(threshold=Fraction(5, 3), cooling_factor=Fraction(7, 3))
-    instance = Instance(
-        jobs=(Job(1, 0, 2, Fraction(1, 3)), Job(2, 1, 4, Fraction(5, 6))), config=config
-    )
-    kernel = ScaledKernel.for_instance(instance)
-    assert (kernel.lcm, kernel.threshold) == (6, 10)
-    assert kernel.weights == (3**4, 7 * 3**3, 7**2 * 3**2, 7**3 * 3, 7**4)
-    _scaled_steps_match(instance, Schedule((1, 2, None, None)))
-    _scaled_steps_match(instance, Schedule((None, 1, 2, None)))
 
 
 @settings(max_examples=200, deadline=None)

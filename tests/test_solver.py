@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_optimal_bruteforce
-from strategies import configs, instances, twin_instances
+from strategies import configs, heats, instances, mixed_heats, twin_instances
 from thermosched import (
     Instance,
     InstanceTooLargeError,
@@ -51,6 +51,28 @@ class TestSolveOptimal:
         result = solve_optimal(instance)
         assert result.best_throughput == 1
         assert simulate(instance, result.witness).violations == ()
+
+    @pytest.mark.parametrize(
+        "first, heat, best, witness",
+        [
+            (Fraction(1, 3), Fraction(236, 63), 2, (1, 2)),
+            (Fraction(1, 3), Fraction(79, 21), 1, (1, None)),
+            (2, 3, 2, (1, 2)),
+        ],
+        ids=["lands-on-T", "one-63rd-over", "integer-heats"],
+    )
+    def test_scale_with_odd_denominators(self, first, heat, best, witness):
+        """T = 5/3, R = 7/3: job 1 of heat 1/3 leaves 1/7, after which job 2
+        fits iff h <= 35/9 - 1/7 = 236/63, so at 236/63 it lands exactly on
+        T and one 63rd more does not fit. D is 63 and 21, not a power of
+        two. With integer heats only T's denominator makes D = 3."""
+        instance = Instance(
+            jobs=(Job(1, 0, 1, first), Job(2, 1, 2, heat)),
+            config=ThermalConfig(threshold=Fraction(5, 3), cooling_factor=Fraction(7, 3)),
+        )
+        result = solve_optimal(instance)
+        assert (result.best_throughput, result.witness.slots) == (best, witness)
+        assert enumerate_optimal_bruteforce(instance) == best
 
     def test_empty_instance(self):
         result = solve_optimal(Instance(jobs=()))
@@ -269,7 +291,15 @@ class TestBruteForce:
 
 
 @settings(max_examples=150, deadline=None)
-@given(instances(max_jobs=5, release_span=3, max_window=3, config=configs()))
+@given(
+    instances(
+        max_jobs=5,
+        release_span=3,
+        max_window=3,
+        config=configs(),
+        heat=st.one_of(heats(), mixed_heats()),
+    )
+)
 def test_oracle_agreement(instance):
     assert solve_optimal(instance).best_throughput == enumerate_optimal_bruteforce(instance)
 
