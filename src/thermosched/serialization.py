@@ -75,29 +75,11 @@ def format_rational(value: Fraction) -> str:
         return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
-# A document repeats a few dozen distinct heats hundreds of times, so
-# parse_rational keeps the value of each short text that parsed. It is
-# emptied when full, so it never holds more than _MEMO_SIZE entries.
-_MEMO_SIZE = 1024
-_MEMO_KEY_LENGTH = 64
-_memo: dict[str, Fraction] = {}
-
-
 def parse_rational(text: Any, where: str = "value") -> Fraction:
     """Exact rational from "p/q" or a finite decimal string, at any length."""
     if not isinstance(text, str):
         raise ParseError(f"{where}: expected a rational string, got {text!r}")
-    value = _memo.get(text)
-    if value is None:
-        value = _parse_rational(text.strip(_BLANKS), where)
-        if len(text) <= _MEMO_KEY_LENGTH:
-            if len(_memo) >= _MEMO_SIZE:
-                _memo.clear()
-            _memo[text] = value
-    return value
-
-
-def _parse_rational(token: str, where: str) -> Fraction:
+    token = text.strip(_BLANKS)
     if _FRACTION_RE.fullmatch(token):
         try:
             numerator, denominator = map(int, token.split("/"))
@@ -229,25 +211,33 @@ def serialize_instance(instance: Instance) -> str:
     return _dumps(_instance(instance))
 
 
-def _job(value: Any, where: str) -> Job:
+def _job(value: Any, where: str, heats: dict[str, Fraction]) -> Job:
+    """heats holds the value of each heat text parsed so far in the document."""
     job = _require_object(value, where, _JOB_FIELDS)
-    return Job(
-        _integer(job["id"], f"{where}.id"),
-        _integer(job["release"], f"{where}.release"),
-        _integer(job["deadline"], f"{where}.deadline"),
-        parse_rational(job["heat"], f"{where}.heat"),
-    )
+    id_ = _integer(job["id"], f"{where}.id")
+    release = _integer(job["release"], f"{where}.release")
+    deadline = _integer(job["deadline"], f"{where}.deadline")
+    # Only a str is looked up: an array or object heat is unhashable, and
+    # parse_rational reports it at its path.
+    text = job["heat"]
+    heat = heats.get(text) if type(text) is str else None
+    if heat is None:
+        heat = heats[text] = parse_rational(text, f"{where}.heat")
+    return Job(id_, release, deadline, heat)
 
 
 def parse_instance(text: str) -> Instance:
+    """A document repeats a few dozen distinct heats hundreds of times,
+    so each distinct heat text is parsed once."""
     document = _require_object(_loads(text), "instance", _INSTANCE_FIELDS)
     config = ThermalConfig(
         parse_rational(document["threshold"], "instance.threshold"),
         parse_rational(document["cooling_factor"], "instance.cooling_factor"),
     )
     jobs = _require_array(document["jobs"], "instance.jobs")
+    heats: dict[str, Fraction] = {}
     return Instance(
-        tuple(_job(job, f"instance.jobs[{pos}]") for pos, job in enumerate(jobs)), config
+        tuple(_job(job, f"instance.jobs[{pos}]", heats) for pos, job in enumerate(jobs)), config
     )
 
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_optimal_bruteforce
 from strategies import (
     configs,
     heats,
@@ -29,7 +28,6 @@ from thermosched import (
     ThermalConfig,
     coolest_first_decide,
     is_admissible,
-    render_gantt,
     run_online,
     simulate,
     solve_optimal,
@@ -167,7 +165,9 @@ class TestValidateInstance:
 
     def test_duplicate_ids(self):
         issues = _issues((Job(1, 0, 2, Fraction(1)), Job(1, 1, 3, Fraction(1))))
-        assert any(i.field == "id" and "duplicate" in i.message for i in issues)
+        assert [(i.job_id, i.field, i.message) for i in issues] == [
+            (1, "id", "job 1: duplicate id")
+        ]
 
     def test_negative_id(self):
         issues = _issues((Job(-1, 0, 1, Fraction(1)),))
@@ -204,12 +204,7 @@ class TestValidateInstance:
             Job(*job)
 
 
-# Two jobs share id 1: the solver used to count both (OPT 2, witness [1, 1])
-# while run_online counted one.
-DUPLICATE_ID = (Job(1, 0, 2, Fraction(1, 2)), Job(1, 0, 2, Fraction(1, 2)))
-
-
-class TestRequireValid:
+class TestInvalidInstanceError:
     """An invalid instance is refused when it is built, so no entry point sees one."""
 
     def test_message_joins_every_issue(self):
@@ -244,52 +239,6 @@ class TestRequireValid:
             dataclasses.replace(four_job_example, **changes)
         assert [issue.message for issue in excinfo.value.issues] == messages
         assert str(excinfo.value) == "; ".join(messages)
-
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            solve_optimal,
-            enumerate_optimal_bruteforce,
-            lambda instance: run_online(instance, coolest_first_decide),
-            lambda instance: simulate(instance, Schedule((1,))),
-            lambda instance: render_gantt(instance, Schedule((1,))),
-        ],
-        ids=[
-            "solve_optimal",
-            "enumerate_optimal_bruteforce",
-            "run_online",
-            "simulate",
-            "render_gantt",
-        ],
-    )
-    def test_entry_points_reject_invalid_instances(self, entry):
-        with pytest.raises(InvalidInstanceError, match="job 1: duplicate id"):
-            entry(Instance(DUPLICATE_ID))
-
-    # An int subclass or an unhashable id once got past Job and had to be
-    # refused by each entry point; now building the Job refuses it, so the
-    # call never reaches the entry point.
-    @pytest.mark.parametrize(
-        "entry",
-        [solve_optimal, lambda instance: run_online(instance, coolest_first_decide)],
-        ids=["solve_optimal", "run_online"],
-    )
-    def test_entry_points_reject_an_int_subclass_id(self, entry):
-        with pytest.raises(TypeError, match=rf"^id: {re.escape(repr(_Ids.ONE))} is a _Ids; "):
-            entry(Instance(jobs=(Job(_Ids.ONE, 0, 1, Fraction(1, 2)),)))
-
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            solve_optimal,
-            enumerate_optimal_bruteforce,
-            lambda instance: run_online(instance, coolest_first_decide),
-        ],
-        ids=["solve_optimal", "enumerate_optimal_bruteforce", "run_online"],
-    )
-    def test_entry_points_reject_an_unhashable_id(self, entry):
-        with pytest.raises(TypeError, match=r"^id: \[1\] is a list; "):
-            entry(Instance(jobs=(Job([1], 0, 1, Fraction(1)),)))
 
 
 # Past Job, a str or None id would fail in Instance's sort by id, a list in

@@ -34,7 +34,6 @@ from thermosched import (
     serialize_trace,
     simulate,
 )
-from thermosched import serialization
 from thermosched.serialization import (
     ParseError,
     parse_n3dm_source,
@@ -143,20 +142,12 @@ class TestRationals:
         with pytest.raises(ParseError, match="rational string"):
             parse_rational(1.75, where="heat")
 
-    def test_memoized_text_still_fails_at_each_path(self):
+    def test_same_text_fails_at_each_path(self):
         assert parse_rational("3/4", where="a") == Fraction(3, 4)
         for where in ("a", "b"):
             with pytest.raises(ParseError, match=rf"^{where}: zero denominator in '3/0'$"):
                 parse_rational("3/0", where=where)
         assert parse_rational("3/4", where="b") == Fraction(3, 4)
-
-    def test_memo_stays_within_its_bound(self):
-        for k in range(2 * serialization._MEMO_SIZE + 3):
-            assert parse_rational(f"{k}/7") == Fraction(k, 7)
-            assert len(serialization._memo) <= serialization._MEMO_SIZE
-        long_text = "1/" + "3" * serialization._MEMO_KEY_LENGTH
-        assert parse_rational(long_text) == Fraction(1, int(long_text[2:]))
-        assert long_text not in serialization._memo
 
     def test_round_trip_past_the_int_digit_limit(self):
         """Python's int <-> str conversions stop at 4,300 digits by default;
@@ -303,8 +294,18 @@ class TestInstanceFormat:
                 {"jobs": [_JOB, {**_JOB, "deadline": True}]},
                 "instance.jobs[1].deadline: expected an integer, got True",
             ),
+            (
+                {"jobs": [_JOB, {**_JOB, "heat": [1, 2]}]},
+                "instance.jobs[1].heat: expected a rational string, got [1, 2]",
+            ),
+            (
+                {"jobs": [_JOB, {**_JOB, "heat": {"p": 1}}]},
+                "instance.jobs[1].heat: expected a rational string, got {'p': 1}",
+            ),
         ],
-        ids=["threshold", "cooling_factor", "jobs", "release", "deadline"],
+        ids=[
+            "threshold", "cooling_factor", "jobs", "release", "deadline", "heat-array", "heat-object"
+        ],
     )
     def test_field_errors(self, fields, message):
         document = {"threshold": "1/1", "cooling_factor": "2/1", "jobs": [_JOB], **fields}
