@@ -38,7 +38,11 @@ the best complete schedule found, and prunes with
     only do better from here on (cooler is never worse, since lowering
     the temperature preserves every later admissibility check). A child
     is entered in the memo of its slot when it is generated, and it is
-    pushed only if no entry with its key dominates it, and
+    pushed only if no entry with its key dominates it,
+  * the equal-heat rule: a node at slot t branches on a job k only if
+    every job j of k's heat that comes before k in branching order and
+    is pending at t (r_j <= t < d_j) is done. Jobs of one heat step the
+    temperature alike, so they run in branching order, and
   * two exchange rules. A node at slot t does not branch on a job j
     that was pending at t - 1 (r_j <= t - 1) and admissible there when
     (a) slot t - 1 was idle: j at t - 1 and idle at t end no hotter,
@@ -52,36 +56,57 @@ the best complete schedule found, and prunes with
     fits at slot t because it ends no hotter than the forbidden one.
 
 Expired jobs drop out of the dominance key because they cannot affect
-the future; their count is kept in the Pareto value instead.
+the future; their count is kept in the Pareto value instead. The
+equal-heat rule reads the done-mask only on jobs pending at t, which
+are alive at t, so it depends on the key alone: two states with the
+same key face the same rule at every later slot.
 
-Why the pruning is exact. Take the search without the exchange rules
-and the memo (twins still in order). By induction over slots, each of
-its states at slot t is either dominated by a state the search expands
-(same key, at least as many completions, V no higher) or cannot beat
-the final incumbent. For t + 1, let S at t be dominated by the expanded
-S' and let e be the entry of slot t. S' can take e too, and its child
-dominates S's. That child is cut by its bound, dominated by a memo
-entry (which was pushed, so it is expanded or cut by its bound), pushed
-itself, or forbidden by a rule. A forbidden child equals or is
-dominated by a state with j at t - 1 (a state at slot t, covered by the
-induction) and entry e' at t: idle under (a), which no rule forbids,
-and k under (b), which is strictly cooler than j. Repeating the step on
-e' ends, since heats cannot fall forever, so every state at t + 1 is
-covered. The swap keeps the twin order, because j and k differ in heat
-and j's predecessor ran before slot t - 1. Equal heats are never
-swapped: two jobs of one heat that are not twins would forbid each
-other's order.
+Why the pruning is exact. Say a state A at slot t covers a state B at
+t when A has at least B's completions, a V no higher, and a one-to-one
+map from B's undone alive jobs to A's that keeps the heat and sends
+each job to one whose window from t on contains its own. Every
+continuation of B then runs from A with each job replaced by its image,
+at the same temperatures, so A can do at least as well and A's bound
+caps B too. A state covers every state it dominates, by the identity
+map. Take the search without the equal-heat rule, the exchange rules
+and the memo. By induction over slots, each of its states at slot t is
+either covered by a state the search expands or cannot beat the final
+incumbent. For t + 1, let S at t be covered by the expanded S' and let
+e be the entry of slot t. S' can take e's image e* too: e* is pending
+at t, and it fits, since V' <= V and the heat is the same. If the
+equal-heat rule forbids e*, S' takes the first job in branching order
+of that heat that is pending at t and not done, which no rule forbids;
+its deadline is at most e*'s, so relabeling it as e* shows that its
+child covers the child of e*. Either way S' has a child that covers
+S's. That child is cut by its bound, dominated by a memo entry (which
+was pushed, so it is expanded or cut by its bound), pushed itself, or
+forbidden by an exchange rule. A forbidden child runs j at t after
+S', which its parent Q left by idling or by k at t - 1. It is covered
+by the state that runs j at t - 1 from Q and e' at t: idle under (a),
+which no rule forbids, and k under (b), which is strictly cooler than
+j. If the equal-heat rule forbids j at t - 1, that state runs instead
+the first job of j's heat in branching order that is pending at t - 1
+and not done. That job expires at t, since otherwise it would be
+pending and not done at S' and forbid j at t too; so the state's key at
+t + 1 lacks only j, and it still covers the forbidden child. Its first
+slot ends at a state at slot t, which the induction covers by an
+expanded state (or it cannot beat the incumbent). That state takes
+e''s image, or the first job of e''s heat as above, and the child
+covers the forbidden one and runs idle or a job cooler than j at t. If
+it is forbidden in turn, repeat the step; this ends, since heats
+cannot fall forever, so every state at t + 1 is covered. At t = H, a
+best schedule is covered by an expanded leaf or cannot beat the
+incumbent, so the incumbent is optimal.
 
 The search order does the rest. Jobs branch earliest deadline first
 and, among equal deadlines, hottest first, so the hot jobs that fit
 only while the processor is cool are tried while it is, and a full or
-near-full incumbent turns up early. Twins (jobs with the same release,
-deadline and heat) are interchangeable, so a twin may run only after
-its predecessor in branching order has run; this cuts the permutations
-of the identical gadget jobs of the hardness reductions. Dominance
-stays sound because states with the same done-mask face the same twin
-order and twins expire together. Jobs hotter than R·T can never run
-and are dropped before the search.
+near-full incumbent turns up early. Among jobs of one heat this order
+is deadline first, so the equal-heat rule runs them earliest deadline
+first. It cuts the permutations of the identical gadget jobs of the
+hardness reductions (twins, with the same release, deadline and heat)
+and of equal-heat jobs whose windows differ. Jobs hotter than R·T can
+never run and are dropped before the search.
 
 The search runs on the scaled integers above: the memo, the Pareto
 fronts, the reach cuts and the threshold test compare integers, and no
@@ -110,8 +135,9 @@ class OptResult:
 
     witness re-simulates violation-free with exactly best_throughput
     completions. explored counts the search nodes popped. A child whose
-    bound cannot beat the incumbent, that an exchange rule forbids or
-    that a memo entry dominates is never pushed, so it is not counted.
+    bound cannot beat the incumbent, whose job waits on an earlier job of
+    its heat (the equal-heat rule), that an exchange rule forbids or that
+    a memo entry dominates is never pushed, so it is not counted.
     proven_optimal is False only when a node budget was hit, in which
     case best_throughput is a lower bound.
     """
@@ -155,24 +181,27 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
         (i for i in range(len(jobs)) if cut[i] >= 0),
         key=lambda i: (jobs[i].deadline, -heats[i], jobs[i].id),
     )
-    # Twins (same release, deadline and heat) are interchangeable, so they
-    # run only in branching order: need[i] is the bit of i's previous twin.
-    need, last = {}, {}
+    # For the equal-heat rule (above), earlier[i] holds the bits of the jobs
+    # of i's heat that come before i in branching order.
+    earlier, seen = {}, {}
     for i in order:
-        twin = (jobs[i].release, jobs[i].deadline, heats[i])
-        need[i], last[twin] = last.get(twin, 0), 1 << i
-    # pending[t]: the row (bit, need, h·D, id, release, deadline) of each
+        earlier[i] = seen.get(heats[i], 0)
+        seen[heats[i]] = earlier[i] | 1 << i
+    # pending[t]: the row (bit, earlier, h·D, id, release, deadline) of each
     # job pending at slot t, in reverse branching order, because children
     # are pushed on a stack. A job's one row is shared by its whole window.
-    # ending[f]: the bits of the jobs whose last slot is f.
+    # live[t]: the bits of the jobs pending at t. ending[f]: the bits of the
+    # jobs whose last slot is f.
     pending: list[list[tuple[int, int, int, int, int, int]]] = [[] for _ in range(horizon)]
+    live = [0] * horizon
     ending = [0] * (horizon + 1)
     for i in reversed(order):
-        job = jobs[i]
-        row = (1 << i, need[i], heats[i], job.id, job.release, job.deadline)
+        job, bit = jobs[i], 1 << i
+        row = (bit, earlier[i], heats[i], job.id, job.release, job.deadline)
         for t in range(job.release, job.deadline):
             pending[t].append(row)
-        ending[job.deadline - 1] |= 1 << i
+            live[t] |= bit
+        ending[job.deadline - 1] |= bit
     # alive[t]: the jobs with a slot at t or later.
     alive = [*accumulate(reversed(ending), or_)]
     alive.reverse()
@@ -191,20 +220,6 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     # memo[time][unexpired done-mask] -> Pareto set of (count, V) of the
     # nodes pushed at time.
     memo: list[dict[int, list[tuple[int, int]]]] = [{} for _ in range(horizon + 1)]
-
-    def undominated(time: int, key: int, count: int, s: int) -> bool:
-        """Enter (count, s) in memo[time][key] unless an entry dominates it."""
-        fronts = memo[time]
-        pareto = fronts.get(key)
-        if pareto is None:
-            fronts[key] = [(count, s)]
-            return True
-        for c, v in pareto:
-            if c >= count and v <= s:
-                return False
-        pareto[:] = [(c, v) for c, v in pareto if not (count >= c and s <= v)]
-        pareto.append((count, s))
-        return True
 
     explored = 0
     proven = True
@@ -248,8 +263,23 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
         rem = (reach[bisect_left(cuts, s)] & alive_after & ~done).bit_count()
         left = horizon - child
         idle_bound = count + (rem if rem < left else left)
-        if idle_bound > best and undominated(child, done & alive_after, count, s):
-            stack.append((child, s, done, count, None, idle_bound, -1, horizon))
+        # A child is pushed only if no entry of its slot's memo with its key
+        # dominates it (has at least its count and at most its V); it then
+        # replaces the entries it dominates.
+        fronts = memo[child]
+        if idle_bound > best:
+            key = done & alive_after
+            pareto = fronts.get(key)
+            if pareto is None:
+                pareto = fronts[key] = []
+            for c, v in pareto:
+                if c >= count and v <= s:
+                    break
+            else:
+                if pareto:
+                    pareto[:] = [(c, v) for c, v in pareto if c > count or v < s]
+                pareto.append((count, s))
+                stack.append((child, s, done, count, None, idle_bound, -1, horizon))
         # No job child's bound exceeds idle_bound + 1, so skip the scan when that cannot win.
         if idle_bound >= best:
             stays_bound = count + (rem if rem <= left else left + 1)
@@ -263,17 +293,32 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
             if last_deadline > time:
                 lo = last_heat
                 hi = (limit[time] - s) // weights[time - 1] + (lo if lo > 0 else 0)
-            for bit, prev, heat, job_id, release, deadline in pending[time]:
-                if not done & bit and done & prev == prev:
+            # open_: the jobs pending now and not done. A job branches only if
+            # no job of its heat before it in branching order is open.
+            open_ = live[time] & ~done
+            for bit, earlier, heat, job_id, release, deadline in pending[time]:
+                if open_ & bit and not open_ & earlier:
                     # The job stays alive after this slot iff deadline > child,
                     # and was pending at time - 1 too iff release < time.
                     bound = stays_bound if deadline > child else idle_bound + 1
                     if bound > best and not (release < time and lo < heat <= hi):
                         # The scaled step, admissible iff it stays at most T·D·w[t+1].
                         after = s + heat * weight
-                        if after <= cap and undominated(
-                            child, (done | bit) & alive_after, count + 1, after
-                        ):
+                        if after > cap:
+                            continue
+                        key = (done | bit) & alive_after
+                        pareto = fronts.get(key)
+                        if pareto is None:
+                            pareto = fronts[key] = []
+                        for c, v in pareto:
+                            if c > count and v <= after:
+                                break
+                        else:
+                            if pareto:
+                                pareto[:] = [
+                                    (c, v) for c, v in pareto if c > count + 1 or v < after
+                                ]
+                            pareto.append((count + 1, after))
                             stack.append(
                                 (child, after, done | bit, count + 1, job_id, bound, heat, deadline)
                             )

@@ -98,6 +98,20 @@ def twin_instances(draw, **kwargs) -> Instance:
 
 
 @st.composite
+def equal_heat_instances(draw, **kwargs) -> Instance:
+    """instances(**kwargs) where each job after the first copies the heat
+    of an earlier job about 30% of the time but keeps its own window, so
+    equal heats with different windows are common."""
+    instance = draw(instances(**kwargs))
+    jobs = list(instance.jobs)
+    for i in range(1, len(jobs)):
+        if draw(st.integers(0, 9)) < 3:
+            model = jobs[draw(st.integers(0, i - 1))]
+            jobs[i] = Job(jobs[i].id, jobs[i].release, jobs[i].deadline, model.heat)
+    return Instance(jobs=tuple(jobs), config=instance.config)
+
+
+@st.composite
 def arbitrary_schedules(draw, instance: Instance, allow_garbage: bool = True) -> Schedule:
     """Slot entries drawn freely: duplicates, out-of-window starts and
     (optionally) ids the instance does not know. For diagnostics tests."""
