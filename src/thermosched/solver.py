@@ -138,8 +138,9 @@ class OptResult:
     bound cannot beat the incumbent, whose job waits on an earlier job of
     its heat (the equal-heat rule), that an exchange rule forbids or that
     a memo entry dominates is never pushed, so it is not counted.
-    proven_optimal is False only when a node budget was hit, in which
-    case best_throughput is a lower bound.
+    proven_optimal is False only when the search hit its budget, in
+    which case best_throughput is a lower bound and explored is
+    budget + 1 (see solve_optimal).
     """
 
     best_throughput: int
@@ -151,8 +152,10 @@ class OptResult:
 def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult:
     """Exact maximum throughput and a witness schedule.
 
-    budget caps the number of search nodes; when it is hit the best
-    schedule found so far is returned with proven_optimal=False.
+    The search expands at most budget nodes. If a node is left after
+    them, the pop that finds it only detects the cap: the best schedule
+    found so far is returned with proven_optimal=False and explored ==
+    budget + 1.
     Raises ValueError on a budget that is not a non-negative int (a
     bool is not).
     """

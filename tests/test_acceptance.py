@@ -48,7 +48,7 @@ CRITERION_RESULTS: dict[int, str] = {}
 
 
 @contextmanager
-def _criterion(number: int, description: str, budget: float = None):
+def _criterion(number: int, description: str, budget: float):
     start = time.perf_counter()
     try:
         yield
@@ -57,7 +57,7 @@ def _criterion(number: int, description: str, budget: float = None):
         _record(number, False, description, elapsed)
         raise
     elapsed = time.perf_counter() - start
-    within = budget is None or elapsed <= budget
+    within = elapsed <= budget
     _record(number, within, description, elapsed)
     assert within, (
         f"criterion {number} exceeded its {budget:.0f}s budget ({elapsed:.2f}s)"
@@ -363,7 +363,7 @@ INVARIANT_SUITES = (
 
 def test_criterion_7():
     with _criterion(
-        7, "seven randomized invariant suites hold at 200 cases each"
+        7, "seven randomized invariant suites hold at 200 cases each", budget=120.0
     ):
         for suite in INVARIANT_SUITES:
             # The line above promises 200 cases; a suite lowered below that fails here.

@@ -100,6 +100,14 @@ class TestSolveOptimal:
         assert trace.violations == ()
         assert trace.throughput == capped.best_throughput
 
+    @pytest.mark.parametrize("budget, proven", [(11, False), (12, True)])
+    def test_budget_counts_expanded_nodes(self, four_job_example, budget, proven):
+        # The full search pops 12 nodes. A capped run pops budget + 1: the
+        # last pop only detects the cap.
+        result = solve_optimal(four_job_example, budget=budget)
+        assert (result.best_throughput, result.explored) == (4, 12)
+        assert result.proven_optimal is proven
+
     def test_zero_budget_proves_nothing(self, four_job_example):
         result = solve_optimal(four_job_example, budget=0)
         assert (result.best_throughput, result.proven_optimal) == (0, False)
