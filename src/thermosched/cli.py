@@ -198,7 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("opt", help="exact maximum-throughput schedule")
     p.add_argument("instance")
-    p.add_argument("--budget", type=_at_least(0), default=None, help="search node cap")
+    p.add_argument(
+        "--budget",
+        type=_at_least(0),
+        default=None,
+        metavar="N",
+        help='expand at most N search nodes; a capped run reports "explored": N + 1',
+    )
     p.add_argument("-o", "--out", default=None, help="result output path")
     p.add_argument("--witness-out", default=None, help="write the witness schedule here")
     p.set_defaults(handler=_cmd_opt)
@@ -247,7 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--release-span", type=_at_least(0), default=4)
     p.add_argument("--max-window", type=_at_least(1), default=4)
     p.add_argument(
-        "--budget", type=_at_least(0), default=None, help="solver node cap per instance"
+        "--budget",
+        type=_at_least(0),
+        default=None,
+        metavar="N",
+        help="expand at most N search nodes per instance; a capped search pops N + 1 "
+        "and leaves that optimum unproven",
     )
     p.add_argument("-o", "--out", default=None, help="report output path")
     p.set_defaults(handler=_cmd_experiment)

@@ -17,11 +17,14 @@ each slot it tries every admissible pending job and then idling, keeps
 the best complete schedule found, and prunes with
 
   * an upper bound: completions so far plus the smaller of the jobs
-    still alive, in reach and not done, and the slots left. A node
-    computes the bound of each child and pushes only the children whose
-    bound beats the incumbent; a pushed node carries its bound and is
-    checked again when it is popped, since the incumbent may have
-    improved,
+    still alive, in reach and not done, and the slots left. Only a child
+    whose bound beats the incumbent is pushed; it carries its bound and
+    is checked again when it is popped, since the incumbent may have
+    improved. A job child's bound takes one of two values, one for a job
+    whose window ends at the slot and a no larger one for a job that
+    stays alive, so a node decides once which jobs to scan: every
+    pending job if a staying job's child beats the incumbent, else only
+    the jobs whose window ends at the slot,
   * reach: a job that even the coolest continuation cannot admit is
     left out of that bound. Idling is the coolest continuation, since
     heats are non-negative and the step is monotone in the temperature,
@@ -193,20 +196,22 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     # pending[t]: the row (bit, earlier, h·D, id, release, deadline) of each
     # job pending at slot t, in reverse branching order, because children
     # are pushed on a stack. A job's one row is shared by its whole window.
-    # live[t]: the bits of the jobs pending at t. ending[f]: the bits of the
-    # jobs whose last slot is f.
+    # expiring[f]: the same rows of the jobs whose last slot is f, in the
+    # same order. live[t]: the bits of the jobs pending at t.
     pending: list[list[tuple[int, int, int, int, int, int]]] = [[] for _ in range(horizon)]
+    expiring: list[list[tuple[int, int, int, int, int, int]]] = [[] for _ in range(horizon)]
     live = [0] * horizon
-    ending = [0] * (horizon + 1)
     for i in reversed(order):
         job, bit = jobs[i], 1 << i
         row = (bit, earlier[i], heats[i], job.id, job.release, job.deadline)
         for t in range(job.release, job.deadline):
             pending[t].append(row)
             live[t] |= bit
-        ending[job.deadline - 1] |= bit
-    # alive[t]: the jobs with a slot at t or later.
-    alive = [*accumulate(reversed(ending), or_)]
+        expiring[job.deadline - 1].append(row)
+    # alive[t]: the jobs with a slot at t or later; alive[horizon] is 0. The
+    # bits in one expiring list are distinct, so their sum is their union.
+    ending = (sum(row[0] for row in rows) for rows in reversed(expiring))
+    alive = [*accumulate(ending, or_, initial=0)]
     alive.reverse()
     # cuts ascending and reach[n]: the bits of the jobs from position n on,
     # so reach[bisect_left(cuts, v)] holds every job in reach from v.
@@ -285,7 +290,12 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
                 stack.append((child, s, done, count, None, idle_bound, -1, horizon))
         # No job child's bound exceeds idle_bound + 1, so skip the scan when that cannot win.
         if idle_bound >= best:
+            # Here every expiring child's bound, idle_bound + 1, beats the
+            # incumbent, and stays_bound <= idle_bound + 1. So if stays_bound
+            # beats it too, every child does; if not, only the expiring ones
+            # can. Either way the rows walked need no bound test.
             stays_bound = count + (rem if rem <= left else left + 1)
+            rows = pending[time] if stays_bound > best else expiring[time]
             weight, cap = weights[time], limit[child]
             # The exchange rules forbid a job that was pending at time - 1
             # with a heat h in (lo, hi]. After an idle slot (lo = -1) that is
@@ -299,32 +309,32 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
             # open_: the jobs pending now and not done. A job branches only if
             # no job of its heat before it in branching order is open.
             open_ = live[time] & ~done
-            for bit, earlier, heat, job_id, release, deadline in pending[time]:
-                if open_ & bit and not open_ & earlier:
-                    # The job stays alive after this slot iff deadline > child,
-                    # and was pending at time - 1 too iff release < time.
+            for bit, earlier, heat, job_id, release, deadline in rows:
+                # Skip a job that is done, waits on an open job of its heat or
+                # is forbidden by an exchange rule (it was pending at time - 1
+                # too iff release < time).
+                if not open_ & bit or open_ & earlier or (release < time and lo < heat <= hi):
+                    continue
+                # The scaled step, admissible iff it stays at most T·D·w[t+1].
+                after = s + heat * weight
+                if after > cap:
+                    continue
+                key = (done | bit) & alive_after
+                pareto = fronts.get(key)
+                if pareto is None:
+                    pareto = fronts[key] = []
+                for c, v in pareto:
+                    if c > count and v <= after:
+                        break
+                else:
+                    if pareto:
+                        pareto[:] = [(c, v) for c, v in pareto if c > count + 1 or v < after]
+                    pareto.append((count + 1, after))
+                    # The job stays alive after this slot iff deadline > child.
                     bound = stays_bound if deadline > child else idle_bound + 1
-                    if bound > best and not (release < time and lo < heat <= hi):
-                        # The scaled step, admissible iff it stays at most T·D·w[t+1].
-                        after = s + heat * weight
-                        if after > cap:
-                            continue
-                        key = (done | bit) & alive_after
-                        pareto = fronts.get(key)
-                        if pareto is None:
-                            pareto = fronts[key] = []
-                        for c, v in pareto:
-                            if c > count and v <= after:
-                                break
-                        else:
-                            if pareto:
-                                pareto[:] = [
-                                    (c, v) for c, v in pareto if c > count + 1 or v < after
-                                ]
-                            pareto.append((count + 1, after))
-                            stack.append(
-                                (child, after, done | bit, count + 1, job_id, bound, heat, deadline)
-                            )
+                    stack.append(
+                        (child, after, done | bit, count + 1, job_id, bound, heat, deadline)
+                    )
     return OptResult(
         best_throughput=best,
         witness=Schedule(tuple(best_slots)),

@@ -201,6 +201,8 @@ class TestOpt:
         assert main(["opt", instance_file, "--budget", "1"]) == 1
         document = json.loads(capsys.readouterr().out)
         assert document["proven_optimal"] is False
+        # The search expands at most --budget nodes; the pop that finds one more reports it.
+        assert document["explored"] == 2
 
     @pytest.mark.parametrize("budget", ["-5", "many", "١٠٠"])
     def test_bad_budget_is_a_usage_error(self, instance_file, budget, capsys):

@@ -154,6 +154,21 @@ class TestSolveOptimal:
         assert peak < 16 * 2**20
 
 
+RATIO_RANDOM_MODELS = [
+    RandomModel(n=16, release_span=16, max_window=10, seed=s) for s in range(32)
+]
+
+
+def _corpus_totals(models, config=ThermalConfig()):
+    """Whether every search was proven, and the completions and pops summed."""
+    results = [solve_optimal(Instance(random_instance(m).jobs, config)) for m in models]
+    return (
+        all(r.proven_optimal for r in results),
+        sum(r.best_throughput for r in results),
+        sum(r.explored for r in results),
+    )
+
+
 class TestNodeCounts:
     """explored is machine-independent; these pin the search order
     (hottest first among equal deadlines, equal heats in one fixed order) and
@@ -191,21 +206,28 @@ class TestNodeCounts:
 
     def test_ratio_random_corpus(self):
         """The benchmark's ratio_random model, seeds 0 to 31."""
-        models = (RandomModel(n=16, release_span=16, max_window=10, seed=s) for s in range(32))
-        results = [solve_optimal(random_instance(model)) for model in models]
-        assert all(r.proven_optimal for r in results)
-        assert sum(r.best_throughput for r in results) == 461
-        assert sum(r.explored for r in results) == 9028
+        assert _corpus_totals(RATIO_RANDOM_MODELS) == (True, 461, 9028)
+
+    @pytest.mark.parametrize(
+        "threshold, cooling_factor, completions, pops",
+        [
+            (Fraction(5, 4), Fraction(3, 2), 394, 10654),
+            (Fraction(5, 3), Fraction(7, 5), 425, 17326),
+        ],
+    )
+    def test_ratio_random_corpus_off_default_config(
+        self, threshold, cooling_factor, completions, pops
+    ):
+        """The same 32 job sets away from T = 1, R = 2."""
+        config = ThermalConfig(threshold, cooling_factor)
+        assert _corpus_totals(RATIO_RANDOM_MODELS, config) == (True, completions, pops)
 
     def test_random_n32_corpus(self):
         """Seeds 0 to 9 at n = 32, where equal heats with different windows
         are common enough that the equal-heat rule saves a fifth of the
         nodes (252,907 without it)."""
-        models = (RandomModel(n=32, release_span=32, max_window=18, seed=s) for s in range(10))
-        results = [solve_optimal(random_instance(model)) for model in models]
-        assert all(r.proven_optimal for r in results)
-        assert sum(r.best_throughput for r in results) == 284
-        assert sum(r.explored for r in results) == 201603
+        models = [RandomModel(n=32, release_span=32, max_window=18, seed=s) for s in range(10)]
+        assert _corpus_totals(models) == (True, 284, 201603)
 
 
 TIGHT_CUT = Path(__file__).parent / "data" / "tight_cut.json"
