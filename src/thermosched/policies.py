@@ -17,11 +17,14 @@ executes a job that is strictly dominated by another pending job, where
 j dominates k when h_j <= h_k and d_j <= d_k (strictly if at least one
 inequality is strict). Reasonable policies are 2-competitive for
 throughput; CoolestFirst and EarliestDeadlineFirst below are the two
-canonical members. Only the harness derives what is pending;
-``check_reasonable`` reads the pending ids the run recorded. The
-harness admits a choice by the post-step test that simulate applies,
-tau' = step_temperature(tau, h) <= T, and does not repeat the policy's
-is_admissible.
+canonical members. Only the harness derives what is pending: it files
+each job under its release slot and counts it under its deadline slot,
+so a slot merges its arrivals into the live list in id order, filters
+that list only when some job not yet run expires there, and rebuilds
+the pending tuple only when the list changed. ``check_reasonable``
+reads the pending ids the run recorded. The harness admits a choice by
+the post-step test that simulate applies, tau' = step_temperature(tau, h)
+<= T, and does not repeat the policy's is_admissible.
 
 Heats are tested against the room model.admission_room and against
 each other as integer products, never with Fraction's operators; the
@@ -30,7 +33,6 @@ model module's docstring gives the argument.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -94,19 +96,35 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
     """
     cfg = instance.config
     t_num, t_den = cfg.threshold.numerator, cfg.threshold.denominator
-    arrivals = sorted(instance.jobs, key=attrgetter("release"), reverse=True)
+    horizon = instance.horizon
+    # Jobs are id-sorted, so each slot's arrivals are too. ending[t] counts
+    # the jobs that expire at t and have not run, so only those slots filter.
+    arriving: list[list[Job]] = [[] for _ in range(horizon)]
+    ending = [0] * (horizon + 1)
+    for job in instance.jobs:
+        arriving[job.release].append(job)
+        ending[job.deadline] += 1
     job_id = attrgetter("id")
     live: list[Job] = []
+    pending: tuple[Job, ...] = ()
+    ids: tuple[int, ...] = ()
+    changed = False
     slots: list[Optional[int]] = []
     shown: list[tuple[int, ...]] = []
     tau = Fraction(0)
     temperatures = [tau]
-    for time in range(instance.horizon):
-        while arrivals and arrivals[-1].release <= time:
-            insort(live, arrivals.pop(), key=job_id)
-        live = [j for j in live if time < j.deadline]
-        pending = tuple(live)
-        ids = tuple(map(job_id, pending))
+    for time in range(horizon):
+        if arriving[time]:
+            live += arriving[time]
+            live.sort(key=job_id)
+            changed = True
+        if ending[time]:
+            live = [j for j in live if time < j.deadline]
+            changed = True
+        if changed:
+            pending = tuple(live)
+            ids = tuple(map(job_id, pending))
+            changed = False
         choice = policy(time, tau, pending, cfg)
         if choice is None:
             tau = step_temperature(tau, 0, cfg)
@@ -116,7 +134,10 @@ def run_online(instance: Instance, policy: Policy) -> OnlineRun:
                 raise PolicyViolationError(
                     f"policy returned job {choice} at time {time}, which is not pending"
                 )
-            tau = step_temperature(tau, live.pop(ids.index(choice)).heat, cfg)
+            job = live.pop(ids.index(choice))
+            ending[job.deadline] -= 1
+            changed = True
+            tau = step_temperature(tau, job.heat, cfg)
             # simulate's threshold test, tau <= T after the step, is admissibility.
             if tau.numerator * t_den > t_num * tau.denominator:
                 raise PolicyViolationError(
@@ -247,9 +268,14 @@ def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
                         break
         else:
             kind = DOMINANCE
+            # strictly_dominates(j, executed), with executed's fields read once.
             executed = jobs[choice]
+            d, c, e = executed.deadline, executed.heat.numerator, executed.heat.denominator
             for j in pending:
-                if strictly_dominates(j, executed):
+                if j.deadline > d:
+                    continue
+                left, right = j.heat.numerator * e, c * j.heat.denominator
+                if left < right or left == right and j.deadline < d:
                     witness = j
                     break
         if witness is not None:

@@ -211,34 +211,47 @@ def serialize_instance(instance: Instance) -> str:
     return _dumps(_instance(instance))
 
 
-def _job(value: Any, where: str, heats: dict[str, Fraction]) -> Job:
-    """heats holds the value of each heat text parsed so far in the document."""
+def _job(value: Any, where: str) -> Job:
+    """One job checked field by field, in order; parse_instance calls it only
+    for a job its direct test rejects, so it raises that job's ParseError."""
     job = _require_object(value, where, _JOB_FIELDS)
-    id_ = _integer(job["id"], f"{where}.id")
-    release = _integer(job["release"], f"{where}.release")
-    deadline = _integer(job["deadline"], f"{where}.deadline")
-    # Only a str is looked up: an array or object heat is unhashable, and
-    # parse_rational reports it at its path.
-    text = job["heat"]
-    heat = heats.get(text) if type(text) is str else None
-    if heat is None:
-        heat = heats[text] = parse_rational(text, f"{where}.heat")
-    return Job(id_, release, deadline, heat)
+    return Job(
+        _integer(job["id"], f"{where}.id"),
+        _integer(job["release"], f"{where}.release"),
+        _integer(job["deadline"], f"{where}.deadline"),
+        parse_rational(job["heat"], f"{where}.heat"),
+    )
 
 
 def parse_instance(text: str) -> Instance:
     """A document repeats a few dozen distinct heats hundreds of times,
-    so each distinct heat text is parsed once."""
+    so each distinct heat text is parsed once. A job is built directly
+    when it is a plain object of the four fields with int id, release and
+    deadline and a heat text that parses; any other goes to _job, so a
+    path is formatted only for the job whose error it names."""
     document = _require_object(_loads(text), "instance", _INSTANCE_FIELDS)
     config = ThermalConfig(
         parse_rational(document["threshold"], "instance.threshold"),
         parse_rational(document["cooling_factor"], "instance.cooling_factor"),
     )
-    jobs = _require_array(document["jobs"], "instance.jobs")
     heats: dict[str, Fraction] = {}
-    return Instance(
-        tuple(_job(job, f"instance.jobs[{pos}]", heats) for pos, job in enumerate(jobs)), config
-    )
+    jobs: list[Job] = []
+    for pos, job in enumerate(_require_array(document["jobs"], "instance.jobs")):
+        # The exact type tests keep a _Repeated, a bool and a float out.
+        if type(job) is dict and job.keys() == _JOB_FIELDS:
+            id_, release, deadline, heat = job["id"], job["release"], job["deadline"], job["heat"]
+            if type(id_) is type(release) is type(deadline) is int and type(heat) is str:
+                value = heats.get(heat)
+                if value is None:
+                    try:
+                        value = heats[heat] = parse_rational(heat)
+                    except ParseError:
+                        pass
+                if value is not None:
+                    jobs.append(Job(id_, release, deadline, value))
+                    continue
+        jobs.append(_job(job, f"instance.jobs[{pos}]"))
+    return Instance(tuple(jobs), config)
 
 
 def serialize_schedule(schedule: Schedule) -> str:

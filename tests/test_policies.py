@@ -242,14 +242,27 @@ any_config_instances = st.one_of(instances(), instances(config=configs()))
 scripts = st.lists(st.one_of(st.none(), st.integers(1, 7)), max_size=10)
 
 
+def recording(policy, seen):
+    """The policy, with each pending tuple it is shown appended to seen."""
+
+    def decide(time, temperature, pending, config):
+        seen.append(pending)
+        return policy(time, temperature, pending, config)
+
+    return decide
+
+
 @settings(max_examples=200, deadline=None)
 @given(any_config_instances, scripts)
 def test_decision_log_shows_exactly_the_pending_jobs(instance, script):
-    """Each slot's entry lists the released, unexpired, not yet run jobs, by id."""
+    """Each slot's entry lists the released, unexpired, not yet run jobs, by id,
+    and the policy is shown a tuple of the instance's own Job objects with those ids."""
+    jobs = instance.job_map()
     for policy in (coolest_first_decide, edf_decide, scripted_policy(script)):
-        run = run_online(instance, policy)
-        assert len(run.pending) == instance.horizon
-        for time, shown in enumerate(run.pending):
+        seen = []
+        run = run_online(instance, recording(policy, seen))
+        assert len(run.pending) == len(seen) == instance.horizon
+        for time, (shown, pending) in enumerate(zip(run.pending, seen)):
             ran = set(run.schedule.slots[:time])
             expected = sorted(
                 j.id
@@ -257,6 +270,9 @@ def test_decision_log_shows_exactly_the_pending_jobs(instance, script):
                 if j.release <= time < j.deadline and j.id not in ran
             )
             assert shown == tuple(expected)
+            assert type(pending) is tuple
+            assert all(jobs[job.id] is job for job in pending)
+            assert tuple(job.id for job in pending) == shown
 
 
 @settings(max_examples=200, deadline=None)

@@ -47,6 +47,7 @@ from thermosched.reductions import InvalidSourceError, N3DMInstance
 
 GOLDEN = Path(__file__).parent / "golden"
 TIGHT_CUT = Path(__file__).parent / "data" / "tight_cut.json"
+STREAM = Path(__file__).parent / "data" / "stream.json"
 
 
 def _opt_document(instance, tmp_path, capsys):
@@ -58,6 +59,11 @@ def _opt_document(instance, tmp_path, capsys):
 
 def _online_tight_cut_document(_, tmp_path, capsys):
     main(["online", str(TIGHT_CUT), "--policy", "coolest", "--trace"])
+    return capsys.readouterr().out
+
+
+def _online_stream_document(_, tmp_path, capsys):
+    main(["online", str(STREAM), "--policy", "edf", "--trace"])
     return capsys.readouterr().out
 
 
@@ -84,6 +90,8 @@ GOLDEN_DOCUMENTS = {
     "opt": _opt_document,
     # T = 5/3, R = 3/2: CoolestFirst on the data file, through the CLI.
     "run_tight_cut": _online_tight_cut_document,
+    # 64 jobs over 72 slots: most slots see an arrival, an expiry or both.
+    "run_stream": _online_stream_document,
 }
 
 
@@ -287,8 +295,16 @@ class TestInstanceFormat:
             ({"cooling_factor": 2}, "instance.cooling_factor: expected a rational string, got 2"),
             ({"jobs": {"1": _JOB}}, "instance.jobs: expected an array, got dict"),
             (
+                {"jobs": [_JOB, {**_JOB, "id": True}]},
+                "instance.jobs[1].id: expected an integer, got True",
+            ),
+            (
                 {"jobs": [_JOB, {**_JOB, "release": True}]},
                 "instance.jobs[1].release: expected an integer, got True",
+            ),
+            (
+                {"jobs": [_JOB, {**_JOB, "release": 1.0}]},
+                "instance.jobs[1].release: expected an integer, got 1.0",
             ),
             (
                 {"jobs": [_JOB, {**_JOB, "deadline": True}]},
@@ -302,9 +318,14 @@ class TestInstanceFormat:
                 {"jobs": [_JOB, {**_JOB, "heat": {"p": 1}}]},
                 "instance.jobs[1].heat: expected a rational string, got {'p': 1}",
             ),
+            (
+                {"jobs": [_JOB, {**_JOB, "heat": 0.5}]},
+                "instance.jobs[1].heat: expected a rational string, got 0.5",
+            ),
         ],
         ids=[
-            "threshold", "cooling_factor", "jobs", "release", "deadline", "heat-array", "heat-object"
+            "threshold", "cooling_factor", "jobs", "id", "release", "release-float", "deadline",
+            "heat-array", "heat-object", "heat-float",
         ],
     )
     def test_field_errors(self, fields, message):
