@@ -25,6 +25,21 @@ the best complete schedule found, and prunes with
     stays alive, so a node decides once which jobs to scan: every
     pending job if a staying job's child beats the incumbent, else only
     the jobs whose window ends at the slot,
+  * the capacity cap, which lowers that bound where jobs crowd a
+    deadline. Let R be the rem jobs alive, in reach and not done at the
+    idle child's slot c. Those of them due by a deadline d < H can run
+    only in the d - c slots c .. d - 1, so the idle child's bound is
+    count + min(rem, left, d - c + |R due after d|) over every such d:
+    the counting (Hall) condition behind Moore's rule for unit jobs
+    (Moore, "An n job, one machine sequencing algorithm for minimizing
+    the number of late jobs", Management Science 15(1), 1968). A term
+    can be below rem only if more than d - c jobs of the instance are
+    due in (c, d], and it can be the least only if more jobs are due by
+    d, less d, than by every slot from c to d - 1, less that slot.
+    Set-up lists those d per slot; at a slot with none a node tests an
+    empty list. A job child's bound follows: the idle child's plus one,
+    and for a job that stays alive at most count + rem, since the cap
+    cannot grow when a job leaves R,
   * reach: a job that even the coolest continuation cannot admit is
     left out of that bound. Idling is the coolest continuation, since
     heats are non-negative and the step is monotone in the temperature,
@@ -71,7 +86,10 @@ each job to one whose window from t on contains its own. Every
 continuation of B then runs from A with each job replaced by its image,
 at the same temperatures, so A can do at least as well and A's bound
 caps B too. A state covers every state it dominates, by the identity
-map. Take the search without the equal-heat rule, the exchange rules
+map. Every bound above, the capacity cap included, holds for every
+schedule through its state, so a state cut by one cannot beat the
+incumbent and the induction below is unchanged by it. Take the search
+without the equal-heat rule, the exchange rules
 and the memo. By induction over slots, each of its states at slot t is
 either covered by a state the search expands or cannot beat the final
 incumbent. For t + 1, let S at t be covered by the expanded S' and let
@@ -213,6 +231,26 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
     ending = (sum(row[0] for row in rows) for rows in reversed(expiring))
     alive = [*accumulate(ending, or_, initial=0)]
     alive.reverse()
+    # The capacity cap (see the module docstring). gain[t] is the number of
+    # jobs due by t, less t, so the jobs due in (c, d] outnumber the slots
+    # c .. d - 1 iff gain[d] > gain[c]. A deadline can bind at slot c only
+    # if its gain tops every gain from c on: c's next higher gain, that
+    # one's next, and so on, found right to left with a stack. crowded[c]
+    # links them as (d, alive[d], crowded[d]), so slots share their tails
+    # and set-up is O(H); None ends a list. gain rises only at a deadline
+    # that two jobs share, so without one before H no slot has a list.
+    crowded: list[Optional[tuple]] = [None] * (horizon + 1)
+    if max(map(len, expiring[:-1]), default=0) > 1:
+        gain = [due - t for t, due in enumerate(accumulate(map(len, expiring), initial=0))]
+        higher: list[int] = []
+        for t in reversed(range(horizon)):
+            while higher and gain[higher[-1]] <= gain[t]:
+                higher.pop()
+            if higher:
+                d = higher[-1]
+                crowded[t] = (d, alive[d], crowded[d])
+            higher.append(t)
+    beyond = [*zip(alive, crowded)]
     # cuts ascending and reach[n]: the bits of the jobs from position n on,
     # so reach[bisect_left(cuts, v)] holds every job in reach from v.
     ranked = sorted((cut[i], 1 << i) for i in order)
@@ -259,18 +297,28 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
         # A child that cannot beat the incumbent is never pushed. Heats are
         # non-negative, so every child is at least as hot as the idle child
         # and reaches no job that the idle child cannot reach. At the child,
-        # rem jobs in the idle child's reach are not done and left slots
-        # remain, so the idle child's bound is count + min(rem, left). A job
-        # child completes one more; if its job stays alive, that job is among
-        # the rem (it fits from s now, and idling only cools), so one fewer
-        # is left:
-        # count + 1 + min(rem - 1, left) = count + min(rem, left + 1);
-        # if it expires, count + 1 + min(rem, left).
+        # the rest, rem jobs in the idle child's reach, are not done and left
+        # slots remain, so the idle child's bound is count + min(rem, left),
+        # lowered by the capacity cap to count + d - child + (rest due after
+        # d) for each crowded deadline d. A job child completes one more; if
+        # its job expires, its bound is idle_bound + 1. If its job stays
+        # alive, that job is in the rest (it fits from s now, and idling
+        # only cools), and the cap of the rest without it is at most rem - 1
+        # and at most the cap of the rest: so its bound is count + rem, or
+        # idle_bound + 1 if that is less.
         child = time + 1
-        alive_after = alive[child]
-        rem = (reach[bisect_left(cuts, s)] & alive_after & ~done).bit_count()
+        alive_after, crowd = beyond[child]
+        rest = reach[bisect_left(cuts, s)] & alive_after & ~done
+        rem = rest.bit_count()
         left = horizon - child
         idle_bound = count + (rem if rem < left else left)
+        # The capacity cap, worth its terms only while some child could win.
+        if crowd and idle_bound >= best:
+            while crowd:
+                d, alive_d, crowd = crowd
+                capped = count + d - child + (rest & alive_d).bit_count()
+                if capped < idle_bound:
+                    idle_bound = capped
         # A child is pushed only if no entry of its slot's memo with its key
         # dominates it (has at least its count and at most its V); it then
         # replaces the entries it dominates.
@@ -294,7 +342,7 @@ def solve_optimal(instance: Instance, budget: Optional[int] = None) -> OptResult
             # incumbent, and stays_bound <= idle_bound + 1. So if stays_bound
             # beats it too, every child does; if not, only the expiring ones
             # can. Either way the rows walked need no bound test.
-            stays_bound = count + (rem if rem <= left else left + 1)
+            stays_bound = count + rem if count + rem <= idle_bound else idle_bound + 1
             rows = pending[time] if stays_bound > best else expiring[time]
             weight, cap = weights[time], limit[child]
             # The exchange rules forbid a job that was pending at time - 1

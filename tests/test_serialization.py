@@ -48,12 +48,18 @@ from thermosched.reductions import InvalidSourceError, N3DMInstance
 GOLDEN = Path(__file__).parent / "golden"
 TIGHT_CUT = Path(__file__).parent / "data" / "tight_cut.json"
 STREAM = Path(__file__).parent / "data" / "stream.json"
+CROWDED = Path(__file__).parent / "data" / "crowded.json"
 
 
 def _opt_document(instance, tmp_path, capsys):
     path = tmp_path / "instance.json"
     path.write_text(serialize_instance(instance))
     main(["opt", str(path)])
+    return capsys.readouterr().out
+
+
+def _opt_crowded_document(_, tmp_path, capsys):
+    main(["opt", str(CROWDED)])
     return capsys.readouterr().out
 
 
@@ -88,6 +94,8 @@ GOLDEN_DOCUMENTS = {
         gen_from_n3dm(N3DMInstance(a=(0, 8), b=(8, 0), c=(4, 4), beta=12))[1]
     ),
     "opt": _opt_document,
+    # Seven jobs due at slot 4 compete for its four slots: the capacity cap.
+    "opt_crowded": _opt_crowded_document,
     # T = 5/3, R = 3/2: CoolestFirst on the data file, through the CLI.
     "run_tight_cut": _online_tight_cut_document,
     # 64 jobs over 72 slots: most slots see an arrival, an expiry or both.

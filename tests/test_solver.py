@@ -201,18 +201,18 @@ class TestNodeCounts:
     def test_random_instance(self):
         model = RandomModel(n=16, release_span=16, max_window=10, seed=18)
         result = solve_optimal(random_instance(model))
-        assert (result.best_throughput, result.explored) == (14, 63)
+        assert (result.best_throughput, result.explored) == (14, 60)
         assert result.proven_optimal
 
     def test_ratio_random_corpus(self):
         """The benchmark's ratio_random model, seeds 0 to 31."""
-        assert _corpus_totals(RATIO_RANDOM_MODELS) == (True, 461, 9028)
+        assert _corpus_totals(RATIO_RANDOM_MODELS) == (True, 461, 7579)
 
     @pytest.mark.parametrize(
         "threshold, cooling_factor, completions, pops",
         [
-            (Fraction(5, 4), Fraction(3, 2), 394, 10654),
-            (Fraction(5, 3), Fraction(7, 5), 425, 17326),
+            (Fraction(5, 4), Fraction(3, 2), 394, 9554),
+            (Fraction(5, 3), Fraction(7, 5), 425, 15095),
         ],
     )
     def test_ratio_random_corpus_off_default_config(
@@ -224,10 +224,10 @@ class TestNodeCounts:
 
     def test_random_n32_corpus(self):
         """Seeds 0 to 9 at n = 32, where equal heats with different windows
-        are common enough that the equal-heat rule saves a fifth of the
-        nodes (252,907 without it)."""
+        are common. Without the capacity cap: 201,603 nodes; without the
+        equal-heat rule as well: 252,907."""
         models = [RandomModel(n=32, release_span=32, max_window=18, seed=s) for s in range(10)]
-        assert _corpus_totals(models) == (True, 284, 201603)
+        assert _corpus_totals(models) == (True, 284, 122384)
 
 
 TIGHT_CUT = Path(__file__).parent / "data" / "tight_cut.json"
@@ -251,6 +251,64 @@ class TestReachCut:
         # A looser cut (one idle slot too many, c_2·p/q) keeps the node
         # that this one prunes: 11 nodes, as count alone.
         assert (result.explored, result.proven_optimal) == (10, True)
+
+
+CROWDED = Path(__file__).parent / "data" / "crowded.json"
+
+
+class TestCapacityBound:
+    """Of the jobs due by a deadline d, at most the d - c that fit in the
+    slots before it complete from slot c: the idle child's bound is capped
+    there, and each job child's is at most one more."""
+
+    def test_cap_proves_soon_after_the_root(self):
+        """T = 1, R = 2. Jobs 1 to 7, of heats 1/4 to 7/4, are all due at
+        slot 4, so at most four of them run; jobs 8 to 10 are due at 9.
+        OPT = 7, and the first dive finds it. Below a node at slot 1 (one
+        job done) the cap then bounds the idle child by 1 + (4 - 2) + 3 = 6
+        and the job children by 7, so every node left on the stack is cut
+        when it pops; the count bound alone reads 1 + min(9, 7) = 8 there.
+        Without the capacity cap: 223 nodes."""
+        jobs = tuple(Job(i, 0, 4, Fraction(i, 4)) for i in range(1, 8))
+        late = (Job(8, 0, 9, Fraction(9, 16)), Job(9, 1, 9, Fraction(5, 16)))
+        result = _solve_checked(*jobs, *late, Job(10, 2, 9, Fraction(11, 16)))
+        assert result.witness.slots == (7, 4, 3, 1, 10, 8, 9, None, None)
+        assert result.explored == 40
+
+    def test_crowded_file(self):
+        """The same jobs at T = 5/3, R = 7/5, where job 2 takes job 3's
+        slot. Without the capacity cap: 213 nodes."""
+        instance = parse_instance(CROWDED.read_text())
+        result = solve_optimal(instance)
+        assert result.best_throughput == enumerate_optimal_bruteforce(instance) == 7
+        assert result.witness.slots == (7, 4, 2, 1, 10, 8, 9, None, None)
+        assert simulate(instance, result.witness).violations == ()
+        assert (result.explored, result.proven_optimal) == (37, True)
+
+    @pytest.mark.parametrize(
+        "config, witness",
+        [(ThermalConfig(), (4, 3, 5)), (ThermalConfig(Fraction(5, 3), Fraction(7, 5)), (1, 3, 5))],
+        ids=["T=1-R=2", "T=5/3-R=7/5"],
+    )
+    def test_cap_is_exact(self, config, witness):
+        """Jobs 1 to 4 are due at slot 2, and job 5 fits at slot 2 only
+        after a cool enough pair. The first dive, which runs the hottest
+        job 2 first, completes two; the optimum three. At the root one slot
+        comes before slot 2 and only job 5 is due after it, so the idle
+        child's bound is 0 + (2 - 1) + 1 = 2 and a job child's exactly 3.
+        A cap one lower (a slot fewer, job 5 left out, or a staying job's
+        child held at the idle child's bound) loses the optimum."""
+        jobs = (
+            Job(1, 0, 2, Fraction(19, 16)),
+            Job(2, 0, 2, Fraction(27, 16)),
+            Job(3, 0, 2, Fraction(5, 16)),
+            Job(4, 0, 2, Fraction(11, 8)),
+            Job(5, 2, 3, Fraction(23, 16)),
+        )
+        instance = Instance(jobs, config)
+        result = solve_optimal(instance)
+        assert result.best_throughput == enumerate_optimal_bruteforce(instance) == 3
+        assert result.witness.slots == witness
 
 
 def _solve_checked(*jobs):
