@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Optional, Union
 
 # Violation kinds recorded by simulate().
@@ -83,6 +84,19 @@ class Job:
 
     def pending_at(self, time: int) -> bool:
         return self.release <= time < self.deadline
+
+
+def _unchecked_job(id: int, release: int, deadline: int, heat: Fraction) -> Job:
+    """Job(id, release, deadline, heat) without __post_init__, for a caller
+    that has already found three exact ints and a Fraction.
+
+    The fields go into the instance dict as the generated __init__ would put
+    them, so the job is equal to, hashes and prints as Job(...) does, pickles,
+    works with dataclasses.replace and stays frozen.
+    """
+    job = object.__new__(Job)
+    job.__dict__.update(id=id, release=release, deadline=deadline, heat=heat)
+    return job
 
 
 @dataclass(frozen=True)
@@ -133,7 +147,7 @@ class Instance:
                 f"config: {self.config!r} is a {type(self.config).__name__}; "
                 "pass a ThermalConfig"
             )
-        object.__setattr__(self, "jobs", tuple(sorted(jobs, key=lambda j: j.id)))
+        object.__setattr__(self, "jobs", tuple(sorted(jobs, key=attrgetter("id"))))
         issues = validate_instance(self)
         if issues:
             raise InvalidInstanceError(issues)

@@ -28,7 +28,9 @@ the post-step test that simulate applies, tau' = step_temperature(tau, h)
 
 Heats are tested against the room model.admission_room and against
 each other as integer products, never with Fraction's operators; the
-model module's docstring gives the argument.
+model module's docstring gives the argument. Each decision forms the
+room once, and check_reasonable reads each job's deadline and heat
+once per run.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .model import (
     SimulationTrace,
     ThermalConfig,
     admission_room,
-    is_admissible,
     step_temperature,
 )
 
@@ -165,7 +166,8 @@ def coolest_first_decide(
     """Pick the coolest admissible pending job.
 
     Ties go to the earlier deadline, then to the smaller id. Admissibility is
-    monotone in heat, so only the coolest job is tested: if it fails, all fail.
+    monotone in heat, so only the coolest job is tested, against the room
+    formed once: if it fails, all fail.
     """
     if not pending:
         return None
@@ -179,7 +181,8 @@ def coolest_first_decide(
             left == right and (job.deadline, job.id) < (coolest.deadline, coolest.id)
         ):
             coolest, c, d = job, heat.numerator, heat.denominator
-    return coolest.id if is_admissible(temperature, coolest, config) else None
+    n, m = admission_room(temperature, config)
+    return coolest.id if c * m <= n * d else None
 
 
 def edf_decide(
@@ -252,32 +255,33 @@ def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
     pending job in id order.
     """
     config = run.instance.config
-    jobs = run.instance.job_map()
+    # Each job's deadline and heat as integers, read once per run, by id.
+    fields = {j.id: (j.deadline, j.heat.numerator, j.heat.denominator) for j in run.instance.jobs}
     violations: list[ReasonablenessViolation] = []
     slots = zip(run.schedule, run.pending, run.trace.temperatures)
     for time, (choice, shown, tau) in enumerate(slots):
-        pending = map(jobs.__getitem__, shown)
         witness = None
         if choice is None:
             kind = NON_WAITING
             if shown:
                 n, m = admission_room(tau, config)
-                for j in pending:
-                    if j.heat.numerator * m <= n * j.heat.denominator:
-                        witness = j
+                for k in shown:
+                    _, c, e = fields[k]
+                    if c * m <= n * e:
+                        witness = k
                         break
         else:
             kind = DOMINANCE
-            # strictly_dominates(j, executed), with executed's fields read once.
-            executed = jobs[choice]
-            d, c, e = executed.deadline, executed.heat.numerator, executed.heat.denominator
-            for j in pending:
-                if j.deadline > d:
+            # strictly_dominates(j, executed) for each pending j, as integers.
+            d, c, e = fields[choice]
+            for k in shown:
+                deadline, num, den = fields[k]
+                if deadline > d:
                     continue
-                left, right = j.heat.numerator * e, c * j.heat.denominator
-                if left < right or left == right and j.deadline < d:
-                    witness = j
+                left, right = num * e, c * den
+                if left < right or left == right and deadline < d:
+                    witness = k
                     break
         if witness is not None:
-            violations.append(ReasonablenessViolation(time, kind, choice, witness.id))
+            violations.append(ReasonablenessViolation(time, kind, choice, witness))
     return violations

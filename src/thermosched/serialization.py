@@ -15,6 +15,13 @@ parser, kept in agreement by the golden bytes under tests/golden and by
 test_instance_round_trip_property, which acceptance criterion 7 runs
 at 200 cases with non-default configs.
 
+parse_instance has two routes. A document in the writer's exact shape
+(its key order, exact ints, heat texts that parse) is decoded in one
+pass with no Python call per object, and its jobs are built without
+repeating Job's type checks. Any other document, malformed or only in
+another key order, takes the general route, which checks each field
+and words every error; both give the same Instance or the same error.
+
 Every other document is a function of what its writer was given (a
 trace of instance and schedule, a ratio report of model, policies and
 seeds, and so on), so it is written and never parsed. A run document
@@ -38,7 +45,7 @@ from fractions import Fraction
 from typing import Any, KeysView, Optional, Sequence
 
 from .adversary import AdversaryTranscript, RatioReport
-from .model import Instance, Job, Schedule, SimulationTrace, ThermalConfig
+from .model import Instance, Job, Schedule, SimulationTrace, ThermalConfig, _unchecked_job
 from .policies import OnlineRun
 from .reductions import N3DMInstance, ReductionMeta, ThreePartitionInstance
 from .solver import OptResult
@@ -141,7 +148,8 @@ def _loads(text: str) -> Any:
 
 
 def _dumps(document: Any) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    # Every document is a fresh tree of dicts, lists and tuples, so it holds no cycle.
+    return json.dumps(document, indent=2, check_circular=False) + "\n"
 
 
 def _require_object(value: Any, where: str, fields: KeysView[str]) -> dict:
@@ -202,9 +210,9 @@ def _trace(trace: SimulationTrace) -> dict:
 
 
 def _run(run: OnlineRun, trace: bool) -> dict:
+    # json writes a tuple as an array, so the slots and pending ids go in uncopied.
     traced = {"trace": _trace(run.trace)} if trace else {}
-    pending = [list(ids) for ids in run.pending]
-    return {"schedule": list(run.schedule), **traced, "pending": pending}
+    return {"schedule": run.schedule.slots, **traced, "pending": run.pending}
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -212,8 +220,7 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def _job(value: Any, where: str) -> Job:
-    """One job checked field by field, in order; parse_instance calls it only
-    for a job its direct test rejects, so it raises that job's ParseError."""
+    """One job checked field by field, in order, so an error names the first bad field."""
     job = _require_object(value, where, _JOB_FIELDS)
     return Job(
         _integer(job["id"], f"{where}.id"),
@@ -223,35 +230,72 @@ def _job(value: Any, where: str) -> Job:
     )
 
 
+# The writer's key orders, which the canonical route requires.
+_INSTANCE_KEYS = tuple(_INSTANCE_FIELDS)
+_JOB_KEYS = tuple(_JOB_FIELDS)
+
+
+def _canonical_instance(text: str) -> Optional[Instance]:
+    """The instance of a document in serialize_instance's exact shape, or None.
+
+    Objects decode as tuples of pairs, with no Python call per object. Any
+    other shape, or a decode error, gives None, so that the general route
+    words the error; the only error raised here is Instance's own. A
+    document repeats a few dozen heats hundreds of times, so each distinct
+    heat text is parsed once.
+    """
+    try:
+        document = json.loads(text, object_pairs_hook=tuple)
+    except (ValueError, RecursionError):
+        return None
+    if type(document) is not tuple or len(document) != 3:
+        return None
+    (key_t, threshold), (key_r, cooling_factor), (key_j, items) = document
+    if (key_t, key_r, key_j) != _INSTANCE_KEYS or type(items) is not list:
+        return None
+    heats: dict[str, Fraction] = {}
+    jobs: list[Job] = []
+    try:
+        config = ThermalConfig(parse_rational(threshold), parse_rational(cooling_factor))
+        for job in items:
+            if type(job) is not tuple or len(job) != 4:
+                return None
+            (key_i, id_), (key_s, release), (key_d, deadline), (key_h, heat) = job
+            if (key_i, key_s, key_d, key_h) != _JOB_KEYS:
+                return None
+            if not type(id_) is type(release) is type(deadline) is int or type(heat) is not str:
+                return None
+            value = heats.get(heat)
+            if value is None:
+                value = heats[heat] = parse_rational(heat)
+            jobs.append(_unchecked_job(id_, release, deadline, value))
+    except ParseError:
+        return None
+    return Instance(tuple(jobs), config)
+
+
 def parse_instance(text: str) -> Instance:
-    """A document repeats a few dozen distinct heats hundreds of times,
-    so each distinct heat text is parsed once. A job is built directly
-    when it is a plain object of the four fields with int id, release and
-    deadline and a heat text that parses; any other goes to _job, so a
-    path is formatted only for the job whose error it names."""
+    """An instance from its JSON document, by one of two routes.
+
+    A document in the writer's exact shape (key order, exact ints, heat
+    texts that parse) takes the canonical route, _canonical_instance. Any
+    other takes the general route: _object keeps a repeated key, and
+    _require_object, _integer and parse_rational check each field and name
+    its path in a ParseError. Both routes give the same Instance, or raise
+    the same error, for the same document.
+    """
+    instance = _canonical_instance(text)
+    if instance is not None:
+        return instance
     document = _require_object(_loads(text), "instance", _INSTANCE_FIELDS)
     config = ThermalConfig(
         parse_rational(document["threshold"], "instance.threshold"),
         parse_rational(document["cooling_factor"], "instance.cooling_factor"),
     )
-    heats: dict[str, Fraction] = {}
-    jobs: list[Job] = []
-    for pos, job in enumerate(_require_array(document["jobs"], "instance.jobs")):
-        # The exact type tests keep a _Repeated, a bool and a float out.
-        if type(job) is dict and job.keys() == _JOB_FIELDS:
-            id_, release, deadline, heat = job["id"], job["release"], job["deadline"], job["heat"]
-            if type(id_) is type(release) is type(deadline) is int and type(heat) is str:
-                value = heats.get(heat)
-                if value is None:
-                    try:
-                        value = heats[heat] = parse_rational(heat)
-                    except ParseError:
-                        pass
-                if value is not None:
-                    jobs.append(Job(id_, release, deadline, value))
-                    continue
-        jobs.append(_job(job, f"instance.jobs[{pos}]"))
-    return Instance(tuple(jobs), config)
+    items = _require_array(document["jobs"], "instance.jobs")
+    return Instance(
+        tuple(_job(job, f"instance.jobs[{pos}]") for pos, job in enumerate(items)), config
+    )
 
 
 def serialize_schedule(schedule: Schedule) -> str:

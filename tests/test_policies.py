@@ -63,6 +63,17 @@ class TestDecisionRules:
         by_id = (Job(2, 0, 2, Fraction(2, 5)), Job(1, 0, 2, Fraction(2, 5)))
         assert edf_decide(0, Fraction(0), by_id) == 1
 
+    @pytest.mark.parametrize(
+        "heat, expected",
+        [(Fraction(13, 6), 1), (Fraction(13, 6) + Fraction(1, 100), None)],
+        ids=["on-the-room", "above-the-room"],
+    )
+    def test_coolest_runs_a_heat_equal_to_the_room(self, heat, expected):
+        # T = 5/3, R = 3/2, so R·T = 5/2 and the room at tau = 1/3 is 13/6.
+        config = ThermalConfig(Fraction(5, 3), Fraction(3, 2))
+        pending = (Job(1, 0, 3, heat), Job(2, 0, 2, heat + 1))
+        assert coolest_first_decide(0, Fraction(1, 3), pending, config) == expected
+
 
 class TestRunOnline:
     def test_coolest_on_worked_example(self, four_job_example):
@@ -390,6 +401,17 @@ def test_decide_bodies_match_filter_then_min_on_mixed_denominators(slot):
         (edf_decide, edf_reference),
     ):
         assert policy(0, tau, pending, cfg) == reference(0, tau, pending, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configs(), st.data())
+def test_coolest_first_runs_the_coolest_exactly_when_admissible(cfg, data):
+    tau = data.draw(stepped_temperatures(cfg, heat=mixed_heats()))
+    heats = data.draw(st.lists(mixed_heats(), min_size=1, max_size=6))
+    pending = tuple(Job(i, 0, 1 + i % 3, h) for i, h in enumerate(heats, start=1))
+    coolest = min(pending, key=lambda j: (j.heat, j.deadline, j.id))
+    expected = coolest.id if is_admissible(tau, coolest, cfg) else None
+    assert coolest_first_decide(0, tau, pending, cfg) == expected
 
 
 @settings(max_examples=500, deadline=None)

@@ -1,6 +1,8 @@
 """Canonical text formats: exactness, strictness, round trips."""
 
+import dataclasses
 import json
+import pickle
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from strategies import configs, instance_with_feasible_schedule, instances, mixed_heats
 from thermosched import (
     Instance,
+    InvalidInstanceError,
     Job,
     RandomModel,
     Schedule,
@@ -36,6 +39,7 @@ from thermosched import (
 )
 from thermosched.serialization import (
     ParseError,
+    _canonical_instance,
     parse_n3dm_source,
     parse_three_partition_source,
     serialize_reduction_meta,
@@ -356,6 +360,150 @@ class TestInstanceFormat:
             parse_instance("[1, 2]")
 
 
+_GOLDEN_INSTANCE = (GOLDEN / "instance.json").read_text()
+_GOLDEN_JOBS = _GOLDEN_INSTANCE[_GOLDEN_INSTANCE.index("[") : _GOLDEN_INSTANCE.rindex("]") + 1]
+# The worked example that tests/golden/instance.json holds.
+_WORKED = Instance(
+    (
+        Job(1, 0, 2, Fraction(2, 5)),
+        Job(2, 0, 4, Fraction(3, 5)),
+        Job(3, 2, 3, Fraction(19, 10)),
+        Job(4, 4, 6, Fraction(4, 5)),
+    )
+)
+
+
+def _reversed_job_keys(text):
+    document = json.loads(text)
+    document["jobs"] = [dict(reversed(job.items())) for job in document["jobs"]]
+    return json.dumps(document, indent=2)
+
+
+# One edit of the golden instance each: the text replaced, its replacement,
+# the route the result takes, and the Instance or the (exception type,
+# message) that parse_instance gives. No committed file reaches the general
+# route, so the rows marked "general" are its guard.
+_ONE_EDIT = {
+    "job-keys-reordered": (
+        '"id": 1,\n      "release": 0,', '"release": 0,\n      "id": 1,', "general", _WORKED
+    ),
+    "top-keys-reordered": (
+        '"threshold": "1/1",\n  "cooling_factor": "2/1",',
+        '"cooling_factor": "2/1",\n  "threshold": "1/1",',
+        "general",
+        _WORKED,
+    ),
+    "repeated-key": (
+        '"heat": "3/5"',
+        '"heat": "3/5",\n      "heat": "3/5"',
+        "general",
+        (ParseError, "instance.jobs[1]: repeated key 'heat'"),
+    ),
+    "extra-key": (
+        '"heat": "3/5"',
+        '"heat": "3/5",\n      "note": 1',
+        "general",
+        (ParseError, "instance.jobs[1]: unknown field(s) note"),
+    ),
+    "missing-key": (
+        ',\n      "heat": "3/5"',
+        "",
+        "general",
+        (ParseError, "instance.jobs[1]: missing field(s) heat"),
+    ),
+    "true-id": (
+        '"id": 1,',
+        '"id": true,',
+        "general",
+        (ParseError, "instance.jobs[0].id: expected an integer, got True"),
+    ),
+    "float-release": (
+        '"release": 2,',
+        '"release": 1.0,',
+        "general",
+        (ParseError, "instance.jobs[2].release: expected an integer, got 1.0"),
+    ),
+    "number-heat": (
+        '"2/5"',
+        "0.4",
+        "general",
+        (ParseError, "instance.jobs[0].heat: expected a rational string, got 0.4"),
+    ),
+    "array-heat": (
+        '"2/5"',
+        "[2, 5]",
+        "general",
+        (ParseError, "instance.jobs[0].heat: expected a rational string, got [2, 5]"),
+    ),
+    "object-heat": (
+        '"2/5"',
+        '{"p": 2}',
+        "general",
+        (ParseError, "instance.jobs[0].heat: expected a rational string, got {'p': 2}"),
+    ),
+    "zero-denominator": (
+        '"2/5"',
+        '"2/0"',
+        "general",
+        (ParseError, "instance.jobs[0].heat: zero denominator in '2/0'"),
+    ),
+    "decimal-heat": ('"19/10"', '"1.9"', "canonical", _WORKED),
+    "padded-heat": ('"2/5"', '" 2/5\\t"', "canonical", _WORKED),
+    "number-threshold": (
+        '"threshold": "1/1"',
+        '"threshold": 1',
+        "general",
+        (ParseError, "instance.threshold: expected a rational string, got 1"),
+    ),
+    "jobs-object": (
+        _GOLDEN_JOBS, "{}", "general", (ParseError, "instance.jobs: expected an array, got dict")
+    ),
+    "jobs-empty": (_GOLDEN_JOBS, "[]", "canonical", Instance(())),
+    "jobs-out-of-id-order": (
+        '"id": 1,',
+        '"id": 5,',
+        "canonical",
+        Instance((Job(5, 0, 2, Fraction(2, 5)),) + _WORKED.jobs[1:]),
+    ),
+    "digit-limit": (
+        '"deadline": 6',
+        '"deadline": 6' + "0" * 5000,
+        "general",
+        (ParseError, "an integer has too many digits"),
+    ),
+    "malformed": (
+        '"id": 1,', '"id": 1', "general", (ParseError, "line 7: Expecting ',' delimiter")
+    ),
+    "empty-window": (
+        '"deadline": 3,',
+        '"deadline": 2,',
+        "canonical",
+        (InvalidInstanceError, "job 3: execution window is empty (release=2, deadline=2)"),
+    ),
+    "duplicate-id": (
+        '"id": 2,', '"id": 1,', "canonical", (InvalidInstanceError, "job 1: duplicate id")
+    ),
+}
+
+
+@pytest.mark.parametrize("old, new, route, expected", _ONE_EDIT.values(), ids=_ONE_EDIT)
+def test_one_edit_of_the_golden_instance(old, new, route, expected):
+    assert _GOLDEN_INSTANCE.count(old) == 1
+    text = _GOLDEN_INSTANCE.replace(old, new)
+    try:
+        taken = "general" if _canonical_instance(text) is None else "canonical"
+    except InvalidInstanceError:
+        taken = "canonical"
+    assert taken == route
+    if isinstance(expected, Instance):
+        assert parse_instance(text) == expected
+    else:
+        kind, message = expected
+        with pytest.raises(kind) as excinfo:
+            parse_instance(text)
+        assert type(excinfo.value) is kind and str(excinfo.value) == message
+
+
 class TestScheduleFormat:
     def test_round_trip(self):
         schedule = Schedule((1, None, 3, None))
@@ -589,6 +737,31 @@ def test_instance_round_trip_property(instance):
     text = serialize_instance(instance)
     assert parse_instance(text) == instance
     assert serialize_instance(parse_instance(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(instances(), instances(config=configs(), heat=mixed_heats())))
+def test_reversed_job_keys_parse_to_the_same_instance(instance):
+    """The general route reads what the writer wrote, in another key order."""
+    assert parse_instance(_reversed_job_keys(serialize_instance(instance))) == instance
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(min_jobs=1, config=configs(), heat=mixed_heats()))
+def test_parsed_jobs_are_real_jobs(instance):
+    """A job the parser builds cannot be told from Job(...) with the same fields."""
+    text = serialize_instance(instance)
+    for parsed in (parse_instance(text), parse_instance(_reversed_job_keys(text))):
+        for job in parsed.jobs:
+            built = Job(job.id, job.release, job.deadline, job.heat)
+            assert job == built and hash(job) == hash(built) and repr(job) == repr(built)
+            assert vars(job) == vars(built)
+            assert [type(value) for value in vars(job).values()] == [int, int, int, Fraction]
+            assert pickle.loads(pickle.dumps(job)) == built
+            cooler = dataclasses.replace(job, heat=Fraction(0))
+            assert cooler == Job(job.id, job.release, job.deadline, Fraction(0))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                job.heat = Fraction(0)
 
 
 @settings(max_examples=200, deadline=None)
