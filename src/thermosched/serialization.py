@@ -15,12 +15,10 @@ parser, kept in agreement by the golden bytes under tests/golden and by
 test_instance_round_trip_property, which acceptance criterion 7 runs
 at 200 cases with non-default configs.
 
-parse_instance has two routes. A document in the writer's exact shape
-(its key order, exact ints, heat texts that parse) is decoded in one
-pass with no Python call per object, and its jobs are built without
-repeating Job's type checks. Any other document, malformed or only in
-another key order, takes the general route, which checks each field
-and words every error; both give the same Instance or the same error.
+Each JSON input is decoded once, with every object kept as a tuple of
+its (key, value) pairs, so no Python code runs per object and a
+repeated key is still there to be reported. One walker then checks the
+pairs and words every error.
 
 Every other document is a function of what its writer was given (a
 trace of instance and schedule, a ratio report of model, policies and
@@ -117,27 +115,9 @@ def parse_integer(token: str, where: str = "value") -> int:
         raise ParseError(f"{where}: an integer has too many digits") from None
 
 
-class _Repeated(dict):
-    """A JSON object that repeats self.key; _require_object reports it at its path."""
-
-
-def _object(pairs: list) -> dict:
-    """A JSON object's dict; one that repeats a key is a _Repeated, never overwritten."""
-    value = dict(pairs)
-    if len(value) != len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                break
-            seen.add(key)
-        value = _Repeated(value)
-        value.key = key
-    return value
-
-
 def _loads(text: str) -> Any:
     try:
-        return json.loads(text, object_pairs_hook=_object)
+        return json.loads(text, object_pairs_hook=tuple)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}: {exc.msg}") from None
     except RecursionError:
@@ -153,31 +133,63 @@ def _dumps(document: Any) -> str:
 
 
 def _require_object(value: Any, where: str, fields: KeysView[str]) -> dict:
-    if type(value) is dict and value.keys() == fields:
-        return value
-    if not isinstance(value, dict):
+    """The dict of a decoded object, a tuple of pairs, whose keys are fields."""
+    if type(value) is not tuple:
         raise ParseError(f"{where}: expected an object, got {type(value).__name__}")
-    if type(value) is _Repeated:
-        raise ParseError(f"{where}: repeated key {value.key!r}")
-    missing = [f for f in fields if f not in value]
+    document = dict(value)
+    if len(document) < len(value):
+        seen = set()
+        for key, _ in value:
+            if key in seen:
+                raise ParseError(f"{where}: repeated key {key!r}")
+            seen.add(key)
+    if document.keys() == fields:
+        return document
+    missing = [f for f in fields if f not in document]
     if missing:
         raise ParseError(f"{where}: missing field(s) {', '.join(missing)}")
-    unknown = [k for k in value if k not in fields]
+    unknown = [k for k in document if k not in fields]
     raise ParseError(f"{where}: unknown field(s) {', '.join(unknown)}")
 
 
 def _require_array(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        kind = "dict" if isinstance(value, dict) else type(value).__name__  # a _Repeated too
+    if type(value) is not list:
+        kind = "dict" if type(value) is tuple else type(value).__name__
         raise ParseError(f"{where}: expected an array, got {kind}")
     return value
+
+
+def _plain(value: Any) -> Any:
+    """A decoded value as json.loads gives it, for an error message.
+
+    Each tuple of pairs becomes a dict, in which a repeated key keeps its
+    last value. The walk keeps its own stack, so a value nested as deep as
+    the decoder allows never raises RecursionError here.
+    """
+    root = [value]
+    stack = [(root, 0)]
+    while stack:
+        parent, slot = stack.pop()
+        item = parent[slot]
+        if type(item) is list:
+            parent[slot] = copy = list(item)
+            stack += ((copy, pos) for pos in range(len(copy)))
+        elif type(item) is tuple:
+            parent[slot] = copy = dict(item)
+            stack += ((copy, key) for key in copy)
+    return root[0]
 
 
 def _integer(value: Any, where: str) -> int:
     # The exact type test keeps a bool, which is an int subclass, out.
     if type(value) is not int:
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
+        raise ParseError(f"{where}: expected an integer, got {_plain(value)!r}")
     return value
+
+
+def _rational(value: Any, where: str) -> Fraction:
+    """parse_rational of a decoded value; a non-string shows as json.loads gives it."""
+    return parse_rational(value if type(value) is str else _plain(value), where)
 
 
 # -- documents -----------------------------------------------------------
@@ -185,6 +197,8 @@ def _integer(value: Any, where: str) -> int:
 # Key views: in order for error messages, set-like for the one-step key check.
 _INSTANCE_FIELDS = dict.fromkeys(("threshold", "cooling_factor", "jobs")).keys()
 _JOB_FIELDS = dict.fromkeys(("id", "release", "deadline", "heat")).keys()
+# The writer's job key order, in which parse_instance reads a job's pairs by position.
+_JOB_KEYS = tuple(_JOB_FIELDS)
 
 
 def _instance(instance: Instance) -> dict:
@@ -219,83 +233,38 @@ def serialize_instance(instance: Instance) -> str:
     return _dumps(_instance(instance))
 
 
-def _job(value: Any, where: str) -> Job:
-    """One job checked field by field, in order, so an error names the first bad field."""
-    job = _require_object(value, where, _JOB_FIELDS)
-    return Job(
-        _integer(job["id"], f"{where}.id"),
-        _integer(job["release"], f"{where}.release"),
-        _integer(job["deadline"], f"{where}.deadline"),
-        parse_rational(job["heat"], f"{where}.heat"),
-    )
-
-
-# The writer's key orders, which the canonical route requires.
-_INSTANCE_KEYS = tuple(_INSTANCE_FIELDS)
-_JOB_KEYS = tuple(_JOB_FIELDS)
-
-
-def _canonical_instance(text: str) -> Optional[Instance]:
-    """The instance of a document in serialize_instance's exact shape, or None.
-
-    Objects decode as tuples of pairs, with no Python call per object. Any
-    other shape, or a decode error, gives None, so that the general route
-    words the error; the only error raised here is Instance's own. A
-    document repeats a few dozen heats hundreds of times, so each distinct
-    heat text is parsed once.
-    """
-    try:
-        document = json.loads(text, object_pairs_hook=tuple)
-    except (ValueError, RecursionError):
-        return None
-    if type(document) is not tuple or len(document) != 3:
-        return None
-    (key_t, threshold), (key_r, cooling_factor), (key_j, items) = document
-    if (key_t, key_r, key_j) != _INSTANCE_KEYS or type(items) is not list:
-        return None
-    heats: dict[str, Fraction] = {}
-    jobs: list[Job] = []
-    try:
-        config = ThermalConfig(parse_rational(threshold), parse_rational(cooling_factor))
-        for job in items:
-            if type(job) is not tuple or len(job) != 4:
-                return None
-            (key_i, id_), (key_s, release), (key_d, deadline), (key_h, heat) = job
-            if (key_i, key_s, key_d, key_h) != _JOB_KEYS:
-                return None
-            if not type(id_) is type(release) is type(deadline) is int or type(heat) is not str:
-                return None
-            value = heats.get(heat)
-            if value is None:
-                value = heats[heat] = parse_rational(heat)
-            jobs.append(_unchecked_job(id_, release, deadline, value))
-    except ParseError:
-        return None
-    return Instance(tuple(jobs), config)
-
-
 def parse_instance(text: str) -> Instance:
-    """An instance from its JSON document, by one of two routes.
+    """An instance from its JSON document; a ParseError names the bad field's path.
 
-    A document in the writer's exact shape (key order, exact ints, heat
-    texts that parse) takes the canonical route, _canonical_instance. Any
-    other takes the general route: _object keeps a repeated key, and
-    _require_object, _integer and parse_rational check each field and name
-    its path in a ParseError. Both routes give the same Instance, or raise
-    the same error, for the same document.
+    Each job's fields are checked in order, so an error names the first bad
+    one. A document repeats a few dozen heats hundreds of times, so each
+    distinct heat text is parsed once.
     """
-    instance = _canonical_instance(text)
-    if instance is not None:
-        return instance
     document = _require_object(_loads(text), "instance", _INSTANCE_FIELDS)
     config = ThermalConfig(
-        parse_rational(document["threshold"], "instance.threshold"),
-        parse_rational(document["cooling_factor"], "instance.cooling_factor"),
+        _rational(document["threshold"], "instance.threshold"),
+        _rational(document["cooling_factor"], "instance.cooling_factor"),
     )
-    items = _require_array(document["jobs"], "instance.jobs")
-    return Instance(
-        tuple(_job(job, f"instance.jobs[{pos}]") for pos, job in enumerate(items)), config
-    )
+    heats: dict[str, Fraction] = {}
+    jobs: list[Job] = []
+    for item in _require_array(document["jobs"], "instance.jobs"):
+        # Each earlier item gave one job, so len(jobs) is this item's position.
+        if type(item) is tuple and len(item) == 4:
+            (key_i, id_), (key_s, release), (key_d, deadline), (key_h, heat) = item
+            keys = (key_i, key_s, key_d, key_h)
+        else:
+            keys = None
+        if keys != _JOB_KEYS:
+            job = _require_object(item, f"instance.jobs[{len(jobs)}]", _JOB_FIELDS)
+            id_, release, deadline, heat = (job[key] for key in _JOB_KEYS)
+        if not type(id_) is type(release) is type(deadline) is int:
+            for field, number in zip(_JOB_KEYS, (id_, release, deadline)):
+                _integer(number, f"instance.jobs[{len(jobs)}].{field}")
+        fraction = heats.get(heat) if type(heat) is str else None
+        if fraction is None:
+            fraction = heats[heat] = _rational(heat, f"instance.jobs[{len(jobs)}].heat")
+        jobs.append(_unchecked_job(id_, release, deadline, fraction))
+    return Instance(tuple(jobs), config)
 
 
 def serialize_schedule(schedule: Schedule) -> str:
