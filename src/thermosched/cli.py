@@ -10,6 +10,7 @@ infeasible source, bound counterexample), 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -64,7 +65,8 @@ def _at_least(minimum: int) -> Callable[[str], int]:
 def _read(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # Strict UTF-8 and universal newlines whatever the locale, as for a file.
+            return io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8").read()
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

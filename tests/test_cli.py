@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, files, exit codes."""
 
+import functools
 import io
 import json
 import re
@@ -8,18 +9,17 @@ from pathlib import Path
 
 import pytest
 
+from cli_cases import CASES, check, run
 from thermosched import (
     N3DMInstance,
     RandomModel,
     Schedule,
     ThreePartitionInstance,
-    coolest_first_decide,
     gen_from_3partition,
     gen_from_n3dm,
     parse_instance,
     parse_schedule,
     ratio_experiment,
-    run_online,
     serialize_instance,
     serialize_report,
     serialize_schedule,
@@ -27,11 +27,33 @@ from thermosched import (
     simulate,
 )
 from thermosched.cli import main
-from thermosched.serialization import serialize_reduction_meta, serialize_run
+from thermosched.serialization import serialize_reduction_meta
 
-GOLDEN = Path(__file__).parent / "golden"
-VIOLATING = Schedule((1, 2, 3, None, 4, None))
 OPTIMAL = Schedule((1, None, 3, 2, 4, None))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.name for case in CASES])
+def test_cli_case(case, capsysbinary, monkeypatch):
+    """Each case of tests/cli_cases.py, run in-process through cli.main."""
+
+    def in_process(argv, stdin):
+        # Under a C or POSIX locale, Python's UTF-8 mode reads stdin with surrogateescape.
+        text = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", text)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        return (code, *capsysbinary.readouterr())
+
+    assert check(case, in_process) == []
+
+
+def test_module_entry_point(monkeypatch):
+    """`python -m thermosched.cli` runs as a process, through the runner's own invoker."""
+    monkeypatch.setenv("PYTHONPATH", str(Path(__file__).parents[1] / "src"))
+    (case,) = [case for case in CASES if case.name == "opt"]
+    assert check(case, functools.partial(run, [sys.executable, "-m", "thermosched.cli"])) == []
 
 
 @pytest.fixture
@@ -48,32 +70,6 @@ def write_schedule(tmp_path, schedule, name="schedule.json"):
 
 
 class TestValidate:
-    def test_ok(self, instance_file, capsys):
-        assert main(["validate", instance_file]) == 0
-        assert capsys.readouterr().out == "ok: 4 job(s), horizon 6\n"
-
-    def test_invalid_instance(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "threshold": "1/1",
-                    "cooling_factor": "2/1",
-                    "jobs": [
-                        {"id": 1, "release": 0, "deadline": 2, "heat": "1/2"},
-                        {"id": 1, "release": 3, "deadline": 3, "heat": "1/2"},
-                    ],
-                }
-            )
-        )
-        assert main(["validate", str(path)]) == 1
-        # Every issue on its own line, in validate_instance's order.
-        assert capsys.readouterr() == (
-            "job 1: duplicate id\n"
-            "job 1: execution window is empty (release=3, deadline=3)\n",
-            "",
-        )
-
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -102,18 +98,13 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_repeated_key(self, tmp_path, capsys):
-        path = tmp_path / "repeated.json"
-        path.write_text('{"threshold": "1/1", "cooling_factor": "2/1", "jobs": [], "jobs": []}')
-        assert main(["validate", str(path)]) == 2
-        assert capsys.readouterr().err == "error: instance: repeated key 'jobs'\n"
-
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_stdin(self, four_job_example, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(serialize_instance(four_job_example)))
+        stdin = io.TextIOWrapper(io.BytesIO(serialize_instance(four_job_example).encode()))
+        monkeypatch.setattr(sys, "stdin", stdin)
         assert main(["validate", "-"]) == 0
         assert "ok: 4 job(s)" in capsys.readouterr().out
 
@@ -131,35 +122,6 @@ class TestSimulate:
         assert main(["simulate", instance_file, schedule_file]) == 0
         out = capsys.readouterr().out
         assert out == serialize_trace(simulate(four_job_example, OPTIMAL))
-
-    def test_violations_exit_one_but_still_report(
-        self, tmp_path, instance_file, four_job_example, capsys
-    ):
-        schedule_file = write_schedule(tmp_path, VIOLATING)
-        assert main(["simulate", instance_file, schedule_file]) == 1
-        trace = simulate(four_job_example, VIOLATING)
-        assert trace.violations
-        assert capsys.readouterr().out == serialize_trace(trace)
-
-
-@pytest.fixture
-def duplicate_id_file(tmp_path):
-    path = tmp_path / "duplicate.json"
-    job = {"id": 1, "release": 0, "deadline": 2, "heat": "1/2"}
-    path.write_text(
-        json.dumps({"threshold": "1/1", "cooling_factor": "2/1", "jobs": [job, job]})
-    )
-    return str(path)
-
-
-@pytest.mark.parametrize(
-    "command", [["opt"], ["online", "--policy", "coolest"]], ids=["opt", "online"]
-)
-def test_invalid_instance_exits_one(command, duplicate_id_file, capsys):
-    assert main([*command, duplicate_id_file]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: job 1: duplicate id\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "render"])
@@ -197,13 +159,6 @@ class TestOpt:
         trace = simulate(four_job_example, witness)
         assert trace.throughput == 4 and not trace.violations
 
-    def test_budget_cap_exits_one(self, instance_file, capsys):
-        assert main(["opt", instance_file, "--budget", "1"]) == 1
-        document = json.loads(capsys.readouterr().out)
-        assert document["proven_optimal"] is False
-        # The search expands at most --budget nodes; the pop that finds one more reports it.
-        assert document["explored"] == 2
-
     @pytest.mark.parametrize("budget", ["-5", "many", "١٠٠"])
     def test_bad_budget_is_a_usage_error(self, instance_file, budget, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -213,16 +168,6 @@ class TestOpt:
 
 
 class TestOnline:
-    def test_run_document(self, instance_file, four_job_example, capsys):
-        assert main(["online", instance_file, "--policy", "coolest"]) == 0
-        expected = serialize_run(run_online(four_job_example, coolest_first_decide))
-        assert capsys.readouterr().out == expected
-
-    def test_trace_flag_adds_the_trace(self, instance_file, four_job_example, capsys):
-        assert main(["online", instance_file, "--policy", "coolest", "--trace"]) == 0
-        run = run_online(four_job_example, coolest_first_decide)
-        assert capsys.readouterr().out == serialize_run(run, trace=True)
-
     def test_policy_flag_is_required(self, instance_file):
         with pytest.raises(SystemExit) as excinfo:
             main(["online", instance_file])
@@ -303,10 +248,6 @@ class TestAdversary:
         assert document["alg_throughput"] == 1
         assert document["adv_throughput"] == 2
 
-    def test_idle_policy_branch(self, capsys):
-        assert main(["adversary", "--policy", "idle"]) == 0
-        assert json.loads(capsys.readouterr().out)["branch"] == "idle"
-
 
 class TestExperiment:
     def test_report_file_and_summary(self, tmp_path, capsys):
@@ -366,14 +307,6 @@ class TestExperiment:
         assert code == 1
         assert "counterexample" in capsys.readouterr().out
 
-    def test_report_on_stdout_sends_the_summary_to_stderr(self, capsys):
-        argv = ["--n", "2", "--count", "2", "--seed", "4", "--policy", "coolest"]
-        assert main(["experiment", *argv, "--policy", "idle", "-o", "-"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out.encode() == (GOLDEN / "report.json").read_bytes()
-        assert captured.err.startswith("instances: 2  skipped (OPT=0): ")
-        assert "counterexample(s)" in captured.err
-
     def test_unproven_optimum_exits_one(self, capsys):
         code = main(
             ["experiment", "--n", "3", "--count", "2", "--policy", "coolest", "--budget", "1"]
@@ -397,25 +330,6 @@ class TestExperiment:
             main([*argv, option, value])
         assert excinfo.value.code == 2
         assert option in capsys.readouterr().err
-
-    # int() would read each of these as an integer; the source files' rule does not.
-    @pytest.mark.parametrize(
-        "option, value",
-        [
-            ("--n", "٢"),
-            ("--count", "1_0"),
-            ("--seed", " 3"),
-            ("--release-span", "4\u00a0"),
-            ("--max-window", "٤"),
-            ("--budget", "1_000"),
-        ],
-    )
-    def test_integer_option_takes_ascii_digits_only(self, option, value, capsys):
-        argv = ["experiment", "--n", "3", "--count", "2", "--policy", "coolest"]
-        with pytest.raises(SystemExit) as excinfo:
-            main([*argv, option, value])
-        assert excinfo.value.code == 2
-        assert f"argument {option}: value: {value!r} is not an integer" in capsys.readouterr().err
 
     def test_smallest_options_run(self, capsys):
         code = main(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_cases import CASES
 from strategies import configs, instance_with_feasible_schedule, instances, mixed_heats
 from thermosched import (
     Instance,
@@ -52,68 +53,45 @@ from thermosched.reductions import InvalidSourceError, N3DMInstance
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
-TIGHT_CUT = DATA / "tight_cut.json"
-STREAM = DATA / "stream.json"
-CROWDED = DATA / "crowded.json"
-
-
-def _opt_document(instance, tmp_path, capsys):
-    path = tmp_path / "instance.json"
-    path.write_text(serialize_instance(instance))
-    main(["opt", str(path)])
-    return capsys.readouterr().out
-
-
-def _opt_crowded_document(_, tmp_path, capsys):
-    main(["opt", str(CROWDED)])
-    return capsys.readouterr().out
-
-
-def _online_tight_cut_document(_, tmp_path, capsys):
-    main(["online", str(TIGHT_CUT), "--policy", "coolest", "--trace"])
-    return capsys.readouterr().out
-
-
-def _online_stream_document(_, tmp_path, capsys):
-    main(["online", str(STREAM), "--policy", "edf", "--trace"])
-    return capsys.readouterr().out
-
 
 GOLDEN_DOCUMENTS = {
-    "instance": lambda inst, *_: serialize_instance(inst),
-    "schedule": lambda *_: serialize_schedule(Schedule((1, None, 3, 2, 4, None))),
-    "trace": lambda inst, *_: serialize_trace(simulate(inst, Schedule((1, 2, 3, None, 4, None)))),
-    "run": lambda inst, *_: serialize_run(run_online(inst, coolest_first_decide), trace=True),
-    "run_edf": lambda inst, *_: serialize_run(run_online(inst, edf_decide), trace=True),
-    "run_notrace": lambda inst, *_: serialize_run(run_online(inst, coolest_first_decide)),
-    "transcript": lambda *_: serialize_transcript(run_lower_bound_game(always_idle)),
-    "report": lambda *_: serialize_report(
+    "instance": serialize_instance,
+    "schedule": lambda _: serialize_schedule(Schedule((1, None, 3, 2, 4, None))),
+    "trace": lambda inst: serialize_trace(simulate(inst, Schedule((1, 2, 3, None, 4, None)))),
+    "run": lambda inst: serialize_run(run_online(inst, coolest_first_decide), trace=True),
+    "run_edf": lambda inst: serialize_run(run_online(inst, edf_decide), trace=True),
+    "run_notrace": lambda inst: serialize_run(run_online(inst, coolest_first_decide)),
+    "transcript": lambda _: serialize_transcript(run_lower_bound_game(always_idle)),
+    "report": lambda _: serialize_report(
         ratio_experiment(RandomModel(n=2, seed=4), ("coolest", "idle"), 2)
     ),
     # The benchmark's ratio_random model: 32 exact optima at n = 16.
-    "report_n16": lambda *_: serialize_report(
+    "report_n16": lambda _: serialize_report(
         ratio_experiment(
             RandomModel(n=16, release_span=16, max_window=10, seed=7919), ("coolest", "edf"), 32
         )
     ),
-    "meta": lambda *_: serialize_reduction_meta(
+    "meta": lambda _: serialize_reduction_meta(
         gen_from_n3dm(N3DMInstance(a=(0, 8), b=(8, 0), c=(4, 4), beta=12))[1]
     ),
-    "opt": _opt_document,
-    # Seven jobs due at slot 4 compete for its four slots: the capacity cap.
-    "opt_crowded": _opt_crowded_document,
-    # T = 5/3, R = 3/2: CoolestFirst on the data file, through the CLI.
-    "run_tight_cut": _online_tight_cut_document,
-    # 64 jobs over 72 slots: most slots see an arrival, an expiry or both.
-    "run_stream": _online_stream_document,
 }
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_DOCUMENTS))
-def test_golden_bytes(kind, four_job_example, tmp_path, capsys):
+def test_golden_bytes(kind, four_job_example):
     """Every document kind keeps its exact canonical bytes."""
-    text = GOLDEN_DOCUMENTS[kind](four_job_example, tmp_path, capsys)
+    text = GOLDEN_DOCUMENTS[kind](four_job_example)
     assert text == (GOLDEN / f"{kind}.json").read_text()
+
+
+def test_every_golden_is_checked():
+    """Each golden file is a library writer's above or a CLI case's expectation,
+    so none is left that nothing compares against."""
+    checked = {f"{kind}.json" for kind in GOLDEN_DOCUMENTS}
+    for step in [*CASES, *(case.then for case in CASES if case.then)]:
+        expects = (step.stdout, step.stderr, *(expect for _, expect in step.files))
+        checked.update(expect.name for expect in expects if isinstance(expect, Path))
+    assert {path.name for path in GOLDEN.iterdir()} - checked == set()
 
 
 class TestRationals:
