@@ -27,7 +27,6 @@ from .model import (
     ThermalConfig,
     ValidationIssue,
     Violation,
-    is_admissible,
     simulate,
     step_temperature,
     validate_instance,
@@ -43,7 +42,6 @@ from .policies import (
     coolest_first_decide,
     edf_decide,
     run_online,
-    strictly_dominates,
 )
 from .reductions import (
     InstanceTooLargeError,

@@ -107,10 +107,7 @@ def _require_int(name: str, value: object) -> None:
 
 
 # The least value of each RandomModel field that random_instance can draw from.
-_MODEL_MINIMA = (
-    ("n", 0), ("release_span", 0), ("max_window", 1), ("heat_denominator", 1),
-    ("heat_numerator_max", 0),
-)
+_MODEL_MINIMA = (("n", 0), ("release_span", 0), ("max_window", 1))
 
 
 @dataclass(frozen=True)
@@ -118,19 +115,16 @@ class RandomModel:
     """Seeded generator parameters for random instances.
 
     Releases are uniform on 0..release_span, window lengths uniform on
-    1..max_window, heats uniform on the grid k/heat_denominator with
-    0 <= k <= heat_numerator_max (defaults span 0..2, crossing every
-    admissibility regime). Generation is a pure function of the seed.
-    Raises ValueError naming the field when a field is not an int (a
-    bool is not), when n, release_span or heat_numerator_max is
-    negative, or when max_window or heat_denominator is below 1.
+    1..max_window, heats uniform on the grid k/16 with 0 <= k <= 32
+    (0..2, crossing every admissibility regime of the default config).
+    Generation is a pure function of the seed. Raises ValueError naming
+    the field when a field is not an int (a bool is not), when n or
+    release_span is negative, or when max_window is below 1.
     """
 
     n: int
     release_span: int = 4
     max_window: int = 4
-    heat_denominator: int = 16
-    heat_numerator_max: int = 32
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -149,7 +143,7 @@ def random_instance(model: RandomModel) -> Instance:
     for i in range(1, model.n + 1):
         release = rng.randint(0, model.release_span)
         window = rng.randint(1, model.max_window)
-        heat = Fraction(rng.randint(0, model.heat_numerator_max), model.heat_denominator)
+        heat = Fraction(rng.randint(0, 32), 16)
         jobs.append(Job(id=i, release=release, deadline=release + window, heat=heat))
     return Instance(jobs=tuple(jobs))
 

@@ -336,15 +336,6 @@ def admission_room(tau: Fraction, config: ThermalConfig = DEFAULT_CONFIG) -> tup
     return u * b - tau.numerator * v, v * b
 
 
-def is_admissible(
-    tau: Fraction, job: Job, config: ThermalConfig = DEFAULT_CONFIG
-) -> bool:
-    """True iff executing the job now keeps the post-step temperature <= T."""
-    n, m = admission_room(tau, config)
-    heat = job.heat
-    return heat.numerator * m <= n * heat.denominator
-
-
 def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
     """Run a schedule slot by slot and report exact temperatures and violations.
 

@@ -24,7 +24,7 @@ that list only when some job not yet run expires there, and rebuilds
 the pending tuple only when the list changed. ``check_reasonable``
 reads the pending ids the run recorded. The harness admits a choice by
 the post-step test that simulate applies, tau' = step_temperature(tau, h)
-<= T, and does not repeat the policy's is_admissible.
+<= T, and does not repeat the policy's own room test.
 
 Heats are tested against the room model.admission_room and against
 each other as integer products, never with Fraction's operators; the
@@ -235,15 +235,6 @@ POLICIES: dict[str, Policy] = {
 }
 
 
-def strictly_dominates(j: Job, k: Job) -> bool:
-    """True iff j is no hotter and no later-due than k, strictly in one of the two."""
-    if j.deadline > k.deadline:
-        return False
-    left = j.heat.numerator * k.heat.denominator
-    right = k.heat.numerator * j.heat.denominator
-    return left < right or left == right and j.deadline < k.deadline
-
-
 def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
     """Report every slot where a run behaved unreasonably.
 
@@ -272,7 +263,8 @@ def check_reasonable(run: OnlineRun) -> list[ReasonablenessViolation]:
                         break
         else:
             kind = DOMINANCE
-            # strictly_dominates(j, executed) for each pending j, as integers.
+            # A pending k is a witness when it is no hotter and no later-due than
+            # the choice, strictly in one of the two; compared as integers.
             d, c, e = fields[choice]
             for k in shown:
                 deadline, num, den = fields[k]

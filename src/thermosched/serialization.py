@@ -290,14 +290,15 @@ def serialize_run(run: OnlineRun, trace: bool = False) -> str:
 
 
 def serialize_transcript(transcript: AdversaryTranscript) -> str:
+    adversary_trace = transcript.adversary_trace
     document = {
         "branch": transcript.branch,
         "instance": _instance(transcript.instance),
         "algorithm": _run(transcript.run, trace=True),
         "adversary_schedule": list(transcript.adversary_schedule),
-        "adversary_trace": _trace(transcript.adversary_trace),
+        "adversary_trace": _trace(adversary_trace),
         "alg_throughput": transcript.alg_throughput,
-        "adv_throughput": transcript.adv_throughput,
+        "adv_throughput": adversary_trace.throughput,
     }
     return _dumps(document)
 

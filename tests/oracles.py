@@ -1,5 +1,10 @@
-"""Test-only oracles: a brute-force optimum and a scripted online policy.
+"""Test-only oracles: the two predicates, a brute-force optimum and a
+scripted online policy.
 
+admissible and dominates are the references for the integer product
+tests that the policies and check_reasonable run: admissible steps the
+recurrence and compares the result with T, and dominates compares with
+Fraction's operators.
 enumerate_optimal_bruteforce is the deliberately dumb cross-check of
 solve_optimal: plain recursion over every violation-free schedule with
 no memoization and no bounds. It stays on Fraction and
@@ -12,11 +17,23 @@ horizon.
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from thermosched import InstanceTooLargeError, is_admissible, step_temperature
+from thermosched import InstanceTooLargeError, step_temperature
 from thermosched.policies import Policy
 
 BRUTE_FORCE_MAX_JOBS = 10
 BRUTE_FORCE_MAX_HORIZON = 16
+
+
+def admissible(tau, job, config):
+    """True iff running the job at temperature tau keeps the next one <= T."""
+    return step_temperature(tau, job.heat, config) <= config.threshold
+
+
+def dominates(j, k):
+    """True iff j is no hotter and no later-due than k, strictly in one of the two."""
+    return j.heat <= k.heat and j.deadline <= k.deadline and (
+        j.heat < k.heat or j.deadline < k.deadline
+    )
 
 
 def enumerate_optimal_bruteforce(instance):
@@ -68,7 +85,7 @@ def scripted_policy(intents: Sequence[Optional[int]]) -> Policy:
         if time >= len(script) or script[time] is None:
             return None
         for job in pending:
-            if job.id == script[time] and is_admissible(temperature, job, config):
+            if job.id == script[time] and admissible(temperature, job, config):
                 return job.id
         return None
 

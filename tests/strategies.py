@@ -15,13 +15,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from oracles import admissible
 from thermosched import (
     DEFAULT_CONFIG,
     Instance,
     Job,
     Schedule,
     ThermalConfig,
-    is_admissible,
     step_temperature,
 )
 
@@ -135,7 +135,7 @@ def feasible_schedules(draw, instance: Instance) -> Schedule:
         choices = [
             j
             for j in instance.jobs
-            if j.id not in used and j.pending_at(time) and is_admissible(tau, j, cfg)
+            if j.id not in used and j.pending_at(time) and admissible(tau, j, cfg)
         ]
         pick = draw(st.sampled_from([None] + choices))
         if pick is None:

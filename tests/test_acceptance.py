@@ -14,7 +14,7 @@ import test_model
 import test_policies
 import test_serialization
 import test_solver
-from oracles import enumerate_optimal_bruteforce, scripted_policy
+from oracles import admissible, enumerate_optimal_bruteforce, scripted_policy
 from thermosched import (
     Instance,
     Job,
@@ -33,7 +33,6 @@ from thermosched import (
     extract_n3dm_matching,
     gen_from_3partition,
     gen_from_n3dm,
-    is_admissible,
     random_instance,
     ratio_experiment,
     run_lower_bound_game,
@@ -95,7 +94,7 @@ def test_criterion_1():
         greedy_prefix = simulate(WORKED_EXAMPLE, Schedule((1, 2)))
         job3 = WORKED_EXAMPLE.job_map()[3]
         assert greedy_prefix.temperatures[2] == Fraction(2, 5)
-        assert not is_admissible(greedy_prefix.temperatures[2], job3, WORKED_EXAMPLE.config)
+        assert not admissible(greedy_prefix.temperatures[2], job3, WORKED_EXAMPLE.config)
 
         for policy in (coolest_first_decide, edf_decide):
             run = run_online(WORKED_EXAMPLE, policy)

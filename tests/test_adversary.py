@@ -10,7 +10,6 @@ import pytest
 
 from oracles import scripted_policy
 from thermosched import (
-    Job,
     RandomModel,
     always_idle,
     coolest_first_decide,
@@ -136,8 +135,6 @@ class TestRandomInstance:
             ("n", -1),
             ("release_span", -1),
             ("max_window", 0),
-            ("heat_denominator", 0),
-            ("heat_numerator_max", -1),
         ],
     )
     def test_out_of_range_field_is_rejected(self, field, value):
@@ -148,11 +145,9 @@ class TestRandomInstance:
         "field, value",
         [
             ("n", 2.5),
-            ("heat_denominator", 2.0),
             ("max_window", 1.5),
             ("n", True),
             ("release_span", "4"),
-            ("heat_numerator_max", None),
             ("seed", 1.5),
             ("seed", IntEnum("Seeds", "ONE").ONE),
         ],
@@ -163,10 +158,8 @@ class TestRandomInstance:
             RandomModel(**{"n": 2, field: value})
 
     def test_smallest_fields_are_accepted(self):
-        model = RandomModel(
-            n=1, release_span=0, max_window=1, heat_denominator=1, heat_numerator_max=0
-        )
-        assert random_instance(model).jobs == (Job(1, 0, 1, Fraction(0)),)
+        (job,) = random_instance(RandomModel(n=1, release_span=0, max_window=1)).jobs
+        assert (job.id, job.release, job.deadline) == (1, 0, 1)
 
     def test_draws_respect_model_bounds(self):
         for seed in range(30):

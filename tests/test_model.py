@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import admissible
 from strategies import (
     configs,
     heats,
@@ -27,7 +28,7 @@ from thermosched import (
     Schedule,
     ThermalConfig,
     coolest_first_decide,
-    is_admissible,
+    edf_decide,
     run_online,
     simulate,
     solve_optimal,
@@ -82,31 +83,38 @@ def test_step_temperature_is_the_operator_recurrence(cfg, heat, tau):
     assert type(stepped) is Fraction
 
 
+def _lone_job_choices(tau, job, config=DEFAULT_CONFIG):
+    """What CoolestFirst and EDF each choose with the job alone pending at tau."""
+    pending = (job,)
+    return {coolest_first_decide(0, tau, pending, config), edf_decide(0, tau, pending, config)}
+
+
 class TestAdmissibility:
     def test_too_hot_for_tight_job(self):
         job = Job(2, 1, 2, Fraction(8, 5))
-        assert not is_admissible(Fraction(3, 5), job)
+        assert _lone_job_choices(Fraction(3, 5), job) == {None}
 
     def test_boundary_equality_is_admissible(self):
-        assert is_admissible(Fraction(1), Job(1, 0, 1, Fraction(1)))
+        assert _lone_job_choices(Fraction(1), Job(1, 0, 1, Fraction(1))) == {1}
 
     def test_heat_two_only_from_zero(self):
         job = Job(1, 0, 1, Fraction(2))
-        assert is_admissible(Fraction(0), job)
-        assert not is_admissible(Fraction(1, 100), job)
+        assert _lone_job_choices(Fraction(0), job) == {1}
+        assert _lone_job_choices(Fraction(1, 100), job) == {None}
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.just(DEFAULT_CONFIG), configs()), st.data())
-def test_is_admissible_is_the_threshold_test_of_one_step(cfg, data):
-    """The cross-multiplied comparison equals step_temperature(...) <= T,
+def test_a_lone_job_runs_exactly_when_one_step_stays_within_t(cfg, data):
+    """The policies' cross-multiplied room test equals step_temperature(...) <= T,
     on stepped temperatures and on exact boundaries tau + h == R·T."""
     tau = data.draw(stepped_temperatures(cfg))
     boundary = cfg.cooling_factor * cfg.threshold - tau
     candidates = [data.draw(heats()), boundary, boundary + Fraction(1, tau.denominator)]
     for heat in (h for h in candidates if h >= 0):
-        expected = step_temperature(tau, heat, cfg) <= cfg.threshold
-        assert is_admissible(tau, Job(1, 0, 1, heat), cfg) == expected
+        job = Job(1, 0, 1, heat)
+        expected = 1 if admissible(tau, job, cfg) else None
+        assert _lone_job_choices(tau, job, cfg) == {expected}
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scripted_policy
+from oracles import admissible, dominates, scripted_policy
 from strategies import configs, heats, instances, mixed_heats, stepped_temperatures
 from thermosched import (
     DEFAULT_CONFIG,
@@ -20,12 +20,9 @@ from thermosched import (
     always_idle,
     coolest_first_decide,
     edf_decide,
-    is_admissible,
     parse_instance,
     run_online,
     simulate,
-    step_temperature,
-    strictly_dominates,
 )
 from thermosched.policies import DOMINANCE, NON_WAITING
 from thermosched.serialization import serialize_run
@@ -154,25 +151,6 @@ def _replay(script):
     return lambda time, temperature, pending, config: script[time]
 
 
-class TestStrictDominance:
-    def test_strict_in_one_coordinate(self):
-        j = Job(1, 0, 4, Fraction(1, 2))
-        k = Job(2, 0, 5, Fraction(1))
-        assert strictly_dominates(j, k)
-        assert not strictly_dominates(k, j)
-
-    def test_equal_jobs_do_not_strictly_dominate(self):
-        j = Job(1, 0, 4, Fraction(1, 2))
-        k = Job(2, 1, 4, Fraction(1, 2))
-        assert not strictly_dominates(j, k)
-
-    def test_incomparable(self):
-        j = Job(1, 0, 3, Fraction(1))
-        k = Job(2, 0, 4, Fraction(1, 2))
-        assert not strictly_dominates(j, k)
-        assert not strictly_dominates(k, j)
-
-
 class TestCheckReasonable:
     def test_coolest_run_is_reasonable(self, four_job_example):
         assert check_reasonable(run_online(four_job_example, coolest_first_decide)) == []
@@ -198,6 +176,27 @@ class TestCheckReasonable:
         run = run_online(instance, coolest_first_decide)
         assert run.schedule[0] == 1 and run.schedule[1] is None
         assert check_reasonable(run) == []
+
+    @pytest.mark.parametrize(
+        "first, second, dominated",
+        [
+            ((4, Fraction(1, 2)), (5, Fraction(1)), 2),
+            ((4, Fraction(1, 2)), (4, Fraction(1, 2)), None),
+            ((3, Fraction(1)), (4, Fraction(1, 2)), None),
+            ((4, Fraction(1, 4)), (4, Fraction(1, 2)), 2),
+            ((3, Fraction(1, 2)), (4, Fraction(1, 2)), 2),
+        ],
+        ids=["strict", "equal", "incomparable", "cooler-same-deadline", "earlier-same-heat"],
+    )
+    def test_running_a_strictly_dominated_job(self, first, second, dominated):
+        """Jobs 1 and 2, as (deadline, heat), run in both orders from slot 0:
+        only running the dominated one first, with the other pending, is flagged."""
+        jobs = (Job(1, 0, *first), Job(2, 0, *second))
+        for script in ((1, 2), (2, 1)):
+            run = run_online(Instance(jobs), scripted_policy(script))
+            assert run.schedule.slots == script + (None,) * (len(run.schedule) - 2)
+            violations = [(v.time, v.kind, v.executed, v.witness) for v in check_reasonable(run)]
+            assert violations == ([(0, DOMINANCE, *script)] if script[0] == dominated else [])
 
     @pytest.mark.parametrize(
         "heat, expected",
@@ -295,7 +294,7 @@ def test_run_trace_is_the_simulated_schedule(instance, script):
         assert run.trace == simulate(instance, run.schedule)
 
 
-def replay_reasonable(run, admissible=is_admissible, dominates=strictly_dominates):
+def replay_reasonable(run):
     """Reference oracle: re-derive the pending jobs from the instance and
     the schedule slot by slot, independently of run.pending."""
     instance = run.instance
@@ -325,33 +324,36 @@ def replay_reasonable(run, admissible=is_admissible, dominates=strictly_dominate
     return violations
 
 
-@settings(max_examples=300, deadline=None)
-@given(any_config_instances, scripts)
+# instances() draws heats from the k/16 grid; these draw from mixed_heats(),
+# whose denominators {1, 2, 3, 10, 16} make the integer comparisons meet
+# unequal ones.
+mixed_instances = instances(
+    config=st.one_of(st.just(DEFAULT_CONFIG), configs()), heat=mixed_heats()
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(any_config_instances, mixed_instances), scripts)
 def test_check_reasonable_matches_replay_oracle(instance, script):
-    for policy in (always_idle, scripted_policy(script)):
+    for policy in (coolest_first_decide, edf_decide, always_idle, scripted_policy(script)):
         run = run_online(instance, policy)
         assert check_reasonable(run) == replay_reasonable(run)
 
 
-def _old_admissible(pending, tau, config):
-    """The admissible pending jobs, by the recurrence itself."""
-    return [j for j in pending if step_temperature(tau, j.heat, config) <= config.threshold]
-
-
 def coolest_first_reference(time, temperature, pending, config):
     """Reference oracle: CoolestFirst as "filter admissible, then min"."""
-    admissible = _old_admissible(pending, temperature, config)
-    return min(admissible, key=lambda j: (j.heat, j.deadline, j.id)).id if admissible else None
+    fitting = [j for j in pending if admissible(temperature, j, config)]
+    return min(fitting, key=lambda j: (j.heat, j.deadline, j.id)).id if fitting else None
 
 
 def edf_reference(time, temperature, pending, config):
     """Reference oracle: EDF as "filter admissible, then min"."""
-    admissible = _old_admissible(pending, temperature, config)
-    return min(admissible, key=lambda j: (j.deadline, j.heat, j.id)).id if admissible else None
+    fitting = [j for j in pending if admissible(temperature, j, config)]
+    return min(fitting, key=lambda j: (j.deadline, j.heat, j.id)).id if fitting else None
 
 
 @st.composite
-def decision_slots(draw, heat=heats()):
+def decision_slots(draw, heat):
     """A config, a stepped temperature and up to 8 pending jobs (distinct
     ids, few deadlines, so ties are common); hot jobs and high
     temperatures make slots with no admissible job common too."""
@@ -364,73 +366,13 @@ def decision_slots(draw, heat=heats()):
     return cfg, tau, pending
 
 
+@pytest.mark.parametrize("heat", [heats(), mixed_heats()], ids=["grid", "mixed"])
 @settings(max_examples=500, deadline=None)
-@given(decision_slots())
-def test_decide_bodies_match_filter_then_min(slot):
-    cfg, tau, pending = slot
+@given(data=st.data())
+def test_decide_bodies_match_filter_then_min(heat, data):
+    cfg, tau, pending = data.draw(decision_slots(heat))
     for policy, reference in (
         (coolest_first_decide, coolest_first_reference),
         (edf_decide, edf_reference),
     ):
         assert policy(0, tau, pending, cfg) == reference(0, tau, pending, cfg)
-
-
-# -- mixed denominators ----------------------------------------------------
-# The policies compare heats by cross-multiplication. On the k/16 grid
-# every pair of heats shares a power-of-two denominator; mixed_heats()
-# draws k/d with d in {1, 2, 3, 10, 16}, so the integer comparisons meet
-# unequal denominators. The references below use Fraction's operators.
-
-
-def dominates_reference(j, k):
-    return j.heat <= k.heat and j.deadline <= k.deadline and (
-        j.heat < k.heat or j.deadline < k.deadline
-    )
-
-
-def admissible_reference(tau, job, config):
-    return step_temperature(tau, job.heat, config) <= config.threshold
-
-
-@settings(max_examples=500, deadline=None)
-@given(decision_slots(heat=mixed_heats()))
-def test_decide_bodies_match_filter_then_min_on_mixed_denominators(slot):
-    cfg, tau, pending = slot
-    for policy, reference in (
-        (coolest_first_decide, coolest_first_reference),
-        (edf_decide, edf_reference),
-    ):
-        assert policy(0, tau, pending, cfg) == reference(0, tau, pending, cfg)
-
-
-@settings(max_examples=300, deadline=None)
-@given(configs(), st.data())
-def test_coolest_first_runs_the_coolest_exactly_when_admissible(cfg, data):
-    tau = data.draw(stepped_temperatures(cfg, heat=mixed_heats()))
-    heats = data.draw(st.lists(mixed_heats(), min_size=1, max_size=6))
-    pending = tuple(Job(i, 0, 1 + i % 3, h) for i, h in enumerate(heats, start=1))
-    coolest = min(pending, key=lambda j: (j.heat, j.deadline, j.id))
-    expected = coolest.id if is_admissible(tau, coolest, cfg) else None
-    assert coolest_first_decide(0, tau, pending, cfg) == expected
-
-
-@settings(max_examples=500, deadline=None)
-@given(mixed_heats(), mixed_heats(), st.integers(1, 3), st.integers(1, 3))
-def test_strictly_dominates_matches_fraction_operators(h1, h2, d1, d2):
-    j, k = Job(1, 0, d1, h1), Job(2, 0, d2, h2)
-    assert strictly_dominates(j, k) == dominates_reference(j, k)
-    assert strictly_dominates(k, j) == dominates_reference(k, j)
-
-
-mixed_instances = instances(
-    config=st.one_of(st.just(DEFAULT_CONFIG), configs()), heat=mixed_heats()
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(mixed_instances, scripts)
-def test_check_reasonable_matches_fraction_oracle_on_mixed_denominators(instance, script):
-    for policy in (coolest_first_decide, edf_decide, always_idle, scripted_policy(script)):
-        run = run_online(instance, policy)
-        expected = replay_reasonable(run, admissible_reference, dominates_reference)
-        assert check_reasonable(run) == expected

@@ -1,10 +1,14 @@
-"""The README's examples run as shown.
+"""The README's examples run as shown, and every export has a caller.
 
 The quick start runs with stdout captured, and each print must write the
 value its ``# ...`` comment states. The text chart under CLI must be the
-one render_gantt draws for the worked example's optimal witness.
+one render_gantt draws for the worked example's optimal witness. A name
+the package exports must be used by one of its other modules, or be
+named in the README or a benchmark; a name only tests use is not public
+API.
 """
 
+import ast
 import contextlib
 import io
 import re
@@ -12,7 +16,9 @@ from pathlib import Path
 
 from thermosched import Schedule, render_gantt
 
-README = (Path(__file__).parent.parent / "README.md").read_text()
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text()
+PACKAGE = ROOT / "src" / "thermosched"
 
 
 def _fenced_blocks(text: str) -> list[tuple[str, str]]:
@@ -48,3 +54,26 @@ def test_quick_start_prints_what_its_comments_say():
 def test_text_chart_is_the_rendered_optimal_witness(four_job_example):
     (chart,) = [body for _, body in _fenced_blocks(README) if body.startswith("T = 1/1, R = 2/1")]
     assert chart == render_gantt(four_job_example, Schedule((1, None, 3, 2, 4, None)))
+
+
+def test_every_export_has_a_caller():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+    text = README + "".join(p.read_text() for p in sorted((ROOT / "benchmarks").glob("*.py")))
+    named = {name for name in exported if re.search(rf"\b{re.escape(name)}\b", text)}
+    assert sorted(exported - used - named) == []
