@@ -332,9 +332,17 @@ mixed_instances = instances(
 )
 
 
-@settings(max_examples=600, deadline=None)
-@given(st.one_of(any_config_instances, mixed_instances), scripts)
+@settings(max_examples=300, deadline=None)
+@given(any_config_instances, scripts)
 def test_check_reasonable_matches_replay_oracle(instance, script):
+    for policy in (coolest_first_decide, edf_decide, always_idle, scripted_policy(script)):
+        run = run_online(instance, policy)
+        assert check_reasonable(run) == replay_reasonable(run)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_instances, scripts)
+def test_check_reasonable_matches_fraction_oracle_on_mixed_denominators(instance, script):
     for policy in (coolest_first_decide, edf_decide, always_idle, scripted_policy(script)):
         run = run_online(instance, policy)
         assert check_reasonable(run) == replay_reasonable(run)

@@ -213,6 +213,88 @@ class TestInstanceFormat:
         instance = Instance(jobs=())
         assert parse_instance(serialize_instance(instance)) == instance
 
+    def test_field_paths_in_errors(self):
+        text = json.dumps(
+            {
+                "threshold": "1/1",
+                "cooling_factor": "2/1",
+                "jobs": [{"id": 1, "release": 0, "deadline": 2, "heat": 0.4}],
+            }
+        )
+        with pytest.raises(ParseError, match=r"jobs\[0\].heat"):
+            parse_instance(text)
+
+    def test_boolean_is_not_an_integer(self):
+        text = json.dumps(
+            {
+                "threshold": "1/1",
+                "cooling_factor": "2/1",
+                "jobs": [{"id": True, "release": 0, "deadline": 2, "heat": "0/1"}],
+            }
+        )
+        with pytest.raises(ParseError, match=r"jobs\[0\].id"):
+            parse_instance(text)
+
+    def test_malformed_json_reports_line(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_instance('{\n  "threshold": ,\n}')
+
+    def test_repeated_job_field(self):
+        """json.loads alone would keep the last heat, 1/2, without a word."""
+        text = (
+            '{"threshold": "1/1", "cooling_factor": "2/1", "jobs": '
+            '[{"id": 1, "release": 0, "deadline": 2, "heat": "9/1", "heat": "1/2"}]}'
+        )
+        with pytest.raises(ParseError, match=r"^instance\.jobs\[0\]: repeated key 'heat'$"):
+            parse_instance(text)
+
+    @pytest.mark.parametrize(
+        "job, message",
+        [
+            ({"id": 2, "release": 0, "deadline": 2}, "missing field(s) heat"),
+            ({**_JOB, "note": 1}, "unknown field(s) note"),
+            ([2, 0, 2, "1/2"], "expected an object, got list"),
+        ],
+        ids=["missing", "unknown", "list"],
+    )
+    def test_job_object_errors(self, job, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_instance(_instance_document(_JOB, job))
+        assert str(excinfo.value) == f"instance.jobs[1]: {message}"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"jobs": {"1": _JOB}}, "instance.jobs: expected an array, got dict"),
+            (
+                {"jobs": [_JOB, {**_JOB, "id": True}]},
+                "instance.jobs[1].id: expected an integer, got True",
+            ),
+            (
+                {"jobs": [_JOB, {**_JOB, "release": 1.0}]},
+                "instance.jobs[1].release: expected an integer, got 1.0",
+            ),
+            (
+                {"jobs": [_JOB, {**_JOB, "heat": [1, 2]}]},
+                "instance.jobs[1].heat: expected a rational string, got [1, 2]",
+            ),
+            (
+                {"jobs": [_JOB, {**_JOB, "heat": {"p": 1}}]},
+                "instance.jobs[1].heat: expected a rational string, got {'p': 1}",
+            ),
+            (
+                {"jobs": [_JOB, {**_JOB, "heat": 0.5}]},
+                "instance.jobs[1].heat: expected a rational string, got 0.5",
+            ),
+        ],
+        ids=["jobs", "id", "release-float", "heat-array", "heat-object", "heat-float"],
+    )
+    def test_field_errors(self, fields, message):
+        document = {"threshold": "1/1", "cooling_factor": "2/1", "jobs": [_JOB], **fields}
+        with pytest.raises(ParseError) as excinfo:
+            parse_instance(json.dumps(document))
+        assert str(excinfo.value) == message
+
     def test_bad_heat_fails_at_its_path_every_time(self):
         bad = {**_JOB, "id": 2, "heat": "1/0"}
         for _ in range(2):
